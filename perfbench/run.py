@@ -6,21 +6,27 @@ Run from the repository root:
     python3 perfbench/run.py --seed 0          # every workload, one fresh process each
 
 Each workload runs in one process with BLAS/OpenMP pinned to one thread.
-Set-up generates the input CSV several times and reports the median. Then
-the timed pipeline (see workloads.py) runs in-process through
-`biasreid.cli.main`:
+Set-up is the `gen` command, which writes the input CSV; it is timed in
+slots before the first pass and after each pass, so that its median samples
+the same stretch of time as the passes. The timed pipeline (see
+workloads.py) runs in-process through `biasreid.cli.main`:
 
-- `--trace 0` repeats the pipeline while another pass fits in `--seconds`
-  (at least once) and prints the end-to-end metrics: wall time as the
-  median over passes, peak RSS as of the end of the first pass;
-- `--trace 1` runs one plain pass and one pass traced by spans.py, and
-  prints the per-layer metrics from the traced pass.
+- `--trace 0` repeats the pipeline at least twice and until `--seconds`
+  have passed, and prints the end-to-end metrics: set-up and wall time as
+  medians over their repetitions, peak RSS as of the end of the first
+  pass;
+- `--trace 1` runs one pass traced by spans.py and prints the per-layer
+  metrics from it. `trace.overhead_s` is the number of spans recorded
+  times the cost of one span, calibrated on a no-op function
+  (spans.span_cost_s), so drift of the host between two passes does not
+  enter it.
 
-Every eval/stats output is checked against reference.py, and same-seed
-passes must write byte-identical result files. A failed stage or check
-counts in `failed`, and the exit code is then 1. Metric names and units
-come from BENCHMARK.json. The last line of standard output is one JSON
-object: {"correct", "attempted", "failed", "metrics"}.
+Every eval/stats output is checked against reference.py, and the passes of
+a `--trace 0` run, which share the seed, must write byte-identical result
+files. A failed stage or check counts in `failed`, and the exit code is
+then 1. Metric names and units come from BENCHMARK.json. The last line of
+standard output is one JSON object: {"correct", "attempted", "failed",
+"metrics"}.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import time
 import traceback
 from pathlib import Path
 
-from spans import PACKAGE, Tracer
+from spans import PACKAGE, Tracer, span_cost_s
 from workloads import CHANNEL, WORKLOADS, Stage, Workload
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,7 +56,9 @@ WORK = ROOT / ".perfbench_work"
 THREADS = "1"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-SETUP_MIN_REPS, SETUP_MAX_REPS, SETUP_MIN_S = 3, 50, 1.5
+# a set-up slot runs `gen` at least this often and this long; audit-3k's gen
+# takes ~1 s, so each of its slots holds 3 set-up times, train-default's ~15
+SLOT_MIN_REPS, SLOT_MIN_S = 3, 0.5
 RESULT_FILES = ("trainlog.csv", "report.json", "nauc.json", "probe.json")
 
 
@@ -102,23 +110,22 @@ def run_pass(stages: list[Stage], ledger: Ledger, tracer: Tracer | None = None) 
     return True
 
 
-def write_configs(wl: Workload, work: Path) -> tuple[Path, Path]:
-    gen_cfg, train_cfg = work / "gen.cfg", work / "train.cfg"
+def write_gen_config(wl: Workload, work: Path) -> Path:
+    gen_cfg = work / "gen.cfg"
     gen_cfg.write_text("".join(f"{k} = {v}\n" for k, v in wl.gen_keys.items()))
-    train_cfg.write_text("".join(f"{k} = {v}\n" for k, v in wl.train_keys.items()))
-    return gen_cfg, train_cfg
+    return gen_cfg
 
 
-def setup(wl: Workload, seed: int, work: Path, gen_cfg: Path, ledger: Ledger):
-    """Generate the input CSV several times; return (csv path, median seconds)."""
-    out = work / "data"
-    times = []
-    while len(times) < SETUP_MIN_REPS or (sum(times) < SETUP_MIN_S and len(times) < SETUP_MAX_REPS):
-        ok, seconds = run_stage(wl.gen_argv(seed, out, gen_cfg), ledger)
+def setup_slot(gen_argv: list[str], times: list[float], ledger: Ledger) -> bool:
+    """Run the set-up command SLOT_MIN_REPS times and for SLOT_MIN_S seconds
+    at least, appending each time taken to `times`."""
+    start = len(times)
+    while len(times) - start < SLOT_MIN_REPS or sum(times[start:]) < SLOT_MIN_S:
+        ok, seconds = run_stage(gen_argv, ledger)
         if not ok:
-            return None, 0.0
+            return False
         times.append(seconds)
-    return out / "dataset.csv", statistics.median(times)
+    return True
 
 
 def check_outputs(stages: list[Stage], ledger: Ledger) -> None:
@@ -151,27 +158,30 @@ def check_same(first: Path, other: Path, names, ledger: Ledger) -> None:
             ledger.record(same, f"{f.relative_to(first)} differs between same-seed passes")
 
 
-def end_to_end(wl, seed, seconds, work, data, train_cfg, ledger) -> dict:
-    passes, walls = [], []
+def end_to_end(wl, seed, seconds, work, data, gen_argv, ledger) -> dict:
+    passes, walls, setups = [], [], []
     t_start = time.perf_counter()
-    while not walls or time.perf_counter() - t_start + max(walls) <= seconds:
+    ok = setup_slot(gen_argv, setups, ledger)
+    while ok and (len(walls) < 2 or time.perf_counter() - t_start < seconds):
         out = work / f"pass{len(passes)}"
         t0 = time.perf_counter()
-        if not run_pass(wl.stages(data, seed, out, train_cfg), ledger):
+        if not run_pass(wl.stages(data, seed, out), ledger):
             break
         walls.append(time.perf_counter() - t0)
         passes.append(out)
         if len(passes) == 1:  # the high-water mark creeps up with the pass count
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        ok = setup_slot(gen_argv, setups, ledger)
     if not passes:
         return {}
-    check_outputs(wl.stages(data, seed, passes[0], train_cfg), ledger)
+    check_outputs(wl.stages(data, seed, passes[0]), ledger)
     for out in passes[1:]:
         check_same(passes[0], out, RESULT_FILES, ledger)
-    return {"wall_s": statistics.median(walls), "peak_rss_mb": peak_rss_mb, "passes": len(passes)}
+    return {"setup_s": statistics.median(setups), "wall_s": statistics.median(walls),
+            "peak_rss_mb": peak_rss_mb, "passes": len(passes)}
 
 
-def branch_nauc_gap(wl, seed, data, out: Path, ledger: Ledger) -> float:
+def branch_nauc_gap(wl, data, out: Path, ledger: Ledger) -> float:
     """enhance minus reduce nauc10_neg, each branch's embedding alone."""
     if set(wl.modes) != {"reduce", "enhance"}:
         return 0.0
@@ -188,31 +198,28 @@ def branch_nauc_gap(wl, seed, data, out: Path, ledger: Ledger) -> float:
     return nauc["enhance"] - nauc["reduce"]
 
 
-def per_layer(wl, seed, work, data, gen_cfg, train_cfg, ledger) -> dict:
-    plain, traced = work / "plain", work / "traced"
-    t0 = time.perf_counter()
-    if not run_pass(wl.stages(data, seed, plain, train_cfg), ledger):
+def per_layer(wl, seed, work, gen_cfg, ledger) -> dict:
+    data = work / "data" / "dataset.csv"
+    if not setup_slot(wl.gen_argv(seed, data.parent, gen_cfg), [], ledger):
         return {}
-    plain_wall = time.perf_counter() - t0
+    traced = work / "traced"
+    traced_data = traced / "data" / "dataset.csv"
+    stages = wl.stages(traced_data, seed, traced)
     tracer = Tracer()
     tracer.install()
     try:
         with tracer.span("cli.gen", "cli"):
-            ok, _ = run_stage(wl.gen_argv(seed, traced / "data", gen_cfg), ledger)
-        t0 = time.perf_counter()
-        ok = ok and run_pass(
-            wl.stages(traced / "data" / "dataset.csv", seed, traced, train_cfg), ledger, tracer)
-        traced_wall = time.perf_counter() - t0
+            ok, _ = run_stage(wl.gen_argv(seed, traced_data.parent, gen_cfg), ledger)
+        ok = ok and run_pass(stages, ledger, tracer)
     finally:
         tracer.uninstall()
     if not ok:
         return {}
-    check_outputs(wl.stages(data, seed, plain, train_cfg), ledger)
-    check_same(plain, traced, RESULT_FILES, ledger)
-    check_same(data.parent, traced / "data", ("dataset.csv",), ledger)
+    check_outputs(stages, ledger)
+    check_same(data.parent, traced_data.parent, ("dataset.csv",), ledger)
     metrics = tracer.layer_metrics()
-    metrics["trace.overhead_s"] = traced_wall - plain_wall
-    metrics["evaluation.nauc10_gap"] = branch_nauc_gap(wl, seed, data, plain, ledger)
+    metrics["trace.overhead_s"] = len(tracer.spans) * span_cost_s()
+    metrics["evaluation.nauc10_gap"] = branch_nauc_gap(wl, traced_data, traced, ledger)
     report = json.loads((traced / "eval_standard" / "report.json").read_text())
     metrics["evaluation.rank1"], metrics["evaluation.map"] = report["rank1"], report["map"]
     probe = traced / "probe_standard" / "probe.json"
@@ -278,14 +285,13 @@ def run_one(args, spec: dict) -> int:
     work.mkdir(parents=True)
     ledger = Ledger()
     try:
-        gen_cfg, train_cfg = write_configs(wl, work)
-        data, setup_s = setup(wl, args.seed, work, gen_cfg, ledger)
-        values = {}
-        if data is not None and args.trace:
-            values = per_layer(wl, args.seed, work, data, gen_cfg, train_cfg, ledger)
-        elif data is not None:
-            values = end_to_end(wl, args.seed, args.seconds, work, data, train_cfg, ledger)
-            values["setup_s"] = setup_s
+        gen_cfg = write_gen_config(wl, work)
+        if args.trace:
+            values = per_layer(wl, args.seed, work, gen_cfg, ledger)
+        else:
+            data = work / "data" / "dataset.csv"
+            values = end_to_end(wl, args.seed, args.seconds, work, data,
+                                wl.gen_argv(args.seed, data.parent, gen_cfg), ledger)
         extra = environment(args)
         extra["passes"] = values.pop("passes", 1)
     finally:

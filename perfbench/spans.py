@@ -7,6 +7,8 @@ each name wherever a loaded biasreid module refers to it, so calls made
 through `from .x import f` are traced too. Each call records one span
 (name, layer, parent span, start, end) in memory; `uninstall` puts the
 original objects back. Per-layer metrics are derived from the spans.
+`span_cost_s` gives the added cost of one traced call, from which the
+benchmark derives the tracing overhead.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import importlib
+import statistics
 import sys
 import time
 import types
@@ -197,3 +200,27 @@ def _quantile(ordered: list[float], q: float) -> float:
     if not ordered:
         return 0.0
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+def span_cost_s(calls: int = 20000, rounds: int = 9) -> float:
+    """Seconds one traced call adds to a plain one: the median over rounds
+    of a no-op function wrapped the way `Tracer.install` wraps the program's
+    functions, timed against the same function unwrapped. Rounds alternate
+    the two, so a drift of the host moves both alike."""
+    def noop():
+        return None
+
+    tracer = Tracer()
+    traced = tracer._wrap("calibration.noop", "calibration", noop)
+    costs = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            noop()
+        t1 = time.perf_counter()
+        for _ in range(calls):
+            traced()
+        t2 = time.perf_counter()
+        costs.append(((t2 - t1) - (t1 - t0)) / calls)
+        tracer.spans.clear()
+    return statistics.median(costs)

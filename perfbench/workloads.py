@@ -28,7 +28,6 @@ class Stage:
 class Workload:
     name: str
     gen_keys: dict = field(default_factory=dict)  # generator keys over the default preset
-    train_keys: dict = field(default_factory=dict)  # branch keys over the default preset
     modes: tuple[str, ...] = ()  # branches trained, in embedding order
     audits: tuple[tuple[str, str], ...] = ()  # (cmd, protocol) run on the final descriptor
 
@@ -36,13 +35,11 @@ class Workload:
         argv = ["gen", "--preset", "default", "--seed", str(seed), "--out", str(out)]
         return argv + (["--config", str(config)] if self.gen_keys else [])
 
-    def stages(self, data: Path, seed: int, out: Path, config: Path) -> list[Stage]:
+    def stages(self, data: Path, seed: int, out: Path) -> list[Stage]:
         stages = []
         for mode in self.modes:
             argv = ["train", "--data", str(data), "--preset", "default", "--mode", mode,
                     "--seed", str(seed), "--out", str(out / mode)]
-            if self.train_keys:
-                argv += ["--config", str(config)]
             stages.append(Stage("train", argv, out / mode))
         descriptor = data
         if self.modes:
@@ -70,13 +67,6 @@ WORKLOADS = {
             "train-default",
             modes=("reduce", "enhance"),
             audits=(("eval", "standard"), ("eval", "nobias"), ("probe", "standard")),
-        ),
-        Workload(
-            "train-wide",
-            gen_keys={"n_ids": 1000},
-            train_keys={"p": 32, "k": 8, "epochs": 4},
-            modes=("reduce",),
-            audits=(("eval", "standard"), ("eval", "nobias")),
         ),
         Workload(
             "audit-3k",

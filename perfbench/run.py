@@ -2,22 +2,25 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload train-default --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload train-default --seed 0 --seconds 45 --trace 0
     python3 perfbench/run.py --seed 0          # every workload, one fresh process each
 
 Each workload runs in one process with BLAS/OpenMP pinned to one thread.
-Set-up is the `gen` command, which writes the input CSV; it is timed in
-slots before the first pass and after each pass, so that its median samples
-the same stretch of time as the passes. The timed pipeline (see
-workloads.py) runs in-process through `biasreid.cli.main`:
+Before anything is timed, the process makes one untimed warm-up pass with a
+short training schedule (WARM_EPOCHS). Set-up is the `gen` command, which
+writes the input CSV; it is timed in slots before the first pass and after
+each pass, so that its median samples the same stretch of time as the
+passes. The timed pipeline (see workloads.py) runs in-process through
+`biasreid.cli.main`:
 
 - `--trace 0` repeats the pipeline at least twice and until `--seconds`
-  have passed, and prints the end-to-end metrics: set-up and wall time as
-  medians over their repetitions, peak RSS as of the end of the first
-  pass;
+  have passed since the warm-up began, and prints the end-to-end metrics:
+  set-up and wall time as medians over their repetitions, scaled to the
+  speed of a reference host by hostspeed.py (the raw medians and the scale
+  are on the `env:` line), and peak RSS as of the end of the first pass;
 - `--trace 1` runs one pass traced by spans.py and prints the per-layer
-  metrics from it. `trace.overhead_s` is the number of spans recorded
-  times the cost of one span, calibrated on a no-op function
+  metrics from it, unscaled. `trace.overhead_s` is the number of spans
+  recorded times the cost of one span, calibrated on a no-op function
   (spans.span_cost_s), so drift of the host between two passes does not
   enter it.
 
@@ -47,6 +50,7 @@ import time
 import traceback
 from pathlib import Path
 
+from hostspeed import HostSpeed
 from spans import PACKAGE, Tracer, span_cost_s
 from workloads import CHANNEL, WORKLOADS, Stage, Workload
 
@@ -57,8 +61,11 @@ THREADS = "1"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 # a set-up slot runs `gen` at least this often and this long; audit-3k's gen
-# takes ~1 s, so each of its slots holds 3 set-up times, train-default's ~15
-SLOT_MIN_REPS, SLOT_MIN_S = 3, 0.5
+# takes ~1.2 s, so each of its slots holds 2 set-up times, train-default's ~12
+SLOT_MIN_REPS, SLOT_MIN_S = 2, 0.5
+# the first pass in a fresh process ran 10-30% slower than the next ones, so
+# every run first makes one untimed pass with this short training schedule
+WARM_EPOCHS = 20
 RESULT_FILES = ("trainlog.csv", "report.json", "nauc.json", "probe.json")
 
 
@@ -77,13 +84,13 @@ class Ledger:
             self.problems.append(what)
 
 
-def run_stage(argv: list[str], ledger: Ledger) -> tuple[bool, float]:
-    """One CLI command in-process; a ToolkitError or any other exception,
-    or a non-zero exit, is a failed stage."""
+def run_stage(argv: list[str], ledger: Ledger, clock=time.perf_counter) -> tuple[bool, float]:
+    """One CLI command in-process, timed on `clock`; a ToolkitError or any
+    other exception, or a non-zero exit, is a failed stage."""
     from biasreid.cli import main
 
     log = io.StringIO()
-    t0 = time.perf_counter()
+    t0 = clock()
     try:
         with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
             code = main(argv)
@@ -92,22 +99,25 @@ def run_stage(argv: list[str], ledger: Ledger) -> tuple[bool, float]:
     except Exception:  # a defect in the program: recorded as a failed stage
         code = None
         log.write(traceback.format_exc())
-    seconds = time.perf_counter() - t0
+    seconds = clock() - t0
     ledger.record(code == 0, f"{' '.join(argv[:2])} exited {code}: {log.getvalue().strip()[-800:]}")
     return code == 0, seconds
 
 
-def run_pass(stages: list[Stage], ledger: Ledger, tracer: Tracer | None = None) -> bool:
+def run_pass(stages: list[Stage], ledger: Ledger, tracer: Tracer | None = None,
+             clock=time.perf_counter) -> tuple[bool, float]:
     """Run the stages in order; stop at the first failure, counting the
-    stages that could not run as failed."""
+    stages that could not run as failed. Returns the stages' summed time."""
+    total = 0.0
     for i, st in enumerate(stages):
         with tracer.span(f"cli.{st.cmd}", "cli") if tracer else contextlib.nullcontext():
-            ok, _ = run_stage(st.argv, ledger)
+            ok, seconds = run_stage(st.argv, ledger, clock)
+        total += seconds
         if not ok:
             for later in stages[i + 1:]:
                 ledger.record(False, f"{later.cmd} not run after an earlier failure")
-            return False
-    return True
+            return False, total
+    return True, total
 
 
 def write_gen_config(wl: Workload, work: Path) -> Path:
@@ -116,12 +126,13 @@ def write_gen_config(wl: Workload, work: Path) -> Path:
     return gen_cfg
 
 
-def setup_slot(gen_argv: list[str], times: list[float], ledger: Ledger) -> bool:
+def setup_slot(gen_argv: list[str], times: list[float], ledger: Ledger,
+               clock=time.perf_counter) -> bool:
     """Run the set-up command SLOT_MIN_REPS times and for SLOT_MIN_S seconds
     at least, appending each time taken to `times`."""
     start = len(times)
     while len(times) - start < SLOT_MIN_REPS or sum(times[start:]) < SLOT_MIN_S:
-        ok, seconds = run_stage(gen_argv, ledger)
+        ok, seconds = run_stage(gen_argv, ledger, clock)
         if not ok:
             return False
         times.append(seconds)
@@ -158,27 +169,51 @@ def check_same(first: Path, other: Path, names, ledger: Ledger) -> None:
             ledger.record(same, f"{f.relative_to(first)} differs between same-seed passes")
 
 
-def end_to_end(wl, seed, seconds, work, data, gen_argv, ledger) -> dict:
-    passes, walls, setups = [], [], []
-    t_start = time.perf_counter()
-    ok = setup_slot(gen_argv, setups, ledger)
-    while ok and (len(walls) < 2 or time.perf_counter() - t_start < seconds):
-        out = work / f"pass{len(passes)}"
-        t0 = time.perf_counter()
-        if not run_pass(wl.stages(data, seed, out), ledger):
-            break
-        walls.append(time.perf_counter() - t0)
-        passes.append(out)
-        if len(passes) == 1:  # the high-water mark creeps up with the pass count
-            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        ok = setup_slot(gen_argv, setups, ledger)
+def warm_up(wl, seed, work, gen_cfg, ledger) -> bool:
+    """One untimed pass through every stage, training for WARM_EPOCHS only,
+    so the timed passes start with imports done and the allocator grown."""
+    warm = work / "warm"
+    data = warm / "data" / "dataset.csv"
+    train_cfg = warm / "train.cfg"
+    warm.mkdir()
+    train_cfg.write_text(f"epochs = {WARM_EPOCHS}\n")
+    ok = run_stage(wl.gen_argv(seed, data.parent, gen_cfg), ledger)[0]
+    ok = ok and run_pass(wl.stages(data, seed, warm, train_cfg), ledger)[0]
+    shutil.rmtree(warm, ignore_errors=True)
+    return ok
+
+
+def end_to_end(wl, seed, deadline, work, data, gen_argv, ledger) -> dict:
+    """Passes and set-up slots until the deadline. Each pass's time is scaled
+    by the host's speed during that pass, set-up times by its speed over the
+    whole run (hostspeed.py)."""
+    passes, walls, scaled, setups = [], [], [], []
+    with HostSpeed() as host:
+        ok = setup_slot(gen_argv, setups, ledger, host.clock)
+        while ok and (len(walls) < 2 or time.perf_counter() < deadline):
+            out = work / f"pass{len(passes)}"
+            start = host.clock()
+            ok, seconds = run_pass(wl.stages(data, seed, out), ledger, clock=host.clock)
+            if not ok:
+                break
+            walls.append(seconds)
+            scaled.append(seconds * host.scale(start, host.clock()))
+            passes.append(out)
+            if len(passes) == 1:  # the high-water mark creeps up with the pass count
+                peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            ok = setup_slot(gen_argv, setups, ledger, host.clock)
     if not passes:
         return {}
     check_outputs(wl.stages(data, seed, passes[0]), ledger)
     for out in passes[1:]:
         check_same(passes[0], out, RESULT_FILES, ledger)
-    return {"setup_s": statistics.median(setups), "wall_s": statistics.median(walls),
-            "peak_rss_mb": peak_rss_mb, "passes": len(passes)}
+    scale = host.scale()
+    info = {"wall_raw_s": statistics.median(walls), "setup_raw_s": statistics.median(setups),
+            "host_scale": scale, "host_samples": len(host.samples), "passes": len(passes),
+            "pass_raw_s": [round(w, 3) for w in walls], "pass_scaled_s": [round(w, 3) for w in scaled],
+            "setups": len(setups)}
+    return {"setup_s": info["setup_raw_s"] * scale, "wall_s": statistics.median(scaled),
+            "peak_rss_mb": peak_rss_mb, "info": info}
 
 
 def branch_nauc_gap(wl, data, out: Path, ledger: Ledger) -> float:
@@ -210,7 +245,7 @@ def per_layer(wl, seed, work, gen_cfg, ledger) -> dict:
     try:
         with tracer.span("cli.gen", "cli"):
             ok, _ = run_stage(wl.gen_argv(seed, traced_data.parent, gen_cfg), ledger)
-        ok = ok and run_pass(stages, ledger, tracer)
+        ok = ok and run_pass(stages, ledger, tracer)[0]
     finally:
         tracer.uninstall()
     if not ok:
@@ -286,14 +321,17 @@ def run_one(args, spec: dict) -> int:
     ledger = Ledger()
     try:
         gen_cfg = write_gen_config(wl, work)
-        if args.trace:
+        deadline = time.perf_counter() + args.seconds
+        if not warm_up(wl, args.seed, work, gen_cfg, ledger):
+            values = {}
+        elif args.trace:
             values = per_layer(wl, args.seed, work, gen_cfg, ledger)
         else:
             data = work / "data" / "dataset.csv"
-            values = end_to_end(wl, args.seed, args.seconds, work, data,
+            values = end_to_end(wl, args.seed, deadline, work, data,
                                 wl.gen_argv(args.seed, data.parent, gen_cfg), ledger)
         extra = environment(args)
-        extra["passes"] = values.pop("passes", 1)
+        extra.update(values.pop("info", {}))
     finally:
         shutil.rmtree(work, ignore_errors=True)
         with contextlib.suppress(OSError):
@@ -333,7 +371,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="all", choices=["all", *WORKLOADS])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args()
     if not (SRC / PACKAGE / "__init__.py").is_file():

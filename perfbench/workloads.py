@@ -35,11 +35,14 @@ class Workload:
         argv = ["gen", "--preset", "default", "--seed", str(seed), "--out", str(out)]
         return argv + (["--config", str(config)] if self.gen_keys else [])
 
-    def stages(self, data: Path, seed: int, out: Path) -> list[Stage]:
+    def stages(self, data: Path, seed: int, out: Path, train_cfg: Path | None = None) -> list[Stage]:
+        """The timed pipeline; `train_cfg` overrides the preset's branch keys."""
         stages = []
         for mode in self.modes:
             argv = ["train", "--data", str(data), "--preset", "default", "--mode", mode,
                     "--seed", str(seed), "--out", str(out / mode)]
+            if train_cfg:
+                argv += ["--config", str(train_cfg)]
             stages.append(Stage("train", argv, out / mode))
         descriptor = data
         if self.modes:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import check_keys, read_kv
+from .config import as_float, as_int, check_keys, read_kv
 from .dataset import (
     generate_synthetic,
     generator_config_dict,
@@ -202,10 +202,10 @@ def cmd_probe(args) -> int:
     raw = _file_config(args)
     check_keys(raw, PROBE_CONFIG_KEYS, what="probe config")
     cfg = ProbeConfig(
-        epochs=int(raw.get("probe_epochs", 200)),
-        rate=float(raw.get("probe_rate", 0.01)),
-        train_fraction=float(raw.get("probe_train_fraction", 0.5)),
-        seed=args.seed if args.seed is not None else int(raw.get("probe_seed", 0)),
+        epochs=as_int(raw, "probe_epochs", 200),
+        rate=as_float(raw, "probe_rate", 0.01),
+        train_fraction=as_float(raw, "probe_train_fraction", 0.5),
+        seed=args.seed if args.seed is not None else as_int(raw, "probe_seed", 0),
     )
     report, _ = fit_probe(es, args.channel, cfg)
     path = out / "probe.json"

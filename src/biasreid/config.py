@@ -30,11 +30,6 @@ def read_kv(path) -> dict[str, str]:
     return out
 
 
-def write_kv(path, values: dict) -> None:
-    lines = [f"{k} = {v}" for k, v in values.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def check_keys(values: dict[str, str], allowed, *, what: str) -> None:
     """Reject keys outside `allowed` (closed world)."""
     unknown = sorted(set(values) - set(allowed))

@@ -1,97 +1,106 @@
-"""Annotated samples, a controllable synthetic generator, CSV IO, and sampling.
+"""Annotated rows as one columnar table, a controllable synthetic generator,
+CSV IO, P x K batching, and the query/gallery split.
 
-Every sample carries an identity, a protocol camera, and one label per
-declared bias channel. The synthetic generator mixes a per-identity latent
-with per-bias-class latents so that bias visibly contaminates feature-space
-neighbourhoods, which is exactly what the training branches then suppress or
-amplify.
+A `Table` holds n annotated rows as parallel columns:
+
+- `matrix`: float64 [n, d], input features or embeddings;
+- `ids` and `cameras`: int [n], identity and protocol camera;
+- `splits`: str [n], each one of SPLITS;
+- `codes[c]`: int [n] per bias channel c, indexing the class names
+  `channels[c]` (the generator's class order, or sorted on load);
+- `provenance`: (branch name, (start, stop)) column spans of an embedding,
+  empty for a dataset (see embedder);
+- `meta`: how the rows were made (generator config, dropped queries).
+
+Datasets and embeddings are the same type: an embedding is a table whose
+`matrix` holds encoder outputs. Tables share column arrays, and no function
+writes into them.
+
+The synthetic generator mixes a per-identity latent with per-bias-class
+latents so that bias visibly contaminates feature-space neighbourhoods,
+which is exactly what the training branches then suppress or amplify.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BatchCompositionError, ConfigError, DataError, EvaluationError, ParseError
+from .errors import AlignmentError, ConfigError, DataError, EvaluationError, ParseError
 
 SPLITS = ("train", "query", "gallery")
 CAMERA_CHANNEL = "cam"
+_SPLIT_DTYPE = np.array(SPLITS).dtype  # wide enough for every tag
 
 
-@dataclass
-class Sample:
-    """One annotated record."""
+@dataclass(frozen=True)
+class Table:
+    """Rows of annotated vectors, stored column by column (module docstring)."""
 
-    features: np.ndarray
-    id: int
-    camera: int
-    bias_labels: dict[str, str]
-    split: str = "train"
-
-
-@dataclass
-class Dataset:
-    """Ordered samples plus per-channel class declarations."""
-
-    samples: list[Sample]
+    matrix: np.ndarray
+    ids: np.ndarray
+    cameras: np.ndarray
+    splits: np.ndarray
+    codes: dict[str, np.ndarray]
     channels: dict[str, list[str]]
-    name: str = "dataset"
+    provenance: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.samples:
-            d = len(self.samples[0].features)
-            for i, s in enumerate(self.samples):
-                if len(s.features) != d:
-                    raise DataError(f"sample {i}: feature length {len(s.features)} != {d}")
-                if s.split not in SPLITS:
-                    raise DataError(f"sample {i}: unknown split {s.split!r}")
-                missing = set(self.channels) - set(s.bias_labels)
-                if missing:
-                    raise DataError(f"sample {i}: missing channel label(s) {sorted(missing)}")
+        matrix = np.asarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise DataError(f"matrix must be 2-D, got shape {matrix.shape}")
+        n = matrix.shape[0]
+        columns = {
+            "ids": np.asarray(self.ids, dtype=np.int64),
+            "cameras": np.asarray(self.cameras, dtype=np.int64),
+            "splits": np.asarray(self.splits, dtype=_SPLIT_DTYPE),
+        }
+        if set(self.codes) != set(self.channels):
+            raise DataError(
+                f"codes for {sorted(self.codes)} but classes for {sorted(self.channels)}"
+            )
+        codes = {ch: np.asarray(self.codes[ch], dtype=np.int64) for ch in self.channels}
+        for name, arr in [*columns.items(), *codes.items()]:
+            if arr.shape != (n,):
+                raise AlignmentError(f"{name} has shape {arr.shape} for {n} rows")
+        unknown = set(columns["splits"].tolist()) - set(SPLITS)
+        if unknown:
+            raise DataError(f"unknown split tag(s) {sorted(unknown)}")
+        for ch, arr in codes.items():
+            if n and (arr.min() < 0 or arr.max() >= len(self.channels[ch])):
+                raise DataError(f"channel {ch!r}: code outside its {len(self.channels[ch])} classes")
+        spans = sorted(span for _, span in self.provenance)
+        cursor = 0
+        for start, stop in spans:
+            if start != cursor:
+                raise AlignmentError(f"provenance spans leave a gap at column {cursor}")
+            cursor = stop
+        if spans and cursor != matrix.shape[1]:
+            raise AlignmentError("provenance spans do not cover all columns")
+        for name, arr in dict(columns, matrix=matrix, codes=codes).items():
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.matrix.shape[0]
 
     @property
-    def d_in(self) -> int:
-        if not self.samples:
-            raise DataError("empty dataset has no feature dimension")
-        return len(self.samples[0].features)
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
-    def indices(self, split: str | None = None) -> np.ndarray:
-        if split is None:
-            return np.arange(len(self.samples))
-        return np.array([i for i, s in enumerate(self.samples) if s.split == split], dtype=int)
-
-    def features(self, idx=None) -> np.ndarray:
-        idx = self.indices() if idx is None else np.asarray(idx, dtype=int)
-        if len(idx) == 0:
-            d = len(self.samples[0].features) if self.samples else 0
-            return np.zeros((0, d))
-        return np.stack([self.samples[i].features for i in idx])
-
-    def ids(self, idx=None) -> np.ndarray:
-        idx = self.indices() if idx is None else idx
-        return np.array([self.samples[i].id for i in idx], dtype=int)
-
-    def cameras(self, idx=None) -> np.ndarray:
-        idx = self.indices() if idx is None else idx
-        return np.array([self.samples[i].camera for i in idx], dtype=int)
-
-    def channel_labels(self, channel: str, idx=None) -> np.ndarray:
-        if channel not in self.channels:
-            raise ConfigError(f"unknown bias channel {channel!r}; have {sorted(self.channels)}")
-        idx = self.indices() if idx is None else idx
-        return np.array([self.samples[i].bias_labels[channel] for i in idx], dtype=object)
-
-    def train_identities(self) -> np.ndarray:
-        return np.unique(self.ids(self.indices("train")))
+    def rows(self, idx) -> "Table":
+        """The rows picked by an index array or boolean mask, in that order."""
+        return replace(
+            self,
+            matrix=self.matrix[idx],
+            ids=self.ids[idx],
+            cameras=self.cameras[idx],
+            splits=self.splits[idx],
+            codes={ch: arr[idx] for ch, arr in self.codes.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ class GeneratorConfig:
                 raise ConfigError(f"channel {c.name!r}: bad latent dim or gain")
 
 
-def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Dataset:
+def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:
     """Features = A u_id + sum_c gain_c B_c v_{c,class} + sigma * noise.
 
     Mixing matrices come from `cfg.mix_seed`; identity/class latents, class
@@ -159,21 +168,21 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Dataset:
     class_of = {c.name: rng.integers(0, c.n_classes, size=n) for c in cfg.channels}
     noise = rng.normal(size=(n, cfg.d_in))
 
-    samples = []
-    for row in range(n):
-        ident = row // cfg.samples_per_id
-        x = mix_id @ id_latents[ident]
-        labels: dict[str, str] = {}
-        for c in cfg.channels:
-            k = int(class_of[c.name][row])
-            x = x + c.gain * (mix_ch[c.name] @ class_latents[c.name][k])
-            labels[c.name] = str(k)
-        x = cfg.feature_scale * (x + cfg.sigma * noise[row])
-        samples.append(Sample(x, ident, int(labels[CAMERA_CHANNEL]), labels, "train"))
+    # One matrix-vector product per identity and per class, gathered per row.
+    # A single matrix-matrix product would round differently; this keeps the
+    # features bit-identical to one product per row.
+    ids = np.repeat(np.arange(cfg.n_ids), cfg.samples_per_id)
+    x = np.stack([mix_id @ u for u in id_latents])[ids]
+    for c in cfg.channels:
+        per_class = np.stack([mix_ch[c.name] @ v for v in class_latents[c.name]])
+        x = x + c.gain * per_class[class_of[c.name]]
+    x = cfg.feature_scale * (x + cfg.sigma * noise)
 
     channels = {c.name: [str(k) for k in range(c.n_classes)] for c in cfg.channels}
     meta = {"seed": seed, "generator": generator_config_dict(cfg)}
-    return Dataset(samples, channels, name="synthetic", meta=meta)
+    return Table(
+        x, ids, class_of[CAMERA_CHANNEL], np.full(n, "train"), class_of, channels, meta=meta
+    )
 
 
 def generator_config_dict(cfg: GeneratorConfig) -> dict:
@@ -211,25 +220,29 @@ def parse_channel_spec(raw: str) -> tuple[ChannelSpec, ...]:
 _FEATURE_COL = re.compile(r"^([ef])(\d+)$")
 
 
-def save_dataset(ds: Dataset, path, feature_prefix: str = "f") -> None:
-    Path(path).write_text(dataset_to_csv(ds, feature_prefix))
-
-
-def dataset_to_csv(ds: Dataset, feature_prefix: str = "f") -> str:
+def save_dataset(ds: Table, path, feature_prefix: str = "f") -> None:
+    """Write the table row by row, so the whole text is never held at once."""
     chan_names = list(ds.channels)
-    d = len(ds.samples[0].features) if ds.samples else 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["id", "camera", "split", *chan_names, *(f"{feature_prefix}{j}" for j in range(d))]
-    )
-    for s in ds.samples:
-        feats = [f"{v:.17g}" for v in s.features]
-        writer.writerow([s.id, s.camera, s.split, *(s.bias_labels[c] for c in chan_names), *feats])
-    return buf.getvalue()
+    labels = [np.array(ds.channels[c], dtype=object)[ds.codes[c]].tolist() for c in chan_names]
+    heads = zip(ds.ids.tolist(), ds.cameras.tolist(), ds.splits.tolist(), *labels)
+    with open(path, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["id", "camera", "split", *chan_names, *(f"{feature_prefix}{j}" for j in range(ds.dim))]
+        )
+        for head, feats in zip(heads, ds.matrix):
+            writer.writerow([*head, *(f"{v:.17g}" for v in feats.tolist())])
 
 
-def load_dataset(path) -> Dataset:
+def _number(path, rownum: int, column: str, text: str, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"{path}: row {rownum}, column {column}: not {what}: {text!r}") from None
+
+
+def load_dataset(path) -> Table:
     """Parse the dataset CSV; errors name the offending row and column."""
     try:
         with open(path, newline="") as fh:
@@ -257,42 +270,33 @@ def load_dataset(path) -> Dataset:
         if not m or (prefix is not None and m.group(1) != prefix) or int(m.group(2)) != k:
             raise ParseError(f"{path}: feature columns must be {prefix or 'f'}0..{prefix or 'f'}N in order, got {col!r}")
         prefix = m.group(1)
-    d = len(header) - feat_start
 
-    samples = []
-    observed: dict[str, set[str]] = {c: set() for c in chan_names}
-    for rownum, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    ids, cameras = [], []
+    matrix = np.empty((len(body), len(header) - feat_start))
+    for r, row in enumerate(body):
+        rownum = r + 2
         if len(row) != len(header):
             raise ParseError(f"{path}: row {rownum}: {len(row)} fields, header has {len(header)}")
+        ids.append(_number(path, rownum, "id", row[0], int))
+        cameras.append(_number(path, rownum, "camera", row[1], int))
+        if row[2] not in SPLITS:
+            raise ParseError(f"{path}: row {rownum}, column split: unknown tag {row[2]!r}")
         try:
-            ident = int(row[0])
+            matrix[r] = [float(v) for v in row[feat_start:]]
         except ValueError:
-            raise ParseError(f"{path}: row {rownum}, column id: not an integer: {row[0]!r}") from None
-        try:
-            camera = int(row[1])
-        except ValueError:
-            raise ParseError(f"{path}: row {rownum}, column camera: not an integer: {row[1]!r}") from None
-        split = row[2]
-        if split not in SPLITS:
-            raise ParseError(f"{path}: row {rownum}, column split: unknown tag {split!r}")
-        labels = dict(zip(chan_names, row[3:feat_start]))
-        for c, v in labels.items():
-            observed[c].add(v)
-        feats = np.empty(d)
-        for k in range(d):
-            try:
-                feats[k] = float(row[feat_start + k])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {rownum}, column {header[feat_start + k]}: "
-                    f"not a number: {row[feat_start + k]!r}"
-                ) from None
-        if not np.isfinite(feats).all():
-            raise ParseError(f"{path}: row {rownum}: non-finite feature value")
-        samples.append(Sample(feats, ident, camera, labels, split))
+            for col, text in zip(header[feat_start:], row[feat_start:]):
+                _number(path, rownum, col, text, float)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite feature value")
 
-    channels = {c: sorted(observed[c]) for c in chan_names}
-    return Dataset(samples, channels, name=Path(path).stem)
+    channels, codes = {}, {}
+    for j, c in enumerate(chan_names, start=3):
+        labels = np.array([row[j] for row in body], dtype=str)
+        names, codes[c] = np.unique(labels, return_inverse=True)  # sorted class names
+        channels[c] = names.tolist()
+    return Table(matrix, ids, cameras, [row[2] for row in body], codes, channels)
 
 
 # ----------------------------------------------------------------------------
@@ -302,29 +306,25 @@ def load_dataset(path) -> Dataset:
 
 @dataclass
 class Batch:
-    """P*K sample indices with aligned labels."""
+    """P*K row indices with the identities and bias codes of those rows."""
 
     indices: np.ndarray
     ids: np.ndarray
-    cameras: np.ndarray
-    bias_labels: dict[str, np.ndarray]
-    p: int
-    k: int
+    codes: dict[str, np.ndarray]
 
 
 class PKSampler:
     """Draws P-identity / K-instance batches, cycling through all train
     identities before any identity repeats (epoch semantics)."""
 
-    def __init__(self, ds: Dataset, p: int, k: int, rng: np.random.Generator):
+    def __init__(self, ds: Table, p: int, k: int, rng: np.random.Generator):
         if p < 2 or k < 2:
             raise ConfigError("need P >= 2 and K >= 2 for triplet batches")
-        train_idx = ds.indices("train")
-        self.by_id: dict[int, np.ndarray] = {}
-        for i in train_idx:
-            self.by_id.setdefault(ds.samples[i].id, []).append(i)
-        self.by_id = {ident: np.array(v, dtype=int) for ident, v in self.by_id.items()}
-        self.identities = np.array(sorted(self.by_id), dtype=int)
+        train_idx = np.flatnonzero(ds.splits == "train")
+        # each identity's train rows, in row order
+        train_idx = train_idx[np.argsort(ds.ids[train_idx], kind="stable")]
+        self.identities, starts = np.unique(ds.ids[train_idx], return_index=True)
+        self.by_id = dict(zip(self.identities.tolist(), np.split(train_idx, starts[1:])))
         if len(self.identities) < p:
             raise ConfigError(f"only {len(self.identities)} train identities, need P={p}")
         self.ds = ds
@@ -346,19 +346,7 @@ class PKSampler:
             replace = len(pool) < self.k
             picks.extend(self.rng.choice(pool, size=self.k, replace=replace))
         idx = np.array(picks, dtype=int)
-        return Batch(
-            indices=idx,
-            ids=self.ds.ids(idx),
-            cameras=self.ds.cameras(idx),
-            bias_labels={c: self.ds.channel_labels(c, idx) for c in self.ds.channels},
-            p=self.p,
-            k=self.k,
-        )
-
-
-def pk_sample(ds: Dataset, p: int, k: int, rng: np.random.Generator) -> Batch:
-    """One-shot draw; use PKSampler directly when epoch cycling matters."""
-    return PKSampler(ds, p, k, rng).draw()
+        return Batch(idx, self.ds.ids[idx], {c: arr[idx] for c, arr in self.ds.codes.items()})
 
 
 # ----------------------------------------------------------------------------
@@ -366,53 +354,46 @@ def pk_sample(ds: Dataset, p: int, k: int, rng: np.random.Generator) -> Batch:
 # ----------------------------------------------------------------------------
 
 
-def split_query_gallery(ds: Dataset, fraction: float, rng: np.random.Generator) -> Dataset:
-    """Hold out a fraction of identities and tag their samples query/gallery.
+def split_query_gallery(ds: Table, fraction: float, rng: np.random.Generator) -> Table:
+    """Hold out a fraction of identities and tag their rows query/gallery.
 
     Per held-out (identity, camera) group: one random query if the group has
-    >= 2 samples, everything else gallery. Queries without a cross-camera
+    >= 2 rows, everything else gallery. Queries without a cross-camera
     gallery positive are demoted to gallery and counted in meta.
     """
     if not 0 <= fraction <= 1:
         raise ConfigError(f"fraction must be in [0, 1], got {fraction}")
-    idents = np.unique(ds.ids())
+    idents, id_index = np.unique(ds.ids, return_inverse=True)
     n_eval = int(round(fraction * len(idents)))
-    held_out = set(int(i) for i in rng.choice(idents, size=n_eval, replace=False))
+    held = np.isin(ds.ids, rng.choice(idents, size=n_eval, replace=False))
+    splits = np.where(held, "gallery", "train")
 
-    new_samples = [
-        Sample(s.features.copy(), s.id, s.camera, dict(s.bias_labels), s.split)
-        for s in ds.samples
-    ]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(new_samples):
-        if s.id in held_out:
-            s.split = "gallery"
-            groups.setdefault((s.id, s.camera), []).append(i)
-        else:
-            s.split = "train"
+    # held-out rows grouped by (id, camera) in key order, row order within
+    rows = np.flatnonzero(held)
+    rows = rows[np.lexsort((ds.cameras[rows], ds.ids[rows]))]
+    new_group = np.ones(len(rows), dtype=bool)
+    new_group[1:] = np.diff(ds.ids[rows]) != 0
+    new_group[1:] |= np.diff(ds.cameras[rows]) != 0
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(np.append(starts, len(rows)))
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        if size >= 2:
+            splits[rows[start + int(rng.integers(0, size))]] = "query"
 
-    for key in sorted(groups):
-        members = groups[key]
-        if len(members) >= 2:
-            q = members[int(rng.integers(0, len(members)))]
-            new_samples[q].split = "query"
+    # A gallery row of the query's id on another camera exists iff that id's
+    # lowest or highest gallery camera differs from the query's camera.
+    gallery = splits == "gallery"
+    lo = np.full(len(idents), np.iinfo(np.int64).max)
+    hi = np.full(len(idents), np.iinfo(np.int64).min)
+    np.minimum.at(lo, id_index[gallery], ds.cameras[gallery])
+    np.maximum.at(hi, id_index[gallery], ds.cameras[gallery])
+    queries = np.flatnonzero(splits == "query")
+    q_id, q_cam = id_index[queries], ds.cameras[queries]
+    lonely = queries[(lo[q_id] >= q_cam) & (hi[q_id] <= q_cam)]
+    splits[lonely] = "gallery"
 
-    dropped = 0
-    gallery_keys = {
-        (s.id, s.camera) for s in new_samples if s.split == "gallery"
-    }
-    for s in new_samples:
-        if s.split != "query":
-            continue
-        has_cross = any(ident == s.id and cam != s.camera for ident, cam in gallery_keys)
-        if not has_cross:
-            s.split = "gallery"
-            dropped += 1
-
-    if not any(s.split == "query" for s in new_samples):
+    if not (splits == "query").any():
         raise EvaluationError("no valid queries after split (fraction too small or single-camera ids)")
 
-    meta = dict(ds.meta)
-    meta["dropped_queries"] = dropped
-    meta["eval_fraction"] = fraction
-    return Dataset(new_samples, dict(ds.channels), name=ds.name, meta=meta)
+    meta = dict(ds.meta, dropped_queries=len(lonely), eval_fraction=fraction)
+    return replace(ds, splits=splits, meta=meta)

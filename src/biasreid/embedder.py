@@ -1,117 +1,53 @@
-"""Applies trained encoders to samples and assembles the final descriptor.
+"""Applies trained encoders to a table's rows and assembles the final
+descriptor.
 
+An embedding is a `dataset.Table`: the input table with `matrix` replaced by
+encoder outputs, the same annotation columns, and `provenance` naming the
+branch behind each column span; the spans are disjoint and cover [0, D).
 At inference the per-branch embeddings are concatenated column-wise, which
 makes the squared Euclidean distance on the final descriptor exactly the sum
 of the per-branch squared distances. No bias annotation influences the
-embedding computation; labels are only carried along for later auditing.
+embedding computation; the codes are only carried along for later auditing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Sample, dataset_to_csv, load_dataset
+from .dataset import Table, load_dataset, save_dataset
 from .errors import AlignmentError, ConfigError
 from .numerics import EncoderParams, encode
 
 
-@dataclass
-class EmbeddingSet:
-    """[n, D] embeddings aligned with sample annotations.
-
-    `provenance` lists (branch name, (start, stop)) column spans; the spans
-    are disjoint and cover [0, D).
-    """
-
-    matrix: np.ndarray
-    ids: np.ndarray
-    cameras: np.ndarray
-    splits: np.ndarray
-    bias_labels: dict[str, np.ndarray]
-    channels: dict[str, list[str]]
-    provenance: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        n = self.matrix.shape[0]
-        for name, arr in (("ids", self.ids), ("cameras", self.cameras), ("splits", self.splits)):
-            if len(arr) != n:
-                raise AlignmentError(f"{name} has {len(arr)} entries for {n} rows")
-        for ch, arr in self.bias_labels.items():
-            if len(arr) != n:
-                raise AlignmentError(f"channel {ch!r} has {len(arr)} entries for {n} rows")
-        spans = sorted(span for _, span in self.provenance)
-        cursor = 0
-        for start, stop in spans:
-            if start != cursor:
-                raise AlignmentError(f"provenance spans leave a gap at column {cursor}")
-            cursor = stop
-        if spans and cursor != self.matrix.shape[1]:
-            raise AlignmentError("provenance spans do not cover all columns")
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def rows(self, mask) -> "EmbeddingSet":
-        return EmbeddingSet(
-            self.matrix[mask],
-            self.ids[mask],
-            self.cameras[mask],
-            self.splits[mask],
-            {ch: arr[mask] for ch, arr in self.bias_labels.items()},
-            dict(self.channels),
-            list(self.provenance),
-        )
-
-
 def embed_all(
     params: EncoderParams,
-    ds: Dataset,
+    ds: Table,
     splits: tuple[str, ...] | None = None,
     branch_name: str = "branch",
     normalize: bool = False,
-) -> EmbeddingSet:
-    """Encode every sample (optionally filtered by split) in dataset order.
+) -> Table:
+    """Encode every row (optionally only those of the given splits) in table
+    order.
 
-    Only feature vectors enter the encoder; bias labels are copied as
-    annotations and never read during the computation. `normalize` L2-scales
-    each row; off by default since retrieval uses raw Euclidean distances.
+    Only the feature matrix enters the encoder; the annotation columns are
+    carried over and never read during the computation. `normalize`
+    L2-scales each row; off by default since retrieval uses raw Euclidean
+    distances.
     """
-    idx = (
-        ds.indices()
-        if splits is None
-        else np.array([i for s in splits for i in ds.indices(s)], dtype=int)
-    )
     if splits is not None:
-        idx = np.sort(idx)
-    feats = ds.features(idx)
-    if len(idx) == 0:
-        d_out = params.d_out
-        emb = np.zeros((0, d_out))
-    else:
-        emb, _ = encode(params, feats)
-        if normalize:
-            norms = np.linalg.norm(emb, axis=1, keepdims=True)
-            emb = emb / np.where(norms == 0.0, 1.0, norms)
-    return EmbeddingSet(
-        emb,
-        ds.ids(idx),
-        ds.cameras(idx),
-        np.array([ds.samples[i].split for i in idx], dtype=object),
-        {ch: ds.channel_labels(ch, idx) for ch in ds.channels},
-        dict(ds.channels),
-        provenance=[(branch_name, (0, emb.shape[1]))],
-    )
+        ds = ds.rows(np.isin(ds.splits, splits))
+    emb, _ = encode(params, ds.matrix)
+    if normalize:
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        emb = emb / np.where(norms == 0.0, 1.0, norms)
+    return replace(ds, matrix=emb, provenance=[(branch_name, (0, emb.shape[1]))])
 
 
-def concat(sets: list[EmbeddingSet]) -> EmbeddingSet:
-    """Column-wise concatenation of branch embeddings over identical samples."""
+def concat(sets: list[Table]) -> Table:
+    """Column-wise concatenation of branch embeddings over identical rows."""
     if not sets:
         raise ConfigError("concat needs at least one embedding set")
     first = sets[0]
@@ -124,57 +60,23 @@ def concat(sets: list[EmbeddingSet]) -> EmbeddingSet:
             and np.array_equal(other.splits, first.splits)
         ):
             raise AlignmentError("embedding sets describe different samples or orders")
-    matrix = np.concatenate([s.matrix for s in sets], axis=1)
     provenance = []
     offset = 0
     for s in sets:
         for name, (start, stop) in s.provenance:
             provenance.append((name, (start + offset, stop + offset)))
         offset += s.dim
-    return EmbeddingSet(
-        matrix,
-        first.ids.copy(),
-        first.cameras.copy(),
-        first.splits.copy(),
-        {ch: arr.copy() for ch, arr in first.bias_labels.items()},
-        dict(first.channels),
-        provenance,
-    )
+    matrix = np.concatenate([s.matrix for s in sets], axis=1)
+    return replace(first, matrix=matrix, provenance=provenance)
 
 
-def embedding_set_from_dataset(ds: Dataset, name: str = "ingested") -> EmbeddingSet:
-    """Treat stored feature vectors as embeddings (external-descriptor audit)."""
-    idx = ds.indices()
-    feats = ds.features(idx)
-    return EmbeddingSet(
-        feats,
-        ds.ids(idx),
-        ds.cameras(idx),
-        np.array([s.split for s in ds.samples], dtype=object),
-        {ch: ds.channel_labels(ch, idx) for ch in ds.channels},
-        dict(ds.channels),
-        provenance=[(name, (0, feats.shape[1] if len(idx) else 0))],
-    )
-
-
-def embedding_set_to_dataset(es: EmbeddingSet) -> Dataset:
-    samples = [
-        Sample(
-            es.matrix[i].copy(),
-            int(es.ids[i]),
-            int(es.cameras[i]),
-            {ch: str(es.bias_labels[ch][i]) for ch in es.bias_labels},
-            str(es.splits[i]),
-        )
-        for i in range(len(es))
-    ]
-    return Dataset(samples, dict(es.channels), name="embeddings")
-
-
-def save_embeddings(es: EmbeddingSet, path) -> None:
+def save_embeddings(es: Table, path) -> None:
     """CSV `id,camera,split,<channels...>,e0..e{D-1}`; loadable as a dataset."""
-    Path(path).write_text(dataset_to_csv(embedding_set_to_dataset(es), feature_prefix="e"))
+    save_dataset(es, path, feature_prefix="e")
 
 
-def load_embeddings(path) -> EmbeddingSet:
-    return embedding_set_from_dataset(load_dataset(path), name=Path(path).stem)
+def load_embeddings(path) -> Table:
+    """Any dataset or embeddings CSV, its stored vectors taken as one
+    branch's embeddings (also how external descriptors are audited)."""
+    ds = load_dataset(path)
+    return replace(ds, provenance=[(Path(path).stem, (0, ds.dim))])

@@ -30,7 +30,7 @@ class EvaluationError(ToolkitError):
 
 
 class AlignmentError(ToolkitError):
-    """Embedding sets do not describe the same samples in the same order."""
+    """Columns or tables do not describe the same rows in the same order."""
 
 
 class CheckpointError(ToolkitError):

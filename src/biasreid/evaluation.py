@@ -16,11 +16,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import Dataset
-from .embedder import EmbeddingSet, embed_all
+from .dataset import Table
+from .embedder import embed_all
 from .errors import ConfigError, EvaluationError
-from .losses import pairwise_sqdist
-from .numerics import prelu
+from .numerics import adam_update, prelu
 from .trainer import BranchConfig, train_branch
 
 PROTOCOLS = ("standard", "nobias")
@@ -44,6 +43,13 @@ class RankResult:
 
 
 def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[len(a), len(b)] squared Euclidean distances via |a|^2 + |b|^2 - 2ab.
+
+    Not bit-exact: the Gram expansion rounds differently from a per-pair
+    sum((a - b)^2) and needs the clamp at 0. It stays beside the bit-exact
+    `losses.pairwise_sqdist` because ranking needs only Q x G memory here,
+    where the per-pair broadcast would hold a Q x G x D array.
+    """
     sq_a = (a * a).sum(axis=1)[:, None]
     sq_b = (b * b).sum(axis=1)[None, :]
     d2 = sq_a + sq_b - 2.0 * (a @ b.T)
@@ -52,7 +58,7 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rank_gallery(
-    es: EmbeddingSet, protocol: str = "standard", channel: str | None = None
+    es: Table, protocol: str = "standard", channel: str | None = None
 ) -> RankResult:
     """Rank the gallery for every query under the chosen exclusion protocol.
 
@@ -75,7 +81,7 @@ def rank_gallery(
     d2 = _cross_sqdist(es.matrix[q_rows], es.matrix[g_rows])
     g_ids = es.ids[g_rows]
     g_cams = es.cameras[g_rows]
-    g_bias = {ch: es.bias_labels[ch][g_rows] for ch in es.channels}
+    g_bias = {ch: es.codes[ch][g_rows] for ch in es.channels}
 
     orders: list[np.ndarray] = []
     positive: list[np.ndarray] = []
@@ -86,8 +92,8 @@ def rank_gallery(
         qid, qcam = es.ids[row], es.cameras[row]
         exclude = (g_ids == qid) & (g_cams == qcam)
         if protocol == "nobias":
-            q_label = es.bias_labels[channel][row]
-            exclude |= (g_ids != qid) & (es.bias_labels[channel][g_rows] == q_label)
+            q_label = es.codes[channel][row]
+            exclude |= (g_ids != qid) & (g_bias[channel] == q_label)
         keep = np.flatnonzero(~exclude)
         pos = g_ids[keep] == qid
         if not pos.any():
@@ -99,7 +105,7 @@ def rank_gallery(
         orders.append(order)
         positive.append(g_ids[order] == qid)
         for ch in es.channels:
-            q_label = es.bias_labels[ch][row]
+            q_label = es.codes[ch][row]
             same_bias[ch].append(g_bias[ch][order] == q_label)
         kept_rows.append(row)
 
@@ -199,59 +205,49 @@ def _probe_logits(probe: ProbeParams, x: np.ndarray) -> np.ndarray:
 
 
 def train_probe(
-    features: np.ndarray, labels: np.ndarray, classes: list[str], cfg: ProbeConfig
+    features: np.ndarray, codes: np.ndarray, classes: list[str], cfg: ProbeConfig
 ) -> ProbeParams:
-    """Softmax cross-entropy with Adam, full batch; the features stay frozen."""
-    present = np.unique(labels)
+    """Softmax cross-entropy with Adam, full batch; the features stay frozen.
+
+    `codes` index `classes`, as a table's bias codes index its channel's
+    class names.
+    """
+    y = np.asarray(codes)
+    present = np.unique(y)
     if len(present) < 2:
         raise ConfigError(f"probe needs >= 2 classes present, got {len(present)}")
     x = np.asarray(features, dtype=np.float64)
-    class_index = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_index[l] for l in labels], dtype=int)
     n, d = x.shape
     c = len(classes)
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
-    theta = {
-        "slope": np.array([0.25]),
-        "w": rng.normal(0.0, 0.01, size=(c, d)),
-        "b": np.zeros(c),
-    }
-    m = {k: np.zeros_like(v) for k, v in theta.items()}
-    v = {k: np.zeros_like(val) for k, val in theta.items()}
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    theta = [np.array([0.25]), rng.normal(0.0, 0.01, size=(c, d)), np.zeros(c)]
+    slope, w, b = theta  # updated in place
+    m = [np.zeros_like(t) for t in theta]
+    v = [np.zeros_like(t) for t in theta]
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
 
     for step in range(1, cfg.epochs + 1):
-        h, _ = prelu(x, float(theta["slope"][0]))
-        logits = h @ theta["w"].T + theta["b"]
+        h, _ = prelu(x, float(slope[0]))
+        logits = h @ w.T + b
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=1, keepdims=True)
         dlogits = (probs - onehot) / n
-        grads = {
-            "w": dlogits.T @ h,
-            "b": dlogits.sum(axis=0),
-            "slope": np.array([np.sum((dlogits @ theta["w"]) * np.where(x > 0, 0.0, x))]),
-        }
-        for key in theta:
-            g = grads[key]
-            m[key] = beta1 * m[key] + (1 - beta1) * g
-            v[key] = beta2 * v[key] + (1 - beta2) * g * g
-            mhat = m[key] / (1 - beta1**step)
-            vhat = v[key] / (1 - beta2**step)
-            theta[key] = theta[key] - cfg.rate * mhat / (np.sqrt(vhat) + eps)
+        grads = [
+            np.array([np.sum((dlogits @ w) * np.where(x > 0, 0.0, x))]),
+            dlogits.T @ h,
+            dlogits.sum(axis=0),
+        ]
+        adam_update(theta, grads, m, v, step, cfg.rate)
 
-    return ProbeParams(float(theta["slope"][0]), theta["w"], theta["b"], list(classes))
+    return ProbeParams(float(slope[0]), w, b, list(classes))
 
 
-def probe_accuracy(probe: ProbeParams, features: np.ndarray, labels: np.ndarray) -> float:
+def probe_accuracy(probe: ProbeParams, features: np.ndarray, codes: np.ndarray) -> float:
     logits = _probe_logits(probe, np.asarray(features, dtype=np.float64))
-    pred = logits.argmax(axis=1)
-    class_index = {c: i for i, c in enumerate(probe.classes)}
-    y = np.array([class_index[l] for l in labels], dtype=int)
-    return float(np.mean(pred == y))
+    return float(np.mean(logits.argmax(axis=1) == np.asarray(codes)))
 
 
 @dataclass
@@ -264,11 +260,11 @@ class ProbeReport:
     classes: list[str]
 
 
-def fit_probe(es: EmbeddingSet, channel: str, cfg: ProbeConfig) -> tuple[ProbeReport, ProbeParams]:
+def fit_probe(es: Table, channel: str, cfg: ProbeConfig) -> tuple[ProbeReport, ProbeParams]:
     """Disjoint train/test split of the embedding rows, then train + score."""
     if channel not in es.channels:
         raise ConfigError(f"unknown bias channel {channel!r}")
-    labels = es.bias_labels[channel]
+    codes = es.codes[channel]
     n = len(es)
     if n < 4:
         raise ConfigError("too few rows to split for probing")
@@ -278,11 +274,11 @@ def fit_probe(es: EmbeddingSet, channel: str, cfg: ProbeConfig) -> tuple[ProbeRe
     if n_train < 1 or n_train >= n:
         raise ConfigError(f"probe train fraction {cfg.train_fraction} leaves an empty side")
     tr, te = perm[:n_train], perm[n_train:]
-    probe = train_probe(es.matrix[tr], labels[tr], es.channels[channel], cfg)
+    probe = train_probe(es.matrix[tr], codes[tr], es.channels[channel], cfg)
     report = ProbeReport(
         channel=channel,
-        accuracy=probe_accuracy(probe, es.matrix[te], labels[te]),
-        train_accuracy=probe_accuracy(probe, es.matrix[tr], labels[tr]),
+        accuracy=probe_accuracy(probe, es.matrix[te], codes[te]),
+        train_accuracy=probe_accuracy(probe, es.matrix[tr], codes[tr]),
         n_train=len(tr),
         n_test=len(te),
         classes=list(es.channels[channel]),
@@ -363,7 +359,7 @@ class EvalReport:
 
 
 def evaluate_embeddings(
-    es: EmbeddingSet,
+    es: Table,
     protocol: str = "standard",
     channel: str | None = None,
     stat_channels: Iterable[str] | None = None,
@@ -422,7 +418,7 @@ class SweepRow:
 
 
 def lambda_sweep(
-    ds: Dataset,
+    ds: Table,
     base_cfg: BranchConfig,
     mode: str,
     lambdas: Iterable[float],

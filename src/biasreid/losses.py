@@ -42,9 +42,11 @@ MODES = ("reduce", "enhance")
 def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
     """Symmetric [n, n] matrix of squared Euclidean distances.
 
-    Computed as sum((a - b)^2) per pair, which is bit-identical to a naive
-    per-pair loop (batch sizes here are small, so the O(n^2 d) broadcast is
-    cheap and keeps selection tie-breaking exactly reproducible).
+    Bit-exact: computed as sum((a - b)^2) per pair, which equals a naive
+    per-pair loop, so selection ties and the oracles' values reproduce
+    exactly. Batches are small, so the O(n^2 d) broadcast is cheap. Ranking
+    uses `evaluation._cross_sqdist` instead, whose Gram form is not bit-exact
+    but needs only Q x G memory.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(e).all():
@@ -256,61 +258,3 @@ def combined_loss(
     value = lam_dr * reid.value + sign * lam_db * bias.value
     grads = lam_dr * reid.grads + sign * lam_db * bias.grads
     return CombinedLoss(value, grads, mode, reid, bias)
-
-
-# ----------------------------------------------------------------------------
-# Exhaustive reference selections (oracle side of the dual-route check)
-# ----------------------------------------------------------------------------
-
-
-def brute_force_hard_loss(embeddings, id_labels, margin) -> float:
-    """O(n^2) per anchor search over all valid pairs; no shared selection code."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(id_labels)
-    total = 0.0
-    for a in range(len(emb)):
-        best_p, best_n = None, None
-        for j in range(len(emb)):
-            if j == a:
-                continue
-            d = float(((emb[a] - emb[j]) ** 2).sum())
-            if labels[j] == labels[a]:
-                if best_p is None or d > best_p:
-                    best_p = d
-            elif best_n is None or d < best_n:
-                best_n = d
-        if best_p is None or best_n is None:
-            raise BatchCompositionError(f"anchor {a} lacks a pair")
-        total += max(0.0, margin + best_p - best_n)
-    return total
-
-
-def brute_force_easy_loss(embeddings, bias_labels, margin, hinge: bool = True) -> float:
-    """Plain per-anchor, per-row loop over both bias pools, summing in index
-    order; no shared code with `bias_easy_loss`, and bit-equal to it."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(bias_labels)
-    total = 0.0
-    n_valid = 0
-    for a in range(len(emb)):
-        sum_p = sum_n = 0.0
-        count_p = count_n = 0
-        for j in range(len(emb)):
-            if j == a:
-                continue
-            d = float(((emb[a] - emb[j]) ** 2).sum())
-            if labels[j] == labels[a]:
-                sum_p += d
-                count_p += 1
-            else:
-                sum_n += d
-                count_n += 1
-        if count_p == 0 or count_n == 0:
-            continue
-        n_valid += 1
-        arg = margin + sum_p / count_p - sum_n / count_n
-        if arg > 0 or not hinge:
-            total += arg
-    if n_valid == 0 and len(emb) > 0:
-        raise BatchCompositionError("no anchor has both bias pools")
-    return total

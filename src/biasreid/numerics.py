@@ -74,16 +74,6 @@ class ParamGrads:
     def all_zero(self) -> bool:
         return all(not w.any() for w in self.weights) and all(not b.any() for b in self.biases)
 
-    def max_abs(self) -> float:
-        parts = [np.abs(w).max(initial=0.0) for w in self.weights]
-        parts += [np.abs(b).max(initial=0.0) for b in self.biases]
-        return max(parts)
-
-    def is_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
-
 
 @dataclass
 class EncodeTape:
@@ -207,35 +197,55 @@ class AdamState:
         )
 
 
+def adam_update(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    m: list[np.ndarray],
+    v: list[np.ndarray],
+    step: int,
+    rate: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """Adam update number `step` (from 1) with bias correction, in place on
+    matching lists of parameter, gradient and moment arrays."""
+    if rate < 0:
+        raise ConfigError(f"learning rate must be >= 0, got {rate}")
+    if not len(params) == len(grads) == len(m) == len(v):
+        raise ConfigError("gradient/parameter counts differ")
+    if not all(np.isfinite(g).all() for g in grads):
+        raise TrainingError("non-finite gradients")
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    for p, g, m_p, v_p in zip(params, grads, m, v):
+        if g.shape != p.shape:
+            raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        m_p *= beta1
+        m_p += (1.0 - beta1) * g
+        v_p *= beta2
+        v_p += (1.0 - beta2) * g * g
+        p -= rate * (m_p / c1) / (np.sqrt(v_p / c2) + eps)
+
+
 def adam_step(
     params: EncoderParams, grads: ParamGrads, state: AdamState, rate: float
 ) -> tuple[EncoderParams, AdamState]:
-    """One Adam update with bias correction; returns fresh (params, state)."""
-    if rate < 0:
-        raise ConfigError(f"learning rate must be >= 0, got {rate}")
-    if len(grads.weights) != len(params.weights):
-        raise ConfigError("gradient/parameter layer counts differ")
-    if not grads.is_finite():
-        raise TrainingError("non-finite gradients")
-
+    """One Adam update of an encoder; returns fresh (params, state)."""
     out = params.copy()
     st = state.copy()
     st.step = state.step + 1
-    c1 = 1.0 - st.beta1**st.step
-    c2 = 1.0 - st.beta2**st.step
-
-    def upd(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
-        if g.shape != p.shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= st.beta1
-        m += (1.0 - st.beta1) * g
-        v *= st.beta2
-        v += (1.0 - st.beta2) * g * g
-        p -= rate * (m / c1) / (np.sqrt(v / c2) + st.eps)
-
-    for i in range(len(out.weights)):
-        upd(out.weights[i], grads.weights[i], st.m_w[i], st.v_w[i])
-        upd(out.biases[i], grads.biases[i], st.m_b[i], st.v_b[i])
+    adam_update(
+        out.weights + out.biases,
+        grads.weights + grads.biases,
+        st.m_w + st.m_b,
+        st.v_w + st.v_b,
+        st.step,
+        rate,
+        st.beta1,
+        st.beta2,
+        st.eps,
+    )
     return out, st
 
 

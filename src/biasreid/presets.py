@@ -6,13 +6,13 @@ The feature dimension is deliberately smaller than the total latent dimension
 so identity and bias factors superpose: suppressing one then genuinely costs
 the other, which is what makes over-suppression visible at this scale.
 
-The bias weight lam_db is 0.02. The pool-mean bias hinge (see losses) stays
-live for the whole run, so the enhance branch keeps pulling each bias class
-together, and that pull competes with identity. On the default preset
-(seeds 0-2), 0.05 lowers enhance rank1 to 0.93 and the R+E concatenation
-below the identity-only baseline, while 0.015-0.03 keep the concatenation
-at or above the baseline and still move same-bias negatives up the enhance
-branch's rankings; 0.02 sits inside that range.
+The presets keep BranchConfig's bias weight, lam_db 0.02. The pool-mean bias
+hinge (see losses) stays live for the whole run, so the enhance branch keeps
+pulling each bias class together, and that pull competes with identity. On
+the default preset (seeds 0-2), 0.05 lowers enhance rank1 to 0.93 and the
+R+E concatenation below the identity-only baseline, while 0.015-0.03 keep
+the concatenation at or above the baseline and still move same-bias
+negatives up the enhance branch's rankings; 0.02 sits inside that range.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ def _preset(name, channels, bias_channel, sigma=0.2, n_ids=120, **branch) -> Pre
                 "rate": 0.0003,
                 "margin_id": 0.3,
                 "margin_bias": 2.0,
-                "lam_db": 0.02,
                 "hidden": (64, 64),
                 "d_emb": 64,
             },

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import as_bool, as_float, as_int, as_str, check_keys
-from .dataset import Batch, Dataset, PKSampler
+from .dataset import Batch, PKSampler, Table
 from .errors import BatchCompositionError, CheckpointError, ConfigError, TrainingError
 from .losses import MODES, CombinedLoss, combined_loss
 from .numerics import (
@@ -43,7 +43,7 @@ BRANCH_CONFIG_KEYS = {
     "mode": "reduce | enhance",
     "bias_channel": "name of the audited bias channel",
     "lambda_dr": "identity-loss weight (default 1.0)",
-    "lambda_db": "bias-loss weight, unsigned; default 0.01 reduce, 0.05/0.01 enhance",
+    "lambda_db": "bias-loss weight, unsigned; mode sets the sign (default 0.02)",
     "margin_id": "identity triplet margin (default 0.3)",
     "margin_bias": "bias triplet margin: mean sq. distance to the same-bias pool plus this "
     "against the mean to the other-bias pool (default 0.3)",
@@ -63,7 +63,7 @@ class BranchConfig:
     mode: str = "reduce"
     bias_channel: str = "pose"
     lam_dr: float = 1.0
-    lam_db: float | None = None  # None -> mode/channel default
+    lam_db: float = 0.02
     margin_id: float = 0.3
     margin_bias: float = 0.3
     p: int = 16
@@ -75,17 +75,10 @@ class BranchConfig:
     d_emb: int = 64
     bias_hinge: bool = True
 
-    def resolved_lam_db(self) -> float:
-        if self.lam_db is not None:
-            return self.lam_db
-        if self.mode == "reduce":
-            return 0.01
-        return 0.05 if self.bias_channel == "pose" else 0.01
-
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.lam_dr < 0 or self.resolved_lam_db() < 0:
+        if self.lam_dr < 0 or self.lam_db < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.p < 2 or self.k < 2:
             raise ConfigError("need p >= 2 and k >= 2")
@@ -99,7 +92,7 @@ class BranchConfig:
             "mode": self.mode,
             "bias_channel": self.bias_channel,
             "lambda_dr": self.lam_dr,
-            "lambda_db": self.resolved_lam_db(),
+            "lambda_db": self.lam_db,
             "margin_id": self.margin_id,
             "margin_bias": self.margin_bias,
             "p": self.p,
@@ -121,8 +114,8 @@ def branch_config_from_dict(values: dict[str, str], **overrides) -> BranchConfig
         hidden = tuple(int(h) for h in hidden_raw.split(",") if h.strip())
     except ValueError:
         raise ConfigError(f"hidden: expected comma-separated ints, got {hidden_raw!r}") from None
-    lam_db = as_float(values, "lambda_db") if "lambda_db" in values else None
-    if lam_db is not None and lam_db < 0:
+    lam_db = as_float(values, "lambda_db", 0.02)
+    if lam_db < 0:
         raise ConfigError("lambda_db is stored unsigned; use mode=reduce for the minus sign")
     cfg = BranchConfig(
         mode=as_str(values, "mode", "reduce"),
@@ -180,7 +173,7 @@ class Trainer:
 
     def __init__(
         self,
-        ds: Dataset,
+        ds: Table,
         cfg: BranchConfig,
         params: EncoderParams | None = None,
         adam: AdamState | None = None,
@@ -195,20 +188,20 @@ class Trainer:
         self.cfg = cfg
         self.epoch = start_epoch
         self.log = TrainLog()
-        n_train = len(ds.indices("train"))
+        train = ds.splits == "train"
+        n_train = int(train.sum())
         if n_train == 0:
             raise ConfigError("dataset has no train split")
         self.batches_per_epoch = -(-n_train // (cfg.p * cfg.k))
         self.schedule = Schedule(cfg.rate, cfg.epochs) if cfg.epochs > 0 else None
         if params is None:
             init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _STREAM_INIT)))
-            params = init_encoder(ds.d_in, cfg.hidden, cfg.d_emb, init_rng)
-        if params.d_in != ds.d_in:
-            raise ConfigError(f"encoder d_in {params.d_in} != dataset d_in {ds.d_in}")
+            params = init_encoder(ds.dim, cfg.hidden, cfg.d_emb, init_rng)
+        if params.d_in != ds.dim:
+            raise ConfigError(f"encoder d_in {params.d_in} != dataset d_in {ds.dim}")
         self.params = params
         self.adam = adam if adam is not None else AdamState.fresh(params)
-        train_labels = ds.channel_labels(cfg.bias_channel, ds.indices("train"))
-        self._bias_diverse = len(np.unique(train_labels)) >= 2
+        self._bias_diverse = len(np.unique(ds.codes[cfg.bias_channel][train])) >= 2
 
     def sampler_for_epoch(self, epoch: int) -> PKSampler:
         rng = np.random.default_rng(np.random.SeedSequence((self.cfg.seed, _STREAM_EPOCH, epoch)))
@@ -218,7 +211,7 @@ class Trainer:
         """Draw until the batch can support the bias loss (bounded retries)."""
         for _ in range(_MAX_BATCH_RETRIES):
             batch = sampler.draw()
-            labels = batch.bias_labels[self.cfg.bias_channel]
+            labels = batch.codes[self.cfg.bias_channel]
             if not self._bias_diverse or len(np.unique(labels)) >= 2:
                 return batch, labels
         raise BatchCompositionError(
@@ -227,14 +220,14 @@ class Trainer:
         )
 
     def batch_loss(self, batch: Batch, labels: np.ndarray) -> tuple[CombinedLoss, object]:
-        emb, tape = encode(self.params, self.ds.features(batch.indices))
+        emb, tape = encode(self.params, self.ds.matrix[batch.indices])
         out = combined_loss(
             emb,
             batch.ids,
             labels,
             self.cfg.mode,
             self.cfg.lam_dr,
-            self.cfg.resolved_lam_db(),
+            self.cfg.lam_db,
             self.cfg.margin_id,
             self.cfg.margin_bias,
             bias_hinge=self.cfg.bias_hinge,
@@ -280,7 +273,7 @@ class Trainer:
         self.epoch += 1
 
 
-def train_branch(ds: Dataset, cfg: BranchConfig) -> tuple[EncoderParams, TrainLog]:
+def train_branch(ds: Table, cfg: BranchConfig) -> tuple[EncoderParams, TrainLog]:
     """Train to cfg.epochs from fresh initialization; deterministic in seed."""
     trainer = Trainer(ds, cfg)
     trainer.run()
@@ -373,6 +366,6 @@ def checkpoint_load(path) -> tuple[EncoderParams, AdamState, BranchConfig, int]:
     return params, state, cfg, int(meta["epoch"])
 
 
-def resume_trainer(path, ds: Dataset) -> Trainer:
+def resume_trainer(path, ds: Table) -> Trainer:
     params, state, cfg, epoch = checkpoint_load(path)
     return Trainer(ds, cfg, params=params, adam=state, start_epoch=epoch)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biasreid.dataset import generate_synthetic, split_query_gallery
+from biasreid.dataset import Table, generate_synthetic, split_query_gallery
 from biasreid.embedder import concat, embed_all
 from biasreid.evaluation import (
     ProbeConfig,
@@ -248,14 +248,12 @@ def test_criterion_3_metric_oracle(criteria):
         n_gal = int(rng.integers(5, 21))
         n_q = int(rng.integers(1, 6))
         n_ids = int(rng.integers(2, 7))
-        from biasreid.embedder import EmbeddingSet
-
         n = n_q + n_gal
-        es = EmbeddingSet(
+        es = Table(
             rng.normal(size=(n, 3)),
             rng.integers(0, n_ids, size=n),
             rng.integers(0, 2, size=n),
-            np.array(["query"] * n_q + ["gallery"] * n_gal, dtype=object),
+            np.array(["query"] * n_q + ["gallery"] * n_gal),
             {},
             {},
             [("t", (0, 3))],

@@ -178,6 +178,18 @@ class TestErrors:
         assert code == 2
         assert "unknown preset" in capsys.readouterr().err
 
+    def test_probe_config_value_not_a_number(self, pipeline, tmp_path, capsys):
+        _, _, emb_dir, _ = pipeline
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("probe_epochs = ten\n")
+        code = run([
+            "probe", "--data", str(emb_dir / "embeddings.csv"), "--channel", "pose",
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError") and "probe_epochs" in err
+
     def test_nobias_without_channel(self, pipeline, tmp_path, capsys):
         _, _, emb_dir, _ = pipeline
         code = run([

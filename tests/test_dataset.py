@@ -4,21 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasreid.dataset import (
-    Batch,
     ChannelSpec,
-    Dataset,
     GeneratorConfig,
     PKSampler,
-    Sample,
-    dataset_to_csv,
+    Table,
     generate_synthetic,
     load_dataset,
     parse_channel_spec,
-    pk_sample,
     save_dataset,
     split_query_gallery,
 )
-from biasreid.errors import ConfigError, EvaluationError, ParseError
+from biasreid.errors import AlignmentError, ConfigError, DataError, EvaluationError, ParseError
 
 
 def tiny_cfg(**kw):
@@ -34,6 +30,16 @@ def tiny_cfg(**kw):
     return GeneratorConfig(**base)
 
 
+def pk_sample(ds, p, k, rng):
+    """One-shot draw; PKSampler directly when epoch cycling matters."""
+    return PKSampler(ds, p, k, rng).draw()
+
+
+def cam_table(matrix, ids, cams):
+    """All-train table whose only bias channel is the camera."""
+    return Table(matrix, ids, cams, ["train"] * len(ids), {"cam": cams}, {"cam": ["0", "1"]})
+
+
 class TestGenerator:
     def test_noise_free_bias_free_same_identity_identical(self):
         cfg = tiny_cfg(
@@ -41,10 +47,8 @@ class TestGenerator:
             channels=(ChannelSpec("pose", 3, 3, 0.0), ChannelSpec("cam", 2, 3, 0.0)),
         )
         ds = generate_synthetic(cfg, seed=0)
-        by_id = {}
-        for s in ds.samples:
-            by_id.setdefault(s.id, []).append(s.features)
-        for feats in by_id.values():
+        for ident in np.unique(ds.ids):
+            feats = ds.matrix[ds.ids == ident]
             for f in feats[1:]:
                 np.testing.assert_array_equal(f, feats[0])
 
@@ -58,25 +62,25 @@ class TestGenerator:
             channels=(ChannelSpec("pose", 3, 6, 8.0), ChannelSpec("cam", 2, 3, 0.0)),
         )
         ds = generate_synthetic(cfg, seed=1)
-        x = ds.features()
-        pose = ds.channel_labels("pose")
+        x = ds.matrix
+        pose = ds.codes["pose"]
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
         np.fill_diagonal(d2, np.inf)
         nn = d2.argmin(axis=1)
         same = np.mean(pose[nn] == pose)
         assert same > 0.6  # chance would be ~1/3
 
-    def test_same_seed_identical(self):
+    def test_same_seed_identical(self, tmp_path):
         cfg = tiny_cfg()
-        a = generate_synthetic(cfg, seed=3)
-        b = generate_synthetic(cfg, seed=3)
-        assert dataset_to_csv(a) == dataset_to_csv(b)
+        save_dataset(generate_synthetic(cfg, seed=3), tmp_path / "a.csv")
+        save_dataset(generate_synthetic(cfg, seed=3), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_different_seed_differs(self):
+    def test_different_seed_differs(self, tmp_path):
         cfg = tiny_cfg()
-        assert dataset_to_csv(generate_synthetic(cfg, 3)) != dataset_to_csv(
-            generate_synthetic(cfg, 4)
-        )
+        save_dataset(generate_synthetic(cfg, seed=3), tmp_path / "a.csv")
+        save_dataset(generate_synthetic(cfg, seed=4), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
     def test_degenerate_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,8 +94,8 @@ class TestGenerator:
 
     def test_camera_channel_sets_protocol_camera(self):
         ds = generate_synthetic(tiny_cfg(), seed=0)
-        for s in ds.samples:
-            assert s.camera == int(s.bias_labels["cam"])
+        cam_names = np.array(ds.channels["cam"])[ds.codes["cam"]]
+        np.testing.assert_array_equal(ds.cameras, cam_names.astype(int))
 
     def test_class_frequencies_near_uniform(self):
         cfg = GeneratorConfig(
@@ -102,9 +106,8 @@ class TestGenerator:
         ds = generate_synthetic(cfg, seed=5)
         assert len(ds) >= 1000
         for channel, classes in ds.channels.items():
-            labels = ds.channel_labels(channel)
-            for cls in classes:
-                freq = np.mean(labels == cls)
+            for code in range(len(classes)):
+                freq = np.mean(ds.codes[channel] == code)
                 assert abs(freq - 1.0 / len(classes)) < 0.05
 
     def test_parse_channel_spec(self):
@@ -112,6 +115,24 @@ class TestGenerator:
         assert specs == (ChannelSpec("pose", 3, 8, 1.0), ChannelSpec("cam", 2, 4, 0.5))
         with pytest.raises(ConfigError):
             parse_channel_spec("pose:3:8")
+
+
+class TestTable:
+    def test_misaligned_or_unknown_columns_rejected(self):
+        good = dict(
+            matrix=np.zeros((2, 1)), ids=[0, 1], cameras=[0, 1], splits=["train", "query"],
+            codes={"cam": [0, 1]}, channels={"cam": ["0", "1"]},
+        )
+        assert len(Table(**good)) == 2
+        for bad, error in (
+            ({"ids": [0]}, AlignmentError),
+            ({"codes": {"cam": [0, 2]}}, DataError),
+            ({"codes": {}}, DataError),
+            ({"splits": ["train", "test"]}, DataError),
+            ({"provenance": [("a", (0, 2))]}, AlignmentError),
+        ):
+            with pytest.raises(error):
+                Table(**dict(good, **bad))
 
 
 class TestCsvRoundTrip:
@@ -127,8 +148,9 @@ class TestCsvRoundTrip:
         assert list(ds.channels) == ["pose", "cam"]
         assert ds.channels["pose"] == ["frontal", "side"]
         assert len(ds) == 3
-        assert ds.samples[2].id == 7 and ds.samples[2].split == "query"
-        np.testing.assert_array_equal(ds.samples[0].features, [1.5, -2.0])
+        assert ds.ids[2] == 7 and ds.splits[2] == "query"
+        np.testing.assert_array_equal(ds.codes["pose"], [0, 1, 0])
+        np.testing.assert_array_equal(ds.matrix[0], [1.5, -2.0])
 
     def test_header_only_is_valid_empty(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -160,14 +182,11 @@ class TestCsvRoundTrip:
         save_dataset(ds, path)
         back = load_dataset(path)
         assert len(back) == len(ds)
-        for a, b in zip(ds.samples, back.samples):
-            assert (a.id, a.camera, a.split, a.bias_labels) == (
-                b.id,
-                b.camera,
-                b.split,
-                b.bias_labels,
-            )
-            np.testing.assert_array_equal(a.features, b.features)
+        for name in ("matrix", "ids", "cameras", "splits"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+        assert back.channels == ds.channels
+        for ch in ds.channels:
+            np.testing.assert_array_equal(back.codes[ch], ds.codes[ch])
         # and a second save is byte-identical
         save_dataset(back, tmp_path / "d2.csv")
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
@@ -183,12 +202,7 @@ class TestPKSampler:
             assert np.sum(batch.ids == ident) == 2
 
     def test_single_sample_identity_sampled_with_replacement(self):
-        samples = [
-            Sample(np.zeros(2), 0, 0, {"cam": "0"}, "train"),
-            Sample(np.ones(2), 1, 0, {"cam": "0"}, "train"),
-            Sample(np.ones(2) * 2, 1, 1, {"cam": "1"}, "train"),
-        ]
-        ds = Dataset(samples, {"cam": ["0", "1"]})
+        ds = cam_table([np.zeros(2), np.ones(2), np.ones(2) * 2], [0, 1, 1], [0, 0, 1])
         batch = pk_sample(ds, p=2, k=4, rng=np.random.default_rng(0))
         assert np.sum(batch.ids == 0) == 4
         assert len(np.unique(batch.indices[batch.ids == 0])) == 1
@@ -229,37 +243,32 @@ class TestSplitQueryGallery:
         ds = generate_synthetic(cfg, seed=2)
         out = split_query_gallery(ds, fraction=0.5, rng=np.random.default_rng(0))
         assert out.meta["dropped_queries"] == 0
-        q_idx = out.indices("query")
+        q_idx = np.flatnonzero(out.splits == "query")
         assert len(q_idx) > 0
-        g_ids = out.ids(out.indices("gallery"))
-        g_cams = out.cameras(out.indices("gallery"))
+        g_ids = out.ids[out.splits == "gallery"]
+        g_cams = out.cameras[out.splits == "gallery"]
         for qi in q_idx:
-            q = out.samples[qi]
-            assert np.any((g_ids == q.id) & (g_cams != q.camera))
+            assert np.any((g_ids == out.ids[qi]) & (g_cams != out.cameras[qi]))
 
     def test_single_camera_identity_drops_all_queries(self):
-        samples = []
+        feats, ids, cams = [], [], []
         for ident in range(4):
-            cam = 0 if ident == 0 else None
             for j in range(4):
-                c = 0 if ident == 0 else j % 2
-                samples.append(Sample(np.full(2, ident + 0.1 * j), ident, c, {"cam": str(c)}, "train"))
-        ds = Dataset(samples, {"cam": ["0", "1"]})
+                feats.append(np.full(2, ident + 0.1 * j))
+                ids.append(ident)
+                cams.append(0 if ident == 0 else j % 2)
+        ds = cam_table(feats, ids, cams)
         rng = np.random.default_rng(0)
         out = split_query_gallery(ds, fraction=1.0, rng=rng)
         # identity 0 only ever on camera 0: its candidate query must be demoted
         assert out.meta["dropped_queries"] >= 1
-        for s in out.samples:
-            if s.id == 0:
-                assert s.split == "gallery"
+        assert (out.splits[out.ids == 0] == "gallery").all()
 
     def test_train_and_eval_identities_disjoint(self):
         ds = generate_synthetic(tiny_cfg(n_ids=10), seed=4)
         out = split_query_gallery(ds, fraction=0.4, rng=np.random.default_rng(1))
-        train_ids = set(out.ids(out.indices("train")).tolist())
-        eval_ids = set(out.ids(out.indices("query")).tolist()) | set(
-            out.ids(out.indices("gallery")).tolist()
-        )
+        train_ids = set(out.ids[out.splits == "train"].tolist())
+        eval_ids = set(out.ids[out.splits != "train"].tolist())
         assert train_ids.isdisjoint(eval_ids)
         assert len(eval_ids) == 4
 
@@ -272,4 +281,4 @@ class TestSplitQueryGallery:
         ds = generate_synthetic(tiny_cfg(), seed=0)
         a = split_query_gallery(ds, 0.5, np.random.default_rng(7))
         b = split_query_gallery(ds, 0.5, np.random.default_rng(7))
-        assert [s.split for s in a.samples] == [s.split for s in b.samples]
+        np.testing.assert_array_equal(a.splits, b.splits)

@@ -1,15 +1,17 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from biasreid.dataset import ChannelSpec, Dataset, GeneratorConfig, Sample, generate_synthetic
-from biasreid.embedder import (
-    EmbeddingSet,
-    concat,
-    embed_all,
-    embedding_set_from_dataset,
-    load_embeddings,
-    save_embeddings,
+from biasreid.dataset import (
+    ChannelSpec,
+    GeneratorConfig,
+    generate_synthetic,
+    save_dataset,
+    split_query_gallery,
 )
+from biasreid.embedder import concat, embed_all, load_embeddings, save_embeddings
 from biasreid.errors import AlignmentError
 from biasreid.losses import pairwise_sqdist
 from biasreid.numerics import EncoderParams, encode, init_encoder
@@ -33,45 +35,37 @@ def identity_encoder(d):
 
 class TestEmbedAll:
     def test_identity_encoder_returns_features(self, ds):
-        es = embed_all(identity_encoder(ds.d_in), ds)
-        np.testing.assert_array_equal(es.matrix, ds.features())
-        np.testing.assert_array_equal(es.ids, ds.ids())
+        es = embed_all(identity_encoder(ds.dim), ds)
+        np.testing.assert_array_equal(es.matrix, ds.matrix)
+        np.testing.assert_array_equal(es.ids, ds.ids)
 
     def test_empty_filter_keeps_dimension(self, ds):
-        params = init_encoder(ds.d_in, (4,), 3, np.random.default_rng(0))
+        params = init_encoder(ds.dim, (4,), 3, np.random.default_rng(0))
         es = embed_all(params, ds, splits=("query",))  # generator emits train only
         assert es.matrix.shape == (0, 3)
         assert es.dim == 3
 
     def test_matches_row_by_row_encoding(self, ds):
-        params = init_encoder(ds.d_in, (5, 4), 3, np.random.default_rng(1))
+        params = init_encoder(ds.dim, (5, 4), 3, np.random.default_rng(1))
         es = embed_all(params, ds)
-        for i, s in enumerate(ds.samples):
-            row, _ = encode(params, s.features[None, :])
+        for i, features in enumerate(ds.matrix):
+            row, _ = encode(params, features[None, :])
             np.testing.assert_allclose(es.matrix[i], row[0], atol=1e-12)
 
     def test_bias_labels_never_influence_embeddings(self, ds):
-        params = init_encoder(ds.d_in, (5,), 3, np.random.default_rng(2))
-        scrambled = Dataset(
-            [
-                Sample(
-                    s.features.copy(),
-                    s.id,
-                    s.camera,
-                    {ch: "weird" for ch in s.bias_labels},
-                    s.split,
-                )
-                for s in ds.samples
-            ],
-            {ch: ["weird"] for ch in ds.channels},
+        params = init_encoder(ds.dim, (5,), 3, np.random.default_rng(2))
+        scrambled = replace(
+            ds,
+            codes={ch: np.zeros(len(ds), dtype=int) for ch in ds.channels},
+            channels={ch: ["weird"] for ch in ds.channels},
         )
         a = embed_all(params, ds)
         b = embed_all(params, scrambled)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_row_order_follows_dataset_order(self, ds):
-        es = embed_all(identity_encoder(ds.d_in), ds, splits=("train",))
-        np.testing.assert_array_equal(es.ids, ds.ids(ds.indices("train")))
+        es = embed_all(identity_encoder(ds.dim), ds, splits=("train",))
+        np.testing.assert_array_equal(es.ids, ds.ids[ds.splits == "train"])
 
 
 class TestConcat:
@@ -79,21 +73,15 @@ class TestConcat:
         rng = np.random.default_rng(3)
         sets = []
         for j, d in enumerate(dims):
-            params = init_encoder(ds.d_in, (4,), d, rng)
+            params = init_encoder(ds.dim, (4,), d, rng)
             sets.append(embed_all(params, ds, branch_name=f"b{j}"))
         return sets
 
     def test_single_column_concat(self, ds):
         n = len(ds)
-        base = embed_all(identity_encoder(ds.d_in), ds)
-        a = EmbeddingSet(
-            np.ones((n, 1)), base.ids, base.cameras, base.splits, base.bias_labels,
-            base.channels, [("a", (0, 1))],
-        )
-        b = EmbeddingSet(
-            np.full((n, 1), 2.0), base.ids, base.cameras, base.splits, base.bias_labels,
-            base.channels, [("b", (0, 1))],
-        )
+        base = embed_all(identity_encoder(ds.dim), ds)
+        a = replace(base, matrix=np.ones((n, 1)), provenance=[("a", (0, 1))])
+        b = replace(base, matrix=np.full((n, 1), 2.0), provenance=[("b", (0, 1))])
         joined = concat([a, b])
         np.testing.assert_array_equal(joined.matrix[0], [1.0, 2.0])
         assert joined.provenance == [("a", (0, 1)), ("b", (1, 2))]
@@ -130,29 +118,60 @@ class TestConcat:
 
 class TestEmbeddingCsv:
     def test_round_trip(self, ds, tmp_path):
-        params = init_encoder(ds.d_in, (4,), 3, np.random.default_rng(4))
+        params = init_encoder(ds.dim, (4,), 3, np.random.default_rng(4))
         es = embed_all(params, ds)
         path = tmp_path / "emb.csv"
         save_embeddings(es, path)
         back = load_embeddings(path)
         np.testing.assert_array_equal(back.matrix, es.matrix)
         np.testing.assert_array_equal(back.ids, es.ids)
-        assert back.bias_labels.keys() == es.bias_labels.keys()
+        assert back.codes.keys() == es.codes.keys()
 
-    def test_ingest_external_descriptors(self, ds):
-        es = embedding_set_from_dataset(ds)
-        np.testing.assert_array_equal(es.matrix, ds.features())
-        assert es.provenance[0][1] == (0, ds.d_in)
+    def test_ingest_external_descriptors(self, ds, tmp_path):
+        path = tmp_path / "features.csv"
+        save_dataset(ds, path)
+        es = load_embeddings(path)
+        np.testing.assert_array_equal(es.matrix, ds.matrix)
+        assert es.provenance == [("features", (0, ds.dim))]
 
 
 class TestNormalizeSwitch:
     def test_off_by_default(self, ds):
-        params = init_encoder(ds.d_in, (4,), 3, np.random.default_rng(9))
+        params = init_encoder(ds.dim, (4,), 3, np.random.default_rng(9))
         es = embed_all(params, ds)
         norms = np.linalg.norm(es.matrix, axis=1)
         assert not np.allclose(norms, 1.0)
 
     def test_on_gives_unit_rows(self, ds):
-        params = init_encoder(ds.d_in, (4,), 3, np.random.default_rng(9))
+        params = init_encoder(ds.dim, (4,), 3, np.random.default_rng(9))
         es = embed_all(params, ds, normalize=True)
         np.testing.assert_allclose(np.linalg.norm(es.matrix, axis=1), 1.0, atol=1e-12)
+
+
+class TestGoldenBytes:
+    """sha256 of both CSV formats, pinned before the columnar table replaced
+    the per-sample records; any change to the bytes written fails here."""
+
+    @pytest.fixture(scope="class")
+    def split_ds(self):
+        cfg = GeneratorConfig(
+            n_ids=10,
+            samples_per_id=6,
+            d_id=4,
+            d_in=8,
+            sigma=0.1,
+            channels=(ChannelSpec("pose", 3, 3, 1.0), ChannelSpec("cam", 2, 3, 1.0)),
+        )
+        return split_query_gallery(generate_synthetic(cfg, seed=9), 0.5, np.random.default_rng(0))
+
+    def test_dataset_csv(self, split_ds, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(split_ds, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "5df848fe127cadee2e59923d88e331602e27a3407a989d3ef1fb204e684ee4ab"
+
+    def test_embeddings_csv(self, split_ds, tmp_path):
+        path = tmp_path / "emb.csv"
+        save_embeddings(embed_all(identity_encoder(split_ds.dim), split_ds), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a599dd6754c755f5c36ecc7e62dab1245cded061445b4759af2aa7fd88883da3"

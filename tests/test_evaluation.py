@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from biasreid.dataset import ChannelSpec, GeneratorConfig, generate_synthetic, split_query_gallery
-from biasreid.embedder import EmbeddingSet, embed_all
+from biasreid.dataset import (
+    ChannelSpec,
+    GeneratorConfig,
+    Table,
+    generate_synthetic,
+    split_query_gallery,
+)
+from biasreid.embedder import embed_all
 from biasreid.errors import ConfigError, EvaluationError
 from biasreid.evaluation import (
     ProbeConfig,
@@ -26,15 +32,23 @@ def make_es(emb, ids, cams, splits, pose=None):
         emb = emb[:, None]
     n = len(emb)
     pose = list(pose) if pose is not None else ["0"] * n
-    return EmbeddingSet(
+    classes, codes = np.unique(np.asarray(pose, dtype=str), return_inverse=True)
+    return Table(
         matrix=emb,
         ids=np.asarray(ids),
         cameras=np.asarray(cams),
-        splits=np.asarray(splits, dtype=object),
-        bias_labels={"pose": np.asarray(pose, dtype=object)},
-        channels={"pose": sorted(set(pose))},
+        splits=np.asarray(splits),
+        codes={"pose": codes},
+        channels={"pose": classes.tolist()},
         provenance=[("test", (0, emb.shape[1]))],
     )
+
+
+def probe_table(x, codes, classes):
+    """All-train table whose only channel is the probed one."""
+    n = len(x)
+    zeros = np.zeros(n, int)
+    return Table(x, zeros, zeros, ["train"] * n, {"pose": codes}, {"pose": classes})
 
 
 def naive_ap(pos_in_order):
@@ -269,66 +283,47 @@ class TestProbe:
         y = rng.integers(0, 3, size=300)
         x = np.eye(3)[y]
         classes = ["0", "1", "2"]
-        labels = y.astype(str).astype(object)
-        probe = train_probe(x, labels, classes, ProbeConfig())
-        assert probe_accuracy(probe, x, labels) >= 0.99
+        probe = train_probe(x, y, classes, ProbeConfig())
+        assert probe_accuracy(probe, x, y) >= 0.99
 
     def test_shuffled_labels_two_classes_chance(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(600, 8))
-        labels = np.array(["0", "1"] * 300, dtype=object)
-        rng.shuffle(labels)
-        es = EmbeddingSet(
-            x,
-            np.zeros(600, int),
-            np.zeros(600, int),
-            np.array(["train"] * 600, dtype=object),
-            {"pose": labels},
-            {"pose": ["0", "1"]},
-            [("t", (0, 8))],
-        )
+        codes = np.array([0, 1] * 300)
+        rng.shuffle(codes)
+        es = probe_table(x, codes, ["0", "1"])
         report, _ = fit_probe(es, "pose", ProbeConfig())
         assert abs(report.accuracy - 0.5) < 0.1
 
     def test_three_class_noise_chance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(600, 8))
-        labels = np.array([str(i % 3) for i in range(600)], dtype=object)
-        rng.shuffle(labels)
-        es = EmbeddingSet(
-            x,
-            np.zeros(600, int),
-            np.zeros(600, int),
-            np.array(["train"] * 600, dtype=object),
-            {"pose": labels},
-            {"pose": ["0", "1", "2"]},
-            [("t", (0, 8))],
-        )
+        codes = np.arange(600) % 3
+        rng.shuffle(codes)
+        es = probe_table(x, codes, ["0", "1", "2"])
         report, _ = fit_probe(es, "pose", ProbeConfig())
         assert abs(report.accuracy - 1 / 3) < 0.1
 
     def test_single_class_rejected(self):
         x = np.ones((10, 2))
-        labels = np.array(["a"] * 10, dtype=object)
         with pytest.raises(ConfigError):
-            train_probe(x, labels, ["a", "b"], ProbeConfig())
+            train_probe(x, np.zeros(10, int), ["a", "b"], ProbeConfig())
 
     def test_probe_leaves_encoder_untouched(self):
         rng = np.random.default_rng(6)
         params = init_encoder(4, (5,), 3, rng)
         before = [w.tobytes() for w in params.weights] + [b.tobytes() for b in params.biases]
         x = rng.normal(size=(100, 3))
-        labels = np.array(["0", "1"] * 50, dtype=object)
-        train_probe(x, labels, ["0", "1"], ProbeConfig(epochs=50))
+        train_probe(x, np.arange(100) % 2, ["0", "1"], ProbeConfig(epochs=50))
         after = [w.tobytes() for w in params.weights] + [b.tobytes() for b in params.biases]
         assert before == after
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(80, 4))
-        labels = np.array(["0", "1"] * 40, dtype=object)
-        a = train_probe(x, labels, ["0", "1"], ProbeConfig(seed=5))
-        b = train_probe(x, labels, ["0", "1"], ProbeConfig(seed=5))
+        codes = np.arange(80) % 2
+        a = train_probe(x, codes, ["0", "1"], ProbeConfig(seed=5))
+        b = train_probe(x, codes, ["0", "1"], ProbeConfig(seed=5))
         assert np.array_equal(a.weights, b.weights) and a.slope == b.slope
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biasreid.dataset import ChannelSpec, GeneratorConfig, generate_synthetic
+from biasreid.dataset import ChannelSpec, GeneratorConfig, Table, generate_synthetic
 from biasreid.errors import BatchCompositionError, CheckpointError, ConfigError
 from biasreid.losses import combined_loss
 from biasreid.numerics import encode
@@ -49,11 +49,12 @@ def tiny_cfg(**kw):
 
 class TestBranchConfig:
     def test_lambda_defaults_by_mode_and_channel(self):
-        assert BranchConfig(mode="reduce").resolved_lam_db() == 0.01
-        assert BranchConfig(mode="enhance", bias_channel="pose").resolved_lam_db() == 0.05
-        assert BranchConfig(mode="enhance", bias_channel="cam").resolved_lam_db() == 0.01
-        assert BranchConfig(mode="enhance", bias_channel="part").resolved_lam_db() == 0.01
-        assert BranchConfig(mode="reduce", lam_db=0.1).resolved_lam_db() == 0.1
+        # one default whatever the mode or channel: the presets' 0.02
+        for mode in ("reduce", "enhance"):
+            for channel in ("pose", "cam", "part"):
+                assert BranchConfig(mode=mode, bias_channel=channel).lam_db == 0.02
+        assert branch_config_from_dict({"mode": "enhance"}).lam_db == 0.02
+        assert BranchConfig(mode="reduce", lam_db=0.1).lam_db == 0.1
 
     def test_from_dict_round_trip(self):
         cfg = tiny_cfg(lam_db=0.02)
@@ -193,17 +194,17 @@ class TestCheckpoint:
 
 class TestBatchRetry:
     def rare_class_dataset(self):
-        from biasreid.dataset import Dataset, Sample
-
-        samples = []
         rng = np.random.default_rng(0)
-        for ident in range(4):
-            for j in range(3):
-                cls = "B" if ident == 3 else "A"
-                samples.append(
-                    Sample(rng.normal(size=4), ident, j % 2, {"pose": cls, "cam": str(j % 2)}, "train")
-                )
-        return Dataset(samples, {"pose": ["A", "B"], "cam": ["0", "1"]})
+        ids = np.repeat(np.arange(4), 3)
+        cams = np.tile(np.arange(3) % 2, 4)
+        return Table(
+            np.stack([rng.normal(size=4) for _ in ids]),
+            ids,
+            cams,
+            ["train"] * len(ids),
+            {"pose": (ids == 3).astype(int), "cam": cams},
+            {"pose": ["A", "B"], "cam": ["0", "1"]},
+        )
 
     def test_redraw_until_bias_diverse(self):
         ds = self.rare_class_dataset()
@@ -216,18 +217,14 @@ class TestBatchRetry:
     def test_single_class_train_split_fails_with_bias_weight(self):
         ds = self.rare_class_dataset()
         # restrict to the three class-A identities only
-        from biasreid.dataset import Dataset
-
-        sub = Dataset([s for s in ds.samples if s.id != 3], dict(ds.channels))
+        sub = ds.rows(ds.ids != 3)
         cfg = tiny_cfg(p=2, k=2, lam_db=0.05, epochs=1, hidden=(4,), d_emb=3)
         with pytest.raises(BatchCompositionError):
             Trainer(sub, cfg).run()
 
     def test_single_class_train_split_fine_as_baseline(self):
-        from biasreid.dataset import Dataset
-
         ds = self.rare_class_dataset()
-        sub = Dataset([s for s in ds.samples if s.id != 3], dict(ds.channels))
+        sub = ds.rows(ds.ids != 3)
         cfg = tiny_cfg(p=2, k=2, lam_db=0.0, epochs=2, hidden=(4,), d_emb=3)
         params, log = train_branch(sub, cfg)
         assert len(log.epochs) == 2

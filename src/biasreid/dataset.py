@@ -218,6 +218,7 @@ def parse_channel_spec(raw: str) -> tuple[ChannelSpec, ...]:
 # ----------------------------------------------------------------------------
 
 _FEATURE_COL = re.compile(r"^([ef])(\d+)$")
+_INT64_RANGE = range(-(2**63), 2**63)
 
 
 def save_dataset(ds: Table, path, feature_prefix: str = "f") -> None:
@@ -236,10 +237,13 @@ def save_dataset(ds: Table, path, feature_prefix: str = "f") -> None:
 
 def _number(path, rownum: int, column: str, text: str, kind):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ParseError(f"{path}: row {rownum}, column {column}: not {what}: {text!r}") from None
+    if kind is int and value not in _INT64_RANGE:
+        raise ParseError(f"{path}: row {rownum}, column {column}: {text!r} does not fit in int64")
+    return value
 
 
 def load_dataset(path) -> Table:

@@ -79,6 +79,11 @@ def rank_gallery(
         raise EvaluationError("need non-empty query and gallery splits")
 
     d2 = _cross_sqdist(es.matrix[q_rows], es.matrix[g_rows])
+    # a row max is inf or NaN once any of its distances overflowed
+    overflow = ~np.isfinite(d2.max(axis=1))
+    if overflow.any():
+        row = int(q_rows[np.argmax(overflow)])
+        raise EvaluationError(f"query row {row}: squared distances overflow float64")
     g_ids = es.ids[g_rows]
     g_cams = es.cameras[g_rows]
     g_bias = {ch: es.codes[ch][g_rows] for ch in es.channels}

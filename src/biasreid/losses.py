@@ -23,9 +23,15 @@ the batch, so the hinge stays live in both branches while identity training
 shapes the embedding, and its gradient reaches the near neighbours that
 decide ranks.
 
-All gradients are exact subgradients with respect to the embeddings. The
-bias term's sums run in index order, so its value equals a plain
-per-anchor loop bit for bit.
+All gradients are exact subgradients with respect to the embeddings.
+`combined_loss` builds the batch's distance matrix once for both terms, and
+each term equals a plain per-anchor loop bit for bit. The identity term
+selects by masked argmax/argmin (first index wins, and the masks' +-inf
+never tie a real distance, since `pairwise_sqdist` rejects overflow), sums
+its active hinges in index order, and scatters its gradient with one
+`np.add.at` over rows a_0, p_0, q_0, a_1, ... of the active anchors: the
+loop's float additions in the loop's order. The bias term's sums also run
+in index order.
 """
 
 from __future__ import annotations
@@ -52,7 +58,10 @@ def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
     if not np.isfinite(e).all():
         raise DataError("non-finite embeddings")
     diff = e[:, None, :] - e[None, :, :]
-    return (diff * diff).sum(axis=-1)
+    d2 = (diff * diff).sum(axis=-1)
+    if not np.isfinite(d2).all():
+        raise DataError("squared distance between embeddings overflows float64")
+    return d2
 
 
 class _HingeStats:
@@ -66,7 +75,7 @@ class _HingeStats:
 
 @dataclass
 class TripletSelection(_HingeStats):
-    """Chosen pair per anchor; index -1 marks a skipped anchor."""
+    """Chosen positive and negative per anchor; the identity loss skips none."""
 
     pos_idx: np.ndarray
     neg_idx: np.ndarray
@@ -100,62 +109,45 @@ class LossOutput:
     n_skipped: int = 0
 
 
-def _select_extreme(d2_row: np.ndarray, mask: np.ndarray, largest: bool) -> int:
-    """Index of the largest/smallest masked entry, lowest index on ties."""
-    cand = np.flatnonzero(mask)
-    vals = d2_row[cand]
-    best = np.argmax(vals) if largest else np.argmin(vals)
-    return int(cand[best])
-
-
-def _accumulate_pair_grads(
-    grads: np.ndarray, emb: np.ndarray, a: int, pos: int, neg: int
-) -> None:
-    # d/de of [m + d2(a,pos) - d2(a,neg)]: through the selected pair only
-    ap = emb[a] - emb[pos]
-    an = emb[a] - emb[neg]
-    grads[a] += 2.0 * (ap - an)
-    grads[pos] -= 2.0 * ap
-    grads[neg] += 2.0 * an
-
-
-def reid_hard_loss(embeddings: np.ndarray, id_labels, margin: float) -> LossOutput:
+def reid_hard_loss(
+    embeddings: np.ndarray, d2: np.ndarray, id_labels, margin: float
+) -> LossOutput:
     """Batch-hard identity triplet loss with exact subgradients.
 
-    Per anchor: hardest positive = max squared distance over same-id others,
-    hardest negative = min over different-id samples. Every anchor must have
-    at least one of each.
+    `d2` is `pairwise_sqdist(embeddings)`. Per anchor: hardest positive =
+    max squared distance over same-id others, hardest negative = min over
+    different-id samples. Every anchor must have at least one of each.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(id_labels)
     n = emb.shape[0]
     if labels.shape[0] != n:
         raise ConfigError("id labels misaligned with embeddings")
-    d2 = pairwise_sqdist(emb)
+    if n == 0:
+        raise BatchCompositionError("empty batch")
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     diff = labels[:, None] != labels[None, :]
+    lacking = ~same.any(axis=1) | ~diff.any(axis=1)
+    if lacking.any():
+        a = int(np.argmax(lacking))
+        missing = "negative" if same[a].any() else "positive"
+        raise BatchCompositionError(f"anchor {a} has no {missing} (id {labels[a]!r})")
 
-    pos_idx = np.full(n, -1)
-    neg_idx = np.full(n, -1)
-    args = np.zeros(n)
-    active = np.zeros(n, dtype=bool)
+    pos_idx = np.where(same, d2, -np.inf).argmax(axis=1)
+    neg_idx = np.where(diff, d2, np.inf).argmin(axis=1)
+    rows = np.arange(n)
+    args = margin + d2[rows, pos_idx] - d2[rows, neg_idx]
+    active = args > 0
+    a, p, q = rows[active], pos_idx[active], neg_idx[active]
+    # d/de of [m + d2(a,p) - d2(a,q)]: through the selected pair only
+    ap = emb[a] - emb[p]
+    an = emb[a] - emb[q]
+    rows_hit = np.stack([a, p, q], axis=1).ravel()
+    terms = np.stack([2.0 * (ap - an), -2.0 * ap, 2.0 * an], axis=1)
     grads = np.zeros_like(emb)
-    total = 0.0
-    for a in range(n):
-        if not same[a].any():
-            raise BatchCompositionError(f"anchor {a} has no positive (id {labels[a]!r})")
-        if not diff[a].any():
-            raise BatchCompositionError(f"anchor {a} has no negative (id {labels[a]!r})")
-        p = _select_extreme(d2[a], same[a], largest=True)
-        q = _select_extreme(d2[a], diff[a], largest=False)
-        arg = margin + d2[a, p] - d2[a, q]
-        pos_idx[a], neg_idx[a], args[a] = p, q, arg
-        if arg > 0:
-            active[a] = True
-            total += arg
-            _accumulate_pair_grads(grads, emb, a, p, q)
-
+    np.add.at(grads, rows_hit, terms.reshape(-1, emb.shape[1]))
+    total = float(_ordered_sum(args[active]))
     sel = TripletSelection(pos_idx, neg_idx, args, active, np.zeros(n, dtype=bool))
     return LossOutput(total, grads, sel)
 
@@ -170,11 +162,12 @@ def _ordered_sum(values: np.ndarray) -> np.ndarray:
 
 
 def bias_easy_loss(
-    embeddings: np.ndarray, bias_labels, margin: float, hinge: bool = True
+    embeddings: np.ndarray, d2: np.ndarray, bias_labels, margin: float, hinge: bool = True
 ) -> LossOutput:
     """Pool-mean bias triplet loss: per anchor, mean squared distance to the
     other rows of its bias class (any id) against the mean to the rows of
-    every other class; see the module docstring for the rule and why.
+    every other class; see the module docstring for the rule and why. `d2`
+    is `pairwise_sqdist(embeddings)`.
 
     Anchors lacking either pool are skipped and counted, never fatal unless
     every anchor is skipped. `hinge=False` drops the [.]_+ clamp on this term
@@ -185,7 +178,6 @@ def bias_easy_loss(
     n = emb.shape[0]
     if labels.shape[0] != n:
         raise ConfigError("bias labels misaligned with embeddings")
-    d2 = pairwise_sqdist(emb)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     diff = labels[:, None] != labels[None, :]
@@ -246,14 +238,15 @@ def combined_loss(
     if lam_dr < 0 or lam_db < 0:
         raise ConfigError("loss weights must be >= 0")
     emb = np.asarray(embeddings, dtype=np.float64)
-    reid = reid_hard_loss(emb, id_labels, margin_id)
+    d2 = pairwise_sqdist(emb)
+    reid = reid_hard_loss(emb, d2, id_labels, margin_id)
     if lam_db == 0.0:
         # exactly the identity loss; the bias term is not even evaluated, so
         # a batch that cannot form bias pairs still trains as a baseline
         n = emb.shape[0]
         bias = LossOutput(0.0, np.zeros_like(emb), PoolSelection.empty(n), n_skipped=n)
         return CombinedLoss(lam_dr * reid.value, lam_dr * reid.grads, mode, reid, bias)
-    bias = bias_easy_loss(emb, bias_labels, margin_bias, hinge=bias_hinge)
+    bias = bias_easy_loss(emb, d2, bias_labels, margin_bias, hinge=bias_hinge)
     sign = -1.0 if mode == "reduce" else 1.0
     value = lam_dr * reid.value + sign * lam_db * bias.value
     grads = lam_dr * reid.grads + sign * lam_db * bias.grads

@@ -71,9 +71,6 @@ class ParamGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def all_zero(self) -> bool:
-        return all(not w.any() for w in self.weights) and all(not b.any() for b in self.biases)
-
 
 @dataclass
 class EncodeTape:

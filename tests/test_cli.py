@@ -190,6 +190,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError") and "probe_epochs" in err
 
+    def test_overflowing_ranking_distances_rejected(self, tmp_path, capsys):
+        # query row 0's identical positive should rank first, but its squared
+        # norms overflow, so its distances are inf - inf = NaN
+        data = tmp_path / "big.csv"
+        data.write_text(
+            "id,camera,split,pose,f0,f1\n"
+            "1,0,query,a,1e200,1e200\n"
+            "1,1,gallery,a,1e200,1e200\n"
+            "2,1,gallery,b,0,0\n"
+            "2,0,query,b,0,0\n"
+        )
+        code = run(["eval", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: EvaluationError") and "query row 0" in err
+
+    @pytest.mark.parametrize(
+        "column,row", [("id", "99999999999999999999,0"), ("camera", "1,-99999999999999999999")]
+    )
+    def test_integer_beyond_int64_rejected(self, column, row, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text(f"id,camera,split,f0\n1,1,gallery,0.5\n{row},query,1.5\n")
+        code = run(["eval", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and f"row 3, column {column}" in err
+
     def test_nobias_without_channel(self, pipeline, tmp_path, capsys):
         _, _, emb_dir, _ = pipeline
         code = run([

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasreid.errors import BatchCompositionError, ConfigError
+from biasreid.errors import BatchCompositionError, ConfigError, DataError
 from biasreid.losses import bias_easy_loss, combined_loss, pairwise_sqdist, reid_hard_loss
 
 
@@ -12,11 +12,16 @@ from biasreid.losses import bias_easy_loss, combined_loss, pairwise_sqdist, reid
 # ----------------------------------------------------------------------------
 
 
-def brute_force_hard_loss(embeddings, id_labels, margin) -> float:
-    """O(n^2) per anchor search over all valid pairs; no shared selection code."""
+def brute_force_hard_loss(embeddings, id_labels, margin) -> tuple[float, np.ndarray]:
+    """O(n^2) per anchor search over all valid pairs; no shared selection code.
+
+    Returns the value and the gradient, accumulated anchor by anchor in index
+    order, so `reid_hard_loss` must equal both bit for bit.
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(id_labels)
     total = 0.0
+    grads = np.zeros_like(emb)
     for a in range(len(emb)):
         best_p, best_n = None, None
         for j in range(len(emb)):
@@ -24,14 +29,22 @@ def brute_force_hard_loss(embeddings, id_labels, margin) -> float:
                 continue
             d = float(((emb[a] - emb[j]) ** 2).sum())
             if labels[j] == labels[a]:
-                if best_p is None or d > best_p:
-                    best_p = d
-            elif best_n is None or d < best_n:
-                best_n = d
+                if best_p is None or d > best_p[1]:
+                    best_p = (j, d)
+            elif best_n is None or d < best_n[1]:
+                best_n = (j, d)
         if best_p is None or best_n is None:
             raise BatchCompositionError(f"anchor {a} lacks a pair")
-        total += max(0.0, margin + best_p - best_n)
-    return total
+        arg = margin + best_p[1] - best_n[1]
+        if arg > 0:
+            total += arg
+            p, q = best_p[0], best_n[0]
+            ap = emb[a] - emb[p]
+            an = emb[a] - emb[q]
+            grads[a] += 2.0 * (ap - an)
+            grads[p] -= 2.0 * ap
+            grads[q] += 2.0 * an
+    return total, grads
 
 
 def brute_force_easy_loss(embeddings, bias_labels, margin, hinge: bool = True) -> float:
@@ -96,36 +109,49 @@ class TestPairwiseSqdist:
         np.testing.assert_array_equal(d2, d2.T)
         assert d2.diagonal().sum() == 0.0
 
+    def test_overflowing_distance_rejected(self):
+        # finite rows whose squared distance is inf: a masked +-inf in the
+        # hard loss's selection could then tie a real candidate
+        with pytest.raises(DataError):
+            pairwise_sqdist(col([-1e200, 1e200]))
+
 
 class TestReidHardLoss:
     ids = np.array(["A", "A", "B", "B"])
 
     def test_spec_value_16(self):
-        out = reid_hard_loss(col([0.0, 2.0, 1.0, 3.0]), self.ids, margin=1.0)
+        emb = col([0.0, 2.0, 1.0, 3.0])
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), self.ids, margin=1.0)
         assert out.value == pytest.approx(16.0)
         np.testing.assert_allclose(out.selection.hinge_arg, [4.0, 4.0, 4.0, 4.0])
-        assert out.value == pytest.approx(
-            brute_force_hard_loss(col([0.0, 2.0, 1.0, 3.0]), self.ids, 1.0)
-        )
+        assert out.value == pytest.approx(brute_force_hard_loss(emb, self.ids, 1.0)[0])
 
     def test_all_hinges_inactive(self):
-        out = reid_hard_loss(col([0.0, 1.0, 3.0, 4.0]), self.ids, margin=1.0)
+        emb = col([0.0, 1.0, 3.0, 4.0])
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), self.ids, margin=1.0)
         assert out.value == 0.0
         assert not out.grads.any()
         assert not out.selection.active.any()
 
     def test_degenerate_geometry(self):
-        out = reid_hard_loss(np.zeros((4, 2)), self.ids, margin=0.7)
+        emb = np.zeros((4, 2))
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), self.ids, margin=0.7)
         assert out.value == pytest.approx(4 * 0.7)
 
     def test_anchor_without_positive(self):
+        emb = col([0.0, 1.0, 2.0])
         with pytest.raises(BatchCompositionError):
-            reid_hard_loss(col([0.0, 1.0, 2.0]), np.array(["A", "B", "B"]), 1.0)
+            reid_hard_loss(emb, pairwise_sqdist(emb), np.array(["A", "B", "B"]), 1.0)
+
+    def test_empty_batch_rejected(self):
+        emb = np.zeros((0, 2))
+        with pytest.raises(BatchCompositionError):
+            reid_hard_loss(emb, pairwise_sqdist(emb), np.array([], dtype=str), 1.0)
 
     def test_tie_break_lowest_index(self):
         # two equidistant negatives for anchor 0
         emb = col([0.0, 0.5, 1.0, -1.0])
-        out = reid_hard_loss(emb, np.array(["A", "A", "B", "B"]), margin=10.0)
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), np.array(["A", "A", "B", "B"]), margin=10.0)
         assert out.selection.neg_idx[0] == 2
 
 
@@ -136,35 +162,38 @@ class TestBiasEasyLoss:
         # anchor 0: same-bias pool {1} mean 9, other pool {2, 3} mean (1 + 4) / 2,
         # so 1 + 9 - 2.5 = 7.5; anchor 2: 1 + 1 - (1 + 4) / 2 = -0.5; by symmetry
         # anchors 1 and 3 match, and the two active hinges sum to 15
-        out = bias_easy_loss(col([0.0, 3.0, 1.0, 2.0]), self.bias, margin=1.0)
+        emb = col([0.0, 3.0, 1.0, 2.0])
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0)
         assert out.value == pytest.approx(15.0)
         np.testing.assert_allclose(out.selection.hinge_arg, [7.5, 7.5, -0.5, -0.5])
-        assert out.value == pytest.approx(
-            brute_force_easy_loss(col([0.0, 3.0, 1.0, 2.0]), self.bias, 1.0)
-        )
+        assert out.value == pytest.approx(brute_force_easy_loss(emb, self.bias, 1.0))
 
     def test_all_inactive(self):
-        out = bias_easy_loss(col([0.0, 1.0, 3.0, 4.0]), self.bias, margin=1.0)
+        emb = col([0.0, 1.0, 3.0, 4.0])
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0)
         assert out.value == 0.0
         assert not out.grads.any()
 
     def test_degenerate_geometry(self):
-        out = bias_easy_loss(np.zeros((4, 2)), self.bias, margin=0.25)
+        emb = np.zeros((4, 2))
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=0.25)
         assert out.value == pytest.approx(4 * 0.25)
 
     def test_skipped_anchor_counted_not_fatal(self):
-        out = bias_easy_loss(col([0.0, 1.0, 2.0]), np.array(["P", "Q", "Q"]), margin=1.0)
+        emb = col([0.0, 1.0, 2.0])
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), np.array(["P", "Q", "Q"]), margin=1.0)
         assert out.n_skipped == 1  # anchor 0 has no same-bias partner
         assert out.selection.skipped[0]
 
     def test_all_skipped_is_fatal(self):
+        emb = col([0.0, 1.0])
         with pytest.raises(BatchCompositionError):
-            bias_easy_loss(col([0.0, 1.0]), np.array(["P", "P"]), margin=1.0)
+            bias_easy_loss(emb, pairwise_sqdist(emb), np.array(["P", "P"]), margin=1.0)
 
     def test_no_hinge_keeps_negative_terms_and_grads(self):
         emb = col([0.0, 1.0, 3.0, 4.0])
-        clamped = bias_easy_loss(emb, self.bias, margin=1.0, hinge=True)
-        free = bias_easy_loss(emb, self.bias, margin=1.0, hinge=False)
+        clamped = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0, hinge=True)
+        free = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0, hinge=False)
         assert clamped.value == 0.0 and not clamped.grads.any()
         # unclamped args: 1 + 1 - (9 + 16) / 2, 1 + 1 - (4 + 9) / 2, and mirrored
         assert free.value == pytest.approx(-10.5 - 4.5 - 4.5 - 10.5)
@@ -177,7 +206,7 @@ class TestBiasEasyLoss:
         # identity is irrelevant to the bias pools by construction: labels
         # here are bias classes, ids never enter
         emb = col([0.0, 0.1, 5.0])
-        out = bias_easy_loss(emb, np.array(["P", "P", "Q"]), margin=1.0)
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), np.array(["P", "P", "Q"]), margin=1.0)
         np.testing.assert_array_equal(out.selection.pos_pool[0], [False, True, False])
         np.testing.assert_array_equal(out.selection.neg_pool[0], [False, False, True])
 
@@ -191,7 +220,7 @@ class TestCombinedLoss:
         # frozen from the exhaustive-search oracles below; bias by hand:
         # anchors 0 and 3 give 1 + 9 - (4 + 1) / 2 = 7.5, anchors 1 and 2
         # give 1 + 1 - (4 + 1) / 2 = -0.5 and stay inactive
-        assert brute_force_hard_loss(self.emb, self.ids, 1.0) == pytest.approx(16.0)
+        assert brute_force_hard_loss(self.emb, self.ids, 1.0)[0] == pytest.approx(16.0)
         assert brute_force_easy_loss(self.emb, self.bias, 1.0) == pytest.approx(15.0)
 
     def test_reduce_combination(self):
@@ -206,13 +235,13 @@ class TestCombinedLoss:
     def test_zero_bias_weight_reduces_to_reid(self):
         for mode in ("reduce", "enhance"):
             out = combined_loss(self.emb, self.ids, self.bias, mode, 1.0, 0.0, 1.0, 1.0)
-            ref = reid_hard_loss(self.emb, self.ids, 1.0)
+            ref = reid_hard_loss(self.emb, pairwise_sqdist(self.emb), self.ids, 1.0)
             assert out.value == ref.value
             np.testing.assert_array_equal(out.grads, ref.grads)
 
     def test_zero_reid_weight_enhance_is_scaled_bias_loss(self):
         out = combined_loss(self.emb, self.ids, self.bias, "enhance", 0.0, 0.05, 1.0, 1.0)
-        ref = bias_easy_loss(self.emb, self.bias, 1.0)
+        ref = bias_easy_loss(self.emb, pairwise_sqdist(self.emb), self.bias, 1.0)
         assert out.value == pytest.approx(0.05 * ref.value)
         np.testing.assert_allclose(out.grads, 0.05 * ref.grads)
 
@@ -242,6 +271,13 @@ def random_batch(rng, n_ids=4, k=3, d=4, n_bias=2):
     return emb, ids, bias
 
 
+def assert_hard_loss_matches_oracle(emb, ids, m):
+    out = reid_hard_loss(emb, pairwise_sqdist(emb), ids, m)
+    value, grads = brute_force_hard_loss(emb, ids, m)
+    assert out.value == value
+    assert np.array_equal(out.grads, grads)
+
+
 class TestSelectionOracle:
     def test_matches_brute_force_many_batches(self):
         rng = np.random.default_rng(42)
@@ -250,16 +286,28 @@ class TestSelectionOracle:
             k = int(rng.integers(2, 4))
             emb, ids, bias = random_batch(rng, n_ids, k, d=int(rng.integers(1, 5)))
             m = float(rng.uniform(0.1, 2.0))
-            assert reid_hard_loss(emb, ids, m).value == pytest.approx(
-                brute_force_hard_loss(emb, ids, m), abs=1e-12
-            )
+            assert_hard_loss_matches_oracle(emb, ids, m)
             try:
-                ours = bias_easy_loss(emb, bias, m).value
+                ours = bias_easy_loss(emb, pairwise_sqdist(emb), bias, m).value
             except BatchCompositionError:
                 with pytest.raises(BatchCompositionError):
                     brute_force_easy_loss(emb, bias, m)
                 continue
             assert ours == pytest.approx(brute_force_easy_loss(emb, bias, m), abs=1e-12)
+
+    def test_hard_loss_bit_exact_on_tie_heavy_batches(self):
+        # rows on a coarse grid, so many candidates sit at equal distances
+        # and duplicated rows tie at zero; the scale makes the coordinates
+        # inexact in binary, so the order of float additions shows too
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n_ids = int(rng.integers(2, 6))
+            k = int(rng.integers(2, 5))
+            d = int(rng.integers(1, 4))
+            scale = float(rng.choice([1.0, 0.1, 0.37]))
+            emb = rng.integers(-2, 3, size=(n_ids * k, d)) * scale
+            ids = rng.permutation(np.repeat(np.arange(n_ids), k))
+            assert_hard_loss_matches_oracle(emb, ids, float(rng.choice([0.0, 0.3, 1.0, 2.5])))
 
 
 def embedding_fd_grads(value_fn, emb, h=1e-6):
@@ -278,16 +326,14 @@ def embedding_fd_grads(value_fn, emb, h=1e-6):
 
 def far_from_ties(emb, ids, bias, margins, tol=1e-3):
     """Reject configurations where a hinge or a selection is near a tie."""
+    d2 = pairwise_sqdist(emb)
     for fn, labels, m in (
         (reid_hard_loss, ids, margins[0]),
         (bias_easy_loss, bias, margins[1]),
     ):
-        out = fn(emb, labels, m)
+        out = fn(emb, d2, labels, m)
         if np.abs(out.selection.hinge_arg[~out.selection.skipped]).min() < tol:
             return False
-    from biasreid.losses import pairwise_sqdist
-
-    d2 = pairwise_sqdist(emb)
     iu = np.triu_indices(len(emb), k=1)
     vals = np.sort(d2[iu])
     if len(vals) > 1 and np.diff(vals).min() < 1e-6:
@@ -314,7 +360,7 @@ class TestGradients:
     def test_inactive_hinge_grads_exactly_zero(self):
         # spread ids so far apart every reid hinge is slack
         emb = col([0.0, 0.1, 100.0, 100.1])
-        out = reid_hard_loss(emb, np.array(["A", "A", "B", "B"]), margin=0.3)
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), np.array(["A", "A", "B", "B"]), margin=0.3)
         assert not out.selection.active.any()
         assert np.count_nonzero(out.grads) == 0
 
@@ -342,7 +388,7 @@ class TestZeroBiasWeightRobustness:
         ids = np.array(["A", "A", "B", "B"])
         single = np.array(["P", "P", "P", "P"])
         out = combined_loss(emb, ids, single, "reduce", 1.0, 0.0, 1.0, 1.0)
-        ref = reid_hard_loss(emb, ids, 1.0)
+        ref = reid_hard_loss(emb, pairwise_sqdist(emb), ids, 1.0)
         assert out.value == ref.value
         np.testing.assert_array_equal(out.grads, ref.grads)
         assert out.bias.n_skipped == 4

@@ -7,6 +7,11 @@ share the query's bias label, quantifying how much same-bias distractors
 inflate or deflate the scores. Bias retention in a frozen representation is
 measured by a small probe (learnable PReLU then a linear layer) and by the
 probability that the item at rank r is a same-bias negative/positive.
+
+A ranking is a set of [Q, G] arrays (see `RankResult`). Excluded items get
+an infinite distance, so one stable argsort per row yields the kept items,
+all finite, in the (distance, gallery index) order that sorting them alone
+gave, then the excluded ones by index.
 """
 
 from __future__ import annotations
@@ -27,19 +32,22 @@ PROTOCOLS = ("standard", "nobias")
 
 @dataclass
 class RankResult:
-    """Per retained query: gallery order after exclusions, plus masks."""
+    """The retained queries' rankings as [Q, G] arrays, one row per query.
 
-    orders: list[np.ndarray]
-    positive: list[np.ndarray]
-    same_bias: dict[str, list[np.ndarray]]
-    query_rows: np.ndarray
-    protocol: str
-    channel: str | None
+    `order[q, :lengths[q]]` are the kept gallery positions, nearest first; the
+    excluded ones follow by index. `positive` and `same_bias[ch]` flag items
+    sharing the query's identity or `ch` label, and are False past `lengths[q]`.
+    """
+
+    order: np.ndarray
+    lengths: np.ndarray
+    positive: np.ndarray
+    same_bias: dict[str, np.ndarray]
     dropped: int
 
     @property
     def n_queries(self) -> int:
-        return len(self.orders)
+        return len(self.order)
 
 
 def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,59 +92,47 @@ def rank_gallery(
     if overflow.any():
         row = int(q_rows[np.argmax(overflow)])
         raise EvaluationError(f"query row {row}: squared distances overflow float64")
-    g_ids = es.ids[g_rows]
-    g_cams = es.cameras[g_rows]
-    g_bias = {ch: es.codes[ch][g_rows] for ch in es.channels}
 
-    orders: list[np.ndarray] = []
-    positive: list[np.ndarray] = []
-    same_bias: dict[str, list[np.ndarray]] = {ch: [] for ch in es.channels}
-    kept_rows = []
-    dropped = 0
-    for qi, row in enumerate(q_rows):
-        qid, qcam = es.ids[row], es.cameras[row]
-        exclude = (g_ids == qid) & (g_cams == qcam)
-        if protocol == "nobias":
-            q_label = es.codes[channel][row]
-            exclude |= (g_ids != qid) & (g_bias[channel] == q_label)
-        keep = np.flatnonzero(~exclude)
-        pos = g_ids[keep] == qid
-        if not pos.any():
-            dropped += 1
-            continue
-        # stable sort on ascending gallery index -> lowest index wins ties
-        order_local = np.argsort(d2[qi, keep], kind="stable")
-        order = keep[order_local]
-        orders.append(order)
-        positive.append(g_ids[order] == qid)
-        for ch in es.channels:
-            q_label = es.codes[ch][row]
-            same_bias[ch].append(g_bias[ch][order] == q_label)
-        kept_rows.append(row)
+    def same(labels: np.ndarray) -> np.ndarray:
+        return labels[q_rows][:, None] == labels[g_rows][None, :]
 
-    if not orders:
+    same_id = same(es.ids)
+    kept = ~(same_id & same(es.cameras))
+    if protocol == "nobias":
+        kept &= same_id | ~same(es.codes[channel])
+    d2[~kept] = np.inf  # after the overflow check: every kept distance is finite
+    order = np.argsort(d2, axis=1, kind="stable")
+    del d2
+    positive = np.take_along_axis(same_id & kept, order, axis=1)
+    same_bias = {
+        ch: np.take_along_axis(same(es.codes[ch]) & kept, order, axis=1) for ch in es.channels
+    }
+    lengths = kept.sum(axis=1)
+
+    has_pos = positive.any(axis=1)
+    dropped = len(has_pos) - int(has_pos.sum())
+    if dropped == len(has_pos):
         raise EvaluationError("every query was dropped (no cross-camera positives)")
-    return RankResult(
-        orders, positive, same_bias, np.array(kept_rows, dtype=int), protocol, channel, dropped
-    )
+    if dropped:
+        order, lengths, positive = order[has_pos], lengths[has_pos], positive[has_pos]
+        same_bias = {ch: m[has_pos] for ch, m in same_bias.items()}
+    return RankResult(order, lengths, positive, same_bias, dropped)
 
 
 def cmc_map(rr: RankResult, max_rank: int = 20) -> tuple[np.ndarray, float]:
     """CMC(k) for k = 1..max_rank and mean average precision.
 
-    AP per query is the mean of precision measured at each positive's rank.
+    AP per query is the mean of precision measured at each positive's rank,
+    by one row-wise `np.mean` per positive count: it sums as a per-query one.
     """
-    if rr.n_queries == 0:
-        raise EvaluationError("no retained queries")
-    cmc = np.zeros(max_rank)
+    cmc = np.cumsum(np.bincount(rr.positive.argmax(axis=1), minlength=max_rank)[:max_rank])
+    # row-major hits: a hit's index minus its row's first index is its rank among the positives
+    rows, hits = np.nonzero(rr.positive)
+    precision = (np.arange(len(rows)) - np.searchsorted(rows, rows) + 1) / (hits + 1.0)
+    n_pos = rr.positive.sum(axis=1)
     aps = np.zeros(rr.n_queries)
-    for i, pos in enumerate(rr.positive):
-        hits = np.flatnonzero(pos)
-        first = hits[0]
-        if first < max_rank:
-            cmc[first:] += 1.0
-        ranks = hits + 1.0
-        aps[i] = float(np.mean(np.arange(1, len(hits) + 1) / ranks))
+    for n in np.unique(n_pos):
+        aps[n_pos == n] = precision[n_pos[rows] == n].reshape(-1, n).mean(axis=1)
     return cmc / rr.n_queries, float(aps.mean())
 
 
@@ -151,22 +147,14 @@ def same_bias_rank_prob(
         raise ConfigError(f"polarity must be negative|positive, got {polarity!r}")
     if channel not in rr.same_bias:
         raise ConfigError(f"unknown bias channel {channel!r}")
-    lengths = np.array([len(o) for o in rr.orders])
-    if max_rank > lengths.max(initial=0):
+    if max_rank > rr.lengths.max():
         raise EvaluationError(
-            f"max_rank {max_rank} exceeds every retained list length (max {lengths.max(initial=0)})"
+            f"max_rank {max_rank} exceeds every retained list length (max {rr.lengths.max()})"
         )
-    curve = np.zeros(max_rank)
-    for r in range(1, max_rank + 1):
-        have = lengths >= r
-        hits = 0
-        for qi in np.flatnonzero(have):
-            is_pos = rr.positive[qi][r - 1]
-            matches_polarity = is_pos if polarity == "positive" else not is_pos
-            if matches_polarity and rr.same_bias[channel][qi][r - 1]:
-                hits += 1
-        curve[r - 1] = hits / have.sum()
-    return curve
+    matches = rr.positive[:, :max_rank] == (polarity == "positive")
+    hits = (matches & rr.same_bias[channel][:, :max_rank]).sum(axis=0)
+    have = (rr.lengths[:, None] > np.arange(max_rank)).sum(axis=0)
+    return hits / have
 
 
 def nauc(curve: np.ndarray, k: int = 10) -> float:
@@ -194,6 +182,14 @@ class ProbeConfig:
     rate: float = 0.01
     train_fraction: float = 0.5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ConfigError(f"probe_epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ConfigError(f"probe_rate must be finite and >= 0, got {self.rate}")
+        if not np.isfinite(self.train_fraction):
+            raise ConfigError(f"probe_train_fraction must be finite, got {self.train_fraction}")
 
 
 @dataclass
@@ -375,9 +371,8 @@ def evaluate_embeddings(
 ) -> EvalReport:
     """Full report: CMC/mAP plus per-channel curves, nauc, optional probes."""
     rr = rank_gallery(es, protocol, channel)
-    shortest = min(len(o) for o in rr.orders)
-    max_rank = max(1, min(max_rank, max(len(o) for o in rr.orders)))
-    curve_rank = max(1, min(curve_rank, shortest))
+    max_rank = max(1, min(max_rank, int(rr.lengths.max())))
+    curve_rank = max(1, min(curve_rank, int(rr.lengths.min())))
     cmc, mean_ap = cmc_map(rr, max_rank)
     stats: dict[str, ChannelStats] = {}
     for ch in stat_channels if stat_channels is not None else es.channels:

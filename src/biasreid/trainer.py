@@ -78,6 +78,10 @@ class BranchConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        values = self.to_dict()
+        for key in ("lambda_dr", "lambda_db", "margin_id", "margin_bias", "rate"):
+            if not np.isfinite(values[key]):
+                raise ConfigError(f"{key} must be finite, got {values[key]}")
         if self.lam_dr < 0 or self.lam_db < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.p < 2 or self.k < 2:

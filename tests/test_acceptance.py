@@ -450,7 +450,7 @@ def test_criterion_10_nobias_exclusion(criteria):
         nobias = rank_gallery(es, "nobias", channel=channel)
         cmc_std, _ = cmc_map(standard)
         cmc_nb, _ = cmc_map(nobias)
-        max_len = max(len(o) for o in nobias.orders)
+        max_len = nobias.lengths.max()
         curve = same_bias_rank_prob(nobias, channel, "negative", max_len)
         results.append((name, float(curve.sum()), cmc_nb[0] - cmc_std[0]))
     all_zero = all(s == 0.0 for _, s, _ in results)

@@ -178,17 +178,35 @@ class TestErrors:
         assert code == 2
         assert "unknown preset" in capsys.readouterr().err
 
-    def test_probe_config_value_not_a_number(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key,value",
+        [("probe_epochs", "ten"), ("probe_epochs", "-3"), ("probe_train_fraction", "nan"),
+         ("probe_rate", "nan")],
+    )
+    def test_probe_config_value_not_a_number(self, key, value, pipeline, tmp_path, capsys):
         _, _, emb_dir, _ = pipeline
         cfg = tmp_path / "probe.cfg"
-        cfg.write_text("probe_epochs = ten\n")
+        cfg.write_text(f"{key} = {value}\n")
         code = run([
             "probe", "--data", str(emb_dir / "embeddings.csv"), "--channel", "pose",
             "--config", str(cfg), "--out", str(tmp_path / "o"),
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ConfigError") and "probe_epochs" in err
+        assert err.startswith("error: ConfigError") and key in err
+
+    @pytest.mark.parametrize("key", ["lambda_dr", "lambda_db", "margin_id", "margin_bias", "rate"])
+    def test_non_finite_branch_value_rejected(self, key, pipeline, small_branch_cfg, tmp_path,
+                                              capsys):
+        _, data, _, _ = pipeline
+        cfg = tmp_path / "branch.cfg"
+        lines = [ln for ln in small_branch_cfg.read_text().splitlines() if ln.split()[0] != key]
+        cfg.write_text("\n".join(lines + [f"{key} = nan"]) + "\n")
+        code = run(["train", "--data", str(data), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError") and key in err
 
     def test_overflowing_ranking_distances_rejected(self, tmp_path, capsys):
         # query row 0's identical positive should rank first, but its squared

@@ -11,7 +11,9 @@ from biasreid.dataset import (
 from biasreid.embedder import embed_all
 from biasreid.errors import ConfigError, EvaluationError
 from biasreid.evaluation import (
+    PROTOCOLS,
     ProbeConfig,
+    _cross_sqdist,
     cmc_map,
     evaluate_embeddings,
     fit_probe,
@@ -72,6 +74,90 @@ def naive_cmc(pos_lists, max_rank):
     return cmc / len(pos_lists)
 
 
+def brute_force_rank(es, protocol="standard", channel=None):
+    """Per-query ranking loop: (orders, positive, same_bias, dropped) as lists.
+
+    Each retained query's kept gallery positions are sorted on their own,
+    stably, so the lower index wins a tie; its masks are gathered through
+    that order.
+    """
+    if protocol not in PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    if protocol == "nobias":
+        if channel is None:
+            raise ConfigError("nobias protocol needs a bias channel")
+        if channel not in es.channels:
+            raise ConfigError(f"unknown bias channel {channel!r}")
+    q_rows = np.flatnonzero(es.splits == "query")
+    g_rows = np.flatnonzero(es.splits == "gallery")
+    if len(q_rows) == 0 or len(g_rows) == 0:
+        raise EvaluationError("need non-empty query and gallery splits")
+    d2 = _cross_sqdist(es.matrix[q_rows], es.matrix[g_rows])
+    for qi, row in enumerate(q_rows):
+        if not np.isfinite(d2[qi]).all():
+            raise EvaluationError(f"query row {row}: squared distances overflow float64")
+    g_ids = es.ids[g_rows]
+    g_cams = es.cameras[g_rows]
+    orders, positive, same_bias = [], [], {ch: [] for ch in es.channels}
+    dropped = 0
+    for qi, row in enumerate(q_rows):
+        qid, qcam = es.ids[row], es.cameras[row]
+        exclude = (g_ids == qid) & (g_cams == qcam)
+        if protocol == "nobias":
+            exclude |= (g_ids != qid) & (es.codes[channel][g_rows] == es.codes[channel][row])
+        keep = np.flatnonzero(~exclude)
+        if not (g_ids[keep] == qid).any():
+            dropped += 1
+            continue
+        order = keep[np.argsort(d2[qi, keep], kind="stable")]
+        orders.append(order)
+        positive.append(g_ids[order] == qid)
+        for ch in es.channels:
+            same_bias[ch].append(es.codes[ch][g_rows][order] == es.codes[ch][row])
+    if not orders:
+        raise EvaluationError("every query was dropped (no cross-camera positives)")
+    return orders, positive, same_bias, dropped
+
+
+def brute_force_cmc_map(positive, max_rank):
+    """CMC counts each query from its first hit on; AP is a per-query mean."""
+    cmc = np.zeros(max_rank)
+    aps = np.zeros(len(positive))
+    for i, pos in enumerate(positive):
+        hits = np.flatnonzero(pos)
+        if hits[0] < max_rank:
+            cmc[hits[0]:] += 1.0
+        aps[i] = float(np.mean(np.arange(1, len(hits) + 1) / (hits + 1.0)))
+    return cmc / len(positive), float(aps.mean())
+
+
+def brute_force_curve(positive, same_bias, polarity, max_rank):
+    """Per rank, the share of queries long enough whose item there matches."""
+    lengths = np.array([len(p) for p in positive])
+    if max_rank > lengths.max():
+        raise EvaluationError(
+            f"max_rank {max_rank} exceeds every retained list length (max {lengths.max()})"
+        )
+    curve = np.zeros(max_rank)
+    for r in range(1, max_rank + 1):
+        have = lengths >= r
+        hits = 0
+        for qi in np.flatnonzero(have):
+            is_pos = positive[qi][r - 1]
+            if (is_pos if polarity == "positive" else not is_pos) and same_bias[qi][r - 1]:
+                hits += 1
+        curve[r - 1] = hits / have.sum()
+    return curve
+
+
+def outcome(fn, *args):
+    """(result, None), or (None, (error type, message)) for a toolkit error."""
+    try:
+        return fn(*args), None
+    except (ConfigError, EvaluationError) as exc:
+        return None, (type(exc), str(exc))
+
+
 class TestRankGallery:
     def test_standard_exclusion_rule(self):
         # query (id=1, cam=1); gallery {(1,1), (1,2), (2,1)}
@@ -83,9 +169,9 @@ class TestRankGallery:
         )
         rr = rank_gallery(es, "standard")
         # gallery rows are positions within the gallery subset: (1,1)->0 excluded
-        kept = rr.orders[0]
+        kept = rr.order[0, : rr.lengths[0]]
         assert set(kept.tolist()) == {1, 2}  # (1,2) and (2,1) survive
-        np.testing.assert_array_equal(rr.positive[0], [True, False])
+        np.testing.assert_array_equal(rr.positive[0, : rr.lengths[0]], [True, False])
 
     def test_no_exclusions_plain_sorted(self):
         es = make_es(
@@ -95,7 +181,7 @@ class TestRankGallery:
             splits=["query", "gallery", "gallery", "gallery"],
         )
         rr = rank_gallery(es, "standard")
-        np.testing.assert_array_equal(rr.orders[0], [1, 2, 0])  # d=1, 4, 9
+        np.testing.assert_array_equal(rr.order[0, : rr.lengths[0]], [1, 2, 0])  # d=1, 4, 9
 
     def test_nobias_removes_all_same_pose_negatives(self):
         es = make_es(
@@ -106,8 +192,8 @@ class TestRankGallery:
             pose=["a", "b", "a", "a"],
         )
         rr = rank_gallery(es, "nobias", channel="pose")
-        assert rr.positive[0].all()  # only the positive remains
-        assert len(rr.orders[0]) == 1
+        assert rr.positive[0, : rr.lengths[0]].all()  # only the positive remains
+        assert rr.lengths[0] == 1
 
     def test_query_without_positive_dropped_and_counted(self):
         es = make_es(
@@ -129,7 +215,7 @@ class TestRankGallery:
             splits=["query", "gallery", "gallery", "gallery"],
         )
         rr = rank_gallery(es, "standard")
-        np.testing.assert_array_equal(rr.orders[0], [0, 1, 2])
+        np.testing.assert_array_equal(rr.order[0, : rr.lengths[0]], [0, 1, 2])
 
     def test_empty_query_split_errors(self):
         es = make_es([0.0, 1.0], [1, 1], [0, 1], ["gallery", "gallery"])
@@ -146,7 +232,8 @@ class TestRankGallery:
         pose_b = rng.integers(0, 2, size=30).astype(str)
         ra = rank_gallery(make_es(emb, ids, cams, splits, pose_a), "standard")
         rb = rank_gallery(make_es(emb, ids, cams, splits, pose_b), "standard")
-        for a, b in zip(ra.orders, rb.orders):
+        for q in range(ra.n_queries):
+            a, b = ra.order[q, : ra.lengths[q]], rb.order[q, : rb.lengths[q]]
             np.testing.assert_array_equal(a, b)
 
 
@@ -193,8 +280,81 @@ class TestCmcMap:
             assert m == pytest.approx(
                 float(np.mean([naive_ap(p.tolist()) for p in rr.positive])), abs=1e-12
             )
-            np.testing.assert_allclose(cmc, naive_cmc(rr.positive, n_gal), atol=1e-12)
+            np.testing.assert_array_equal(cmc, naive_cmc(rr.positive, n_gal))
             assert (np.diff(cmc) >= -1e-15).all()  # CMC monotone
+
+
+def random_table(rng, grid):
+    """A small table with train rows mixed in and two bias channels.
+
+    `grid` rows take values in {-2..2} times one step, so many distances
+    tie; a few tables carry a row whose squared norm overflows.
+    """
+    n_q, n_gal, n_train = rng.integers(0, 7), rng.integers(1, 31), rng.integers(0, 4)
+    n, d = n_q + n_gal + n_train, int(rng.integers(1, 5))
+    if grid:
+        matrix = rng.integers(-2, 3, size=(n, d)) * rng.choice([1.0, 0.1, 0.37])
+    else:
+        matrix = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3])
+    if rng.random() < 0.03:
+        matrix[rng.integers(n)] = 1e200
+    splits = rng.permutation(["query"] * n_q + ["gallery"] * n_gal + ["train"] * n_train)
+    n_pose = int(rng.integers(2, 4))
+    codes = {"pose": rng.integers(0, n_pose, size=n), "cam": rng.integers(0, 2, size=n)}
+    channels = {"pose": [str(c) for c in range(n_pose)], "cam": ["0", "1"]}
+    ids = rng.integers(0, rng.integers(2, 7), size=n)
+    return Table(matrix, ids, rng.integers(0, 3, size=n), splits, codes, channels)
+
+
+class TestRankingOracle:
+    """rank_gallery, cmc_map and the curves equal the per-query loops exactly."""
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
+    def test_matches_brute_force_on_random_tables(self, grid):
+        rng = np.random.default_rng(11 + grid)
+        seen = {"ranked": 0, "dropped": 0, "error": 0}
+        for _ in range(500):
+            es = random_table(rng, grid)
+            for protocol, channel in [("standard", None), ("nobias", "pose"), ("nobias", "cam")]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, got_err = outcome(rank_gallery, es, protocol, channel)
+                    ref, ref_err = outcome(brute_force_rank, es, protocol, channel)
+                assert got_err == ref_err
+                if ref_err:
+                    seen["error"] += 1
+                    continue
+                seen["ranked"] += 1
+                seen["dropped"] += ref[3] > 0
+                self.check_ranking(got, *ref)
+
+        assert min(seen.values()) >= 20, seen
+
+    @staticmethod
+    def check_ranking(rr, orders, positive, same_bias, dropped):
+        assert rr.dropped == dropped and rr.n_queries == len(orders)
+        lengths = [len(o) for o in orders]
+        np.testing.assert_array_equal(rr.lengths, lengths)
+        for q, n in enumerate(lengths):
+            np.testing.assert_array_equal(rr.order[q, :n], orders[q])
+            np.testing.assert_array_equal(rr.positive[q, :n], positive[q])
+            assert not rr.positive[q, n:].any()
+            for ch in same_bias:
+                np.testing.assert_array_equal(rr.same_bias[ch][q, :n], same_bias[ch][q])
+                assert not rr.same_bias[ch][q, n:].any()
+        width = rr.order.shape[1]
+        for max_rank in sorted({1, 5, max(lengths), width}):
+            cmc, m = cmc_map(rr, max_rank)
+            ref_cmc, ref_m = brute_force_cmc_map(positive, max_rank)
+            assert np.array_equal(cmc, ref_cmc) and m == ref_m
+        for ch in same_bias:
+            for polarity in ("negative", "positive"):
+                for depth in sorted({1, min(lengths), max(lengths), max(lengths) + 1}):
+                    got, got_err = outcome(same_bias_rank_prob, rr, ch, polarity, depth)
+                    ref, ref_err = outcome(
+                        brute_force_curve, positive, same_bias[ch], polarity, depth
+                    )
+                    assert got_err == ref_err
+                    assert ref_err or np.array_equal(got, ref)
 
 
 HAND_EMB = [0.0, 10.0, 20.0, 1.0, 11.0, 19.0, 5.0]
@@ -241,7 +401,7 @@ class TestSameBiasRankProb:
         es = make_es(emb, ids, cams, splits, pose)
         rr = rank_gallery(es, "standard")
         curve = same_bias_rank_prob(rr, "pose", "negative", 10)
-        lengths = np.array([len(o) for o in rr.orders])
+        lengths = rr.lengths
         for r in range(1, 11):
             have = lengths >= r
             p_neg_at_r = np.mean([not rr.positive[q][r - 1] for q in np.flatnonzero(have)])
@@ -249,7 +409,7 @@ class TestSameBiasRankProb:
 
     def test_nobias_negative_curve_identically_zero(self):
         rr = self.hand_rr("nobias")
-        max_len = max(len(o) for o in rr.orders)
+        max_len = rr.lengths.max()
         curve = same_bias_rank_prob(rr, "pose", "negative", max_len)
         assert not curve.any()
 

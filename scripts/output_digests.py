@@ -1,0 +1,87 @@
+"""Print the sha256 of every file the pipeline writes, for byte-identity checks.
+
+Runs `biasreid.cli.main` through gen, train (reduce and enhance), embed,
+eval, eval nobias, stats and probe for the default preset at seeds 0-2, and
+through gen and train (reduce and enhance) for pose2, cam6 and part3 at
+seed 0. Prints `<sha256>  <path>` for each output file (paths relative to
+the output directory; manifests are skipped, they hold wall times), then
+the sha256 of that sorted list. Two trees that print the same last line
+wrote the same bytes.
+
+    python3 scripts/output_digests.py OUT_DIR
+
+The package is imported from the `src/` next to this script, so a copy of
+the script placed in another checkout digests that checkout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from biasreid.cli import main as cli_main  # noqa: E402
+
+MODES = ("reduce", "enhance")
+
+
+def run(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(list(argv))
+    if code != 0:
+        raise SystemExit(f"biasreid {' '.join(argv)} exited {code}")
+
+
+def train_branches(out: Path, preset: str, seed: int) -> Path:
+    run("gen", "--preset", preset, "--seed", str(seed), "--out", str(out / "gen"))
+    data = out / "gen" / "dataset.csv"
+    for mode in MODES:
+        run("train", "--data", str(data), "--preset", preset, "--mode", mode,
+            "--seed", str(seed), "--out", str(out / mode))
+    return data
+
+
+def full_pipeline(out: Path, seed: int) -> None:
+    data = train_branches(out, "default", seed)
+    ckpts = [str(out / m / "checkpoint.npz") for m in MODES]
+    run("embed", *ckpts, "--data", str(data), "--out", str(out / "embed"))
+    emb = str(out / "embed" / "embeddings.csv")
+    run("eval", "--data", emb, "--out", str(out / "eval"))
+    run("eval", "--data", emb, "--protocol", "nobias", "--channel", "pose",
+        "--out", str(out / "eval_nobias"))
+    run("stats", "--data", emb, "--channel", "pose", "--out", str(out / "stats"))
+    run("probe", "--data", emb, "--channel", "pose", "--seed", str(seed),
+        "--out", str(out / "probe"))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    root = Path(argv[0])
+    for seed in (0, 1, 2):
+        full_pipeline(root / f"default_s{seed}", seed)
+    for preset in ("pose2", "cam6", "part3"):
+        train_branches(root / f"{preset}_s0", preset, 0)
+
+    lines = []
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name != "manifest.json":
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(root).as_posix()}")
+    for line in lines:
+        print(line)
+    listing = "".join(line + "\n" for line in lines).encode()
+    print(f"{hashlib.sha256(listing).hexdigest()}  ({len(lines)} files)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -133,8 +133,8 @@ class GeneratorConfig:
             raise ConfigError("need n_ids >= 2 and samples_per_id >= 2")
         if self.d_in < 1 or self.d_id < 1:
             raise ConfigError("latent/feature dims must be >= 1")
-        if self.sigma < 0 or self.feature_scale <= 0:
-            raise ConfigError("sigma must be >= 0 and feature_scale > 0")
+        if not (0 <= self.sigma < np.inf and 0 < self.feature_scale < np.inf):
+            raise ConfigError("sigma must be finite and >= 0, feature_scale finite and > 0")
         names = [c.name for c in self.channels]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate channel names")
@@ -143,8 +143,8 @@ class GeneratorConfig:
         for c in self.channels:
             if c.n_classes < 2:
                 raise ConfigError(f"channel {c.name!r}: class count must be >= 2")
-            if c.d_latent < 1 or c.gain < 0:
-                raise ConfigError(f"channel {c.name!r}: bad latent dim or gain")
+            if c.d_latent < 1 or not 0 <= c.gain < np.inf:
+                raise ConfigError(f"channel {c.name!r}: need latent dim >= 1, finite gain >= 0")
 
 
 def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:

@@ -22,27 +22,13 @@ from .errors import AlignmentError, ConfigError
 from .numerics import EncoderParams, encode
 
 
-def embed_all(
-    params: EncoderParams,
-    ds: Table,
-    splits: tuple[str, ...] | None = None,
-    branch_name: str = "branch",
-    normalize: bool = False,
-) -> Table:
-    """Encode every row (optionally only those of the given splits) in table
-    order.
+def embed_all(params: EncoderParams, ds: Table, branch_name: str = "branch") -> Table:
+    """Encode every row in table order.
 
     Only the feature matrix enters the encoder; the annotation columns are
-    carried over and never read during the computation. `normalize`
-    L2-scales each row; off by default since retrieval uses raw Euclidean
-    distances.
+    carried over and never read during the computation.
     """
-    if splits is not None:
-        ds = ds.rows(np.isin(ds.splits, splits))
     emb, _ = encode(params, ds.matrix)
-    if normalize:
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        emb = emb / np.where(norms == 0.0, 1.0, norms)
     return replace(ds, matrix=emb, provenance=[(branch_name, (0, emb.shape[1]))])
 
 

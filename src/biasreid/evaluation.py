@@ -222,28 +222,28 @@ def train_probe(
     c = len(classes)
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
-    theta = [np.array([0.25]), rng.normal(0.0, 0.01, size=(c, d)), np.zeros(c)]
-    slope, w, b = theta  # updated in place
-    m = [np.zeros_like(t) for t in theta]
-    v = [np.zeros_like(t) for t in theta]
+    # slope, weights [c, d] and bias [c] in one vector, updated in place
+    theta = np.concatenate([[0.25], rng.normal(0.0, 0.01, size=c * d), np.zeros(c)])
+    grads = np.empty_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    w, b = theta[1 : 1 + c * d].reshape(c, d), theta[1 + c * d :]
+    gw, gb = grads[1 : 1 + c * d].reshape(c, d), grads[1 + c * d :]
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
 
     for step in range(1, cfg.epochs + 1):
-        h, _ = prelu(x, float(slope[0]))
+        h, _ = prelu(x, float(theta[0]))
         logits = h @ w.T + b
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=1, keepdims=True)
         dlogits = (probs - onehot) / n
-        grads = [
-            np.array([np.sum((dlogits @ w) * np.where(x > 0, 0.0, x))]),
-            dlogits.T @ h,
-            dlogits.sum(axis=0),
-        ]
+        grads[0] = np.sum((dlogits @ w) * np.where(x > 0, 0.0, x))
+        gw[...] = dlogits.T @ h
+        gb[...] = dlogits.sum(axis=0)
         adam_update(theta, grads, m, v, step, cfg.rate)
 
-    return ProbeParams(float(slope[0]), w, b, list(classes))
+    return ProbeParams(float(theta[0]), w, b, list(classes))
 
 
 def probe_accuracy(probe: ProbeParams, features: np.ndarray, codes: np.ndarray) -> float:

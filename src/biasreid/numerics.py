@@ -1,13 +1,17 @@
-"""Dense-network forward/backward machinery, Adam, and a gradient checker.
+"""Dense-network forward/backward machinery and Adam.
 
 Everything runs in float64. The encoder is a small fully connected net with
 leaky-rectifier hidden layers and a linear output; its forward pass records a
 tape from which exact reverse-mode parameter gradients are recovered.
+
+An encoder's parameters, its gradients and its Adam moments share one
+layout: a contiguous vector holding w0, b0, w1, b1, ... in turn, each weight
+row-major. Adam is elementwise, so it updates all of them in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,60 +20,61 @@ from .errors import ConfigError, DataError, TrainingError
 DEFAULT_HIDDEN_SLOPE = 0.01
 
 
-@dataclass
 class EncoderParams:
     """Weights/biases of the feature mapping, one instance per branch.
 
-    weights[i] has shape [out_i, in_i]; biases[i] has shape [out_i]. All
-    hidden layers use a leaky rectifier with slope `hidden_slope`; the final
-    layer is linear.
+    `flat` holds every parameter as w0, b0, w1, b1, ...; weights[i] (shape
+    [out_i, in_i]) and biases[i] (shape [out_i]) are views into it, and
+    `layers` gives the same views of any vector with that layout. All hidden
+    layers use a leaky rectifier with slope `hidden_slope`; the final layer
+    is linear. Construction copies the given arrays into a new `flat`.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    hidden_slope: float = DEFAULT_HIDDEN_SLOPE
-
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases) or not self.weights:
+    def __init__(
+        self,
+        weights: list[np.ndarray],
+        biases: list[np.ndarray],
+        hidden_slope: float = DEFAULT_HIDDEN_SLOPE,
+    ):
+        if len(weights) != len(biases) or not weights:
             raise ConfigError("encoder needs matching, non-empty weight/bias lists")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ConfigError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
                 raise ConfigError(
                     f"layer {i}: input dim {w.shape[1]} != previous output "
-                    f"{self.weights[i - 1].shape[0]}"
+                    f"{weights[i - 1].shape[0]}"
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise DataError(f"layer {i}: non-finite parameter entries")
+        self.shapes = [w.shape for w in weights]
+        self.flat = np.concatenate(
+            [a.ravel() for pair in zip(weights, biases) for a in pair], dtype=np.float64
+        )
+        self.weights, self.biases = self.layers(self.flat)
+        self.hidden_slope = hidden_slope
+
+    def layers(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weights, biases) views of a vector laid out like `flat`."""
+        weights, biases, start = [], [], 0
+        for n_out, n_in in self.shapes:
+            stop = start + n_out * n_in
+            weights.append(vec[start:stop].reshape(n_out, n_in))
+            biases.append(vec[stop : stop + n_out])
+            start = stop + n_out
+        return weights, biases
 
     @property
     def d_in(self) -> int:
-        return self.weights[0].shape[1]
+        return self.shapes[0][1]
 
     @property
     def d_out(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.shapes[-1][0]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.hidden_slope,
-        )
-
-    def allclose(self, other: "EncoderParams") -> bool:
-        return all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights)) and all(
-            np.array_equal(a, b) for a, b in zip(self.biases, other.biases)
-        )
-
-
-@dataclass
-class ParamGrads:
-    """Gradients congruent to EncoderParams."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+        return EncoderParams(self.weights, self.biases, self.hidden_slope)
 
 
 @dataclass
@@ -136,11 +141,11 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, Encod
     return h, EncodeTape(params, layer_inputs, preacts)
 
 
-def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> ParamGrads:
+def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> np.ndarray:
     """Exact reverse-mode gradients of sum(embedding_grads * embeddings).
 
-    Returns gradients with respect to every weight and bias of the encoder
-    that produced `tape`.
+    Returns one vector laid out like the `flat` of the encoder that produced
+    `tape`, each layer's gradient written into its view.
     """
     g = np.asarray(embedding_grads, dtype=np.float64)
     params = tape.params
@@ -149,56 +154,42 @@ def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> ParamGrads:
     if g.shape != expected:
         raise ConfigError(f"embedding grads shape {g.shape} != {expected}")
 
-    gw = [np.empty(0)] * n_layers
-    gb = [np.empty(0)] * n_layers
+    grads = np.empty_like(params.flat)
+    gw, gb = params.layers(grads)
     delta = g
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             _, dact = prelu(tape.preacts[i], params.hidden_slope)
             delta = delta * dact
-        gw[i] = delta.T @ tape.layer_inputs[i]
-        gb[i] = delta.sum(axis=0)
+        gw[i][...] = delta.T @ tape.layer_inputs[i]
+        gb[i][...] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ params.weights[i]
-    return ParamGrads(gw, gb)
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators congruent to EncoderParams."""
+    """Adam's first and second moments `m` and `v`, each laid out like the
+    `flat` of the encoder it updates, plus the step count and the rates."""
 
-    m_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_w: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def fresh(
-        cls, params: EncoderParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-    ) -> "AdamState":
-        zw = [np.zeros_like(w) for w in params.weights]
-        zb = [np.zeros_like(b) for b in params.biases]
-        return cls(zw, zb, [z.copy() for z in zw], [z.copy() for z in zb], 0, beta1, beta2, eps)
-
-    def copy(self) -> "AdamState":
-        return replace(
-            self,
-            m_w=[a.copy() for a in self.m_w],
-            m_b=[a.copy() for a in self.m_b],
-            v_w=[a.copy() for a in self.v_w],
-            v_b=[a.copy() for a in self.v_b],
-        )
+    def fresh(cls, params: EncoderParams) -> "AdamState":
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_update(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    m: list[np.ndarray],
-    v: list[np.ndarray],
+    p: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     step: int,
     rate: float,
     beta1: float = 0.9,
@@ -206,43 +197,29 @@ def adam_update(
     eps: float = 1e-8,
 ) -> None:
     """Adam update number `step` (from 1) with bias correction, in place on
-    matching lists of parameter, gradient and moment arrays."""
+    parameter vector `p` and moments `m`, `v` given gradient `g`."""
     if rate < 0:
         raise ConfigError(f"learning rate must be >= 0, got {rate}")
-    if not len(params) == len(grads) == len(m) == len(v):
-        raise ConfigError("gradient/parameter counts differ")
-    if not all(np.isfinite(g).all() for g in grads):
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    if not np.isfinite(g).all():
         raise TrainingError("non-finite gradients")
     c1 = 1.0 - beta1**step
     c2 = 1.0 - beta2**step
-    for p, g, m_p, v_p in zip(params, grads, m, v):
-        if g.shape != p.shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m_p *= beta1
-        m_p += (1.0 - beta1) * g
-        v_p *= beta2
-        v_p += (1.0 - beta2) * g * g
-        p -= rate * (m_p / c1) / (np.sqrt(v_p / c2) + eps)
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    p -= rate * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def adam_step(
-    params: EncoderParams, grads: ParamGrads, state: AdamState, rate: float
+    params: EncoderParams, grads: np.ndarray, state: AdamState, rate: float
 ) -> tuple[EncoderParams, AdamState]:
     """One Adam update of an encoder; returns fresh (params, state)."""
     out = params.copy()
-    st = state.copy()
-    st.step = state.step + 1
-    adam_update(
-        out.weights + out.biases,
-        grads.weights + grads.biases,
-        st.m_w + st.m_b,
-        st.v_w + st.v_b,
-        st.step,
-        rate,
-        st.beta1,
-        st.beta2,
-        st.eps,
-    )
+    st = replace(state, m=state.m.copy(), v=state.v.copy(), step=state.step + 1)
+    adam_update(out.flat, grads, st.m, st.v, st.step, rate, st.beta1, st.beta2, st.eps)
     return out, st
 
 
@@ -262,40 +239,3 @@ def schedule_rate(s: Schedule, epoch: int) -> float:
     if not 0 <= epoch <= s.total_epochs:
         raise ConfigError(f"epoch {epoch} outside [0, {s.total_epochs}]")
     return s.base * (1.0 - epoch / s.total_epochs)
-
-
-def finite_difference_grads(value_fn, params: EncoderParams, h: float = 1e-5) -> ParamGrads:
-    """Central finite differences of a scalar function of the parameters.
-
-    Independent of backprop: only calls `value_fn(params)`. O(#params) evals,
-    so keep the encoder small when using this as a test oracle.
-    """
-    gw = [np.zeros_like(w) for w in params.weights]
-    gb = [np.zeros_like(b) for b in params.biases]
-
-    def central(arrs: list[np.ndarray], out: list[np.ndarray]) -> None:
-        for arr, g in zip(arrs, out):
-            flat, gflat = arr.ravel(), g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = value_fn(params)
-                flat[j] = orig - h
-                dn = value_fn(params)
-                flat[j] = orig
-                gflat[j] = (up - dn) / (2.0 * h)
-
-    central(params.weights, gw)
-    central(params.biases, gb)
-    return ParamGrads(gw, gb)
-
-
-def gradient_relative_error(analytic: ParamGrads, reference: ParamGrads) -> float:
-    """Max over entries of |a - r| / max(1, |a|, |r|)."""
-    worst = 0.0
-    pairs = list(zip(analytic.weights, reference.weights))
-    pairs += list(zip(analytic.biases, reference.biases))
-    for a, r in pairs:
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(r)))
-        worst = max(worst, float((np.abs(a - r) / denom).max(initial=0.0)))
-    return worst

@@ -287,7 +287,9 @@ def train_branch(ds: Table, cfg: BranchConfig) -> tuple[EncoderParams, TrainLog]
 # ----------------------------------------------------------------------------
 # Checkpoints: an .npz payload (zip of little-endian .npy arrays, including a
 # JSON header entry) followed by sha256(payload) and an 8-byte magic trailer,
-# so any corrupted byte is detected before state is reconstructed.
+# so any corrupted byte is detected before state is reconstructed. Each
+# layer's w{i}, b{i} and adam_{m,v}{w,b}{i} entries are written from its views
+# of the parameter and moment vectors, and loading packs them back.
 # ----------------------------------------------------------------------------
 
 _CHECKPOINT_MAGIC = b"BRCKPT01"
@@ -311,13 +313,15 @@ def checkpoint_save(
         "config": cfg.to_dict(),
     }
     arrays = {"meta_json": np.array(json.dumps(meta, sort_keys=True))}
+    mw, mb = params.layers(state.m)
+    vw, vb = params.layers(state.v)
     for i in range(len(params.weights)):
         arrays[f"w{i}"] = params.weights[i]
         arrays[f"b{i}"] = params.biases[i]
-        arrays[f"adam_mw{i}"] = state.m_w[i]
-        arrays[f"adam_mb{i}"] = state.m_b[i]
-        arrays[f"adam_vw{i}"] = state.v_w[i]
-        arrays[f"adam_vb{i}"] = state.v_b[i]
+        arrays[f"adam_mw{i}"] = mw[i]
+        arrays[f"adam_mb{i}"] = mb[i]
+        arrays[f"adam_vw{i}"] = vw[i]
+        arrays[f"adam_vb{i}"] = vb[i]
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     payload = buf.getvalue()
@@ -343,31 +347,56 @@ def checkpoint_load(path) -> tuple[EncoderParams, AdamState, BranchConfig, int]:
         raise CheckpointError(f"cannot parse checkpoint {path}: {exc}") from exc
     if "meta_json" not in arrays:
         raise CheckpointError(f"{path}: missing meta_json entry")
-    meta = json.loads(str(arrays["meta_json"]))
-    if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {meta.get('format_version')} != "
-            f"{CHECKPOINT_FORMAT_VERSION}"
-        )
-    n_layers = meta["n_layers"]
+    odd = sorted(k for k, a in arrays.items() if k != "meta_json" and a.dtype != np.float64)
+    if odd:
+        raise CheckpointError(f"{path}: arrays {odd} are not float64")
+    try:
+        meta = json.loads(str(arrays["meta_json"]))
+        version = meta.get("format_version")
+    except (ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: meta_json is not a JSON object: {exc}") from exc
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format version {version} != {CHECKPOINT_FORMAT_VERSION}")
+    try:
+        n_layers = int(meta["n_layers"])
+        hidden_slope = float(meta["hidden_slope"])
+        epoch = int(meta["epoch"])
+        step = int(meta["adam"]["step"])
+        hyper = {k: float(meta["adam"][k]) for k in ("beta1", "beta2", "eps")}
+        raw_cfg = {k: str(v) for k, v in meta["config"].items()}
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: meta_json lacks {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed meta_json entry: {exc}") from exc
     try:
         weights = [arrays[f"w{i}"] for i in range(n_layers)]
         biases = [arrays[f"b{i}"] for i in range(n_layers)]
-        state = AdamState(
-            m_w=[arrays[f"adam_mw{i}"] for i in range(n_layers)],
-            m_b=[arrays[f"adam_mb{i}"] for i in range(n_layers)],
-            v_w=[arrays[f"adam_vw{i}"] for i in range(n_layers)],
-            v_b=[arrays[f"adam_vb{i}"] for i in range(n_layers)],
-            step=int(meta["adam"]["step"]),
-            beta1=float(meta["adam"]["beta1"]),
-            beta2=float(meta["adam"]["beta2"]),
-            eps=float(meta["adam"]["eps"]),
-        )
+        params = EncoderParams(weights, biases, hidden_slope)
+        m, v = (_packed(path, arrays, params, prefix) for prefix in ("adam_m", "adam_v"))
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing array {exc}") from exc
-    params = EncoderParams(weights, biases, float(meta["hidden_slope"]))
-    cfg = branch_config_from_dict({k: str(v) for k, v in meta["config"].items()})
-    return params, state, cfg, int(meta["epoch"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: layer arrays do not fit together: {exc}") from exc
+    cfg = branch_config_from_dict(raw_cfg)
+    widths = [n_out for n_out, _ in params.shapes]
+    if widths != [*cfg.hidden, cfg.d_emb]:
+        raise CheckpointError(f"{path}: layer widths {widths} contradict the saved config")
+    return params, AdamState(m, v, step, **hyper), cfg, epoch
+
+
+def _packed(path, arrays: dict, params: EncoderParams, prefix: str) -> np.ndarray:
+    """Saved arrays `{prefix}w{i}`/`{prefix}b{i}` packed into one vector laid
+    out like `params.flat`; each must have its layer's shape."""
+    vec = np.empty_like(params.flat)
+    for kind, views in zip("wb", params.layers(vec)):
+        for i, view in enumerate(views):
+            saved = arrays[f"{prefix}{kind}{i}"]
+            if saved.shape != view.shape:
+                raise CheckpointError(
+                    f"{path}: {prefix}{kind}{i} has shape {saved.shape}, layer has {view.shape}"
+                )
+            view[...] = saved
+    return vec
 
 
 def resume_trainer(path, ds: Table) -> Trainer:

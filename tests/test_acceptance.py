@@ -23,15 +23,10 @@ from biasreid.evaluation import (
     same_bias_rank_prob,
 )
 from biasreid.losses import bias_easy_loss, combined_loss, pairwise_sqdist, reid_hard_loss
-from biasreid.numerics import (
-    backprop,
-    encode,
-    finite_difference_grads,
-    gradient_relative_error,
-    init_encoder,
-)
+from biasreid.numerics import backprop, encode, init_encoder
 from biasreid.presets import PRESETS, preset_branch_config
 from biasreid.trainer import Trainer, checkpoint_load, checkpoint_save, train_branch
+from test_numerics import finite_difference_grads, gradient_relative_error
 
 SEEDS = (0, 1, 2)
 _SPLIT_STREAM = 10
@@ -415,7 +410,7 @@ def test_criterion_9_determinism_and_resume(criteria, tmp_path):
 
     a, _ = train_branch(ds, cfg)
     b, _ = train_branch(ds, cfg)
-    retrain_identical = a.allclose(b)
+    retrain_identical = np.array_equal(a.flat, b.flat)
 
     straight = Trainer(ds, cfg)
     straight.run()
@@ -426,7 +421,7 @@ def test_criterion_9_determinism_and_resume(criteria, tmp_path):
     params, state, cfg2, epoch = checkpoint_load(path)
     resumed = Trainer(ds, cfg2, params=params, adam=state, start_epoch=epoch)
     resumed.run()
-    resume_identical = resumed.params.allclose(straight.params)
+    resume_identical = np.array_equal(resumed.params.flat, straight.params.flat)
 
     detail = f"retrain identical={retrain_identical}, resume identical={resume_identical}"
     criteria.check(9, "determinism and resume", retrain_identical and resume_identical, detail)

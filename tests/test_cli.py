@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from test_trainer import meta_without, rewrite_checkpoint, saved_arrays
 
 from biasreid.cli import build_parser, main
 from biasreid.evaluation import PROBE_CONFIG_KEYS
@@ -234,6 +235,37 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError") and f"row 3, column {column}" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["sigma = nan", "feature_scale = inf", "channels = pose:3:8:nan,cam:2:8:0.5"],
+    )
+    def test_non_finite_generator_value_rejected(self, line, small_gen_cfg, tmp_path, capsys):
+        key = line.split()[0]
+        kept = [ln for ln in small_gen_cfg.read_text().splitlines() if ln.split()[0] != key]
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "o"
+        code = run(["gen", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError")
+        assert not (out / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["transposed_moment", "no_n_layers", "meta_not_json"])
+    def test_embed_rejects_malformed_checkpoint(self, damage, pipeline, tmp_path, capsys):
+        root, data, _, _ = pipeline
+        ckpt = tmp_path / "checkpoint.npz"
+        ckpt.write_bytes((root / "train_reduce" / "checkpoint.npz").read_bytes())
+        if damage == "transposed_moment":
+            # adam_mw1 is [d_emb, hidden] = [4, 8]; the square w0 would not show a transpose
+            rewrite_checkpoint(ckpt, adam_mw1=saved_arrays(ckpt)["adam_mw1"].T)
+        elif damage == "no_n_layers":
+            rewrite_checkpoint(ckpt, meta_json=meta_without(ckpt, "n_layers"))
+        else:
+            rewrite_checkpoint(ckpt, meta_json=np.array("{not json"))
+        code = run(["embed", str(ckpt), "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: CheckpointError")
 
     def test_nobias_without_channel(self, pipeline, tmp_path, capsys):
         _, _, emb_dir, _ = pipeline

@@ -41,7 +41,7 @@ class TestEmbedAll:
 
     def test_empty_filter_keeps_dimension(self, ds):
         params = init_encoder(ds.dim, (4,), 3, np.random.default_rng(0))
-        es = embed_all(params, ds, splits=("query",))  # generator emits train only
+        es = embed_all(params, ds.rows(ds.splits == "query"))  # generator emits train only
         assert es.matrix.shape == (0, 3)
         assert es.dim == 3
 
@@ -64,7 +64,7 @@ class TestEmbedAll:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_row_order_follows_dataset_order(self, ds):
-        es = embed_all(identity_encoder(ds.dim), ds, splits=("train",))
+        es = embed_all(identity_encoder(ds.dim), ds.rows(ds.splits == "train"))
         np.testing.assert_array_equal(es.ids, ds.ids[ds.splits == "train"])
 
 
@@ -133,19 +133,6 @@ class TestEmbeddingCsv:
         es = load_embeddings(path)
         np.testing.assert_array_equal(es.matrix, ds.matrix)
         assert es.provenance == [("features", (0, ds.dim))]
-
-
-class TestNormalizeSwitch:
-    def test_off_by_default(self, ds):
-        params = init_encoder(ds.dim, (4,), 3, np.random.default_rng(9))
-        es = embed_all(params, ds)
-        norms = np.linalg.norm(es.matrix, axis=1)
-        assert not np.allclose(norms, 1.0)
-
-    def test_on_gives_unit_rows(self, ds):
-        params = init_encoder(ds.dim, (4,), 3, np.random.default_rng(9))
-        es = embed_all(params, ds, normalize=True)
-        np.testing.assert_allclose(np.linalg.norm(es.matrix, axis=1), 1.0, atol=1e-12)
 
 
 class TestGoldenBytes:

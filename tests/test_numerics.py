@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,40 @@ from biasreid.errors import ConfigError, DataError, TrainingError
 from biasreid.numerics import (
     AdamState,
     EncoderParams,
-    ParamGrads,
     Schedule,
     adam_step,
     backprop,
     encode,
-    finite_difference_grads,
-    gradient_relative_error,
     init_encoder,
     prelu,
     schedule_rate,
 )
+
+
+def finite_difference_grads(value_fn, params, h=1e-5):
+    """Central finite differences of a scalar function of the parameters,
+    one entry of `params.flat` at a time, returned in that layout.
+
+    Independent of backprop: only calls `value_fn(params)`. O(#params) evals,
+    so keep the encoder small when using this as a test oracle.
+    """
+    flat = params.flat
+    grads = np.zeros_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        up = value_fn(params)
+        flat[j] = orig - h
+        dn = value_fn(params)
+        flat[j] = orig
+        grads[j] = (up - dn) / (2.0 * h)
+    return grads
+
+
+def gradient_relative_error(analytic, reference):
+    """Max over entries of |a - r| / max(1, |a|, |r|)."""
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(reference)))
+    return float((np.abs(analytic - reference) / denom).max(initial=0.0))
 
 
 def single_layer(w, b, slope=0.01):
@@ -74,16 +99,16 @@ class TestBackprop:
         p = single_layer(np.eye(2), np.zeros(2))
         x = np.array([[3.0, 5.0]])
         _, tape = encode(p, x)
-        g = backprop(tape, np.array([[1.0, 0.0]]))
-        np.testing.assert_array_equal(g.weights[0], np.outer([1.0, 0.0], x[0]))
-        np.testing.assert_array_equal(g.biases[0], [1.0, 0.0])
+        gw, gb = p.layers(backprop(tape, np.array([[1.0, 0.0]])))
+        np.testing.assert_array_equal(gw[0], np.outer([1.0, 0.0], x[0]))
+        np.testing.assert_array_equal(gb[0], [1.0, 0.0])
 
     def test_zero_grads_in_zero_grads_out(self):
         rng = np.random.default_rng(1)
         params = init_encoder(3, (4,), 2, rng)
         _, tape = encode(params, rng.normal(size=(5, 3)))
         g = backprop(tape, np.zeros((5, 2)))
-        assert not any(a.any() for a in g.weights + g.biases)
+        assert g.shape == params.flat.shape and not g.any()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -111,7 +136,7 @@ class TestBackprop:
 class TestAdam:
     def test_first_step_is_signed_rate(self):
         p = single_layer([[1.0]], [0.0])
-        g = ParamGrads([np.array([[0.5]])], [np.array([0.0])])
+        g = np.array([0.5, 0.0])  # w0, b0
         st = AdamState.fresh(p)
         p2, st2 = adam_step(p, g, st, rate=0.1)
         # first bias-corrected step is rate * g/(|g| + eps') ~= rate * sign(g)
@@ -121,13 +146,13 @@ class TestAdam:
     def test_zero_grad_fresh_state_no_move(self):
         rng = np.random.default_rng(3)
         p = init_encoder(3, (4,), 2, rng)
-        g = ParamGrads([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
+        g = np.zeros_like(p.flat)
         p2, _ = adam_step(p, g, AdamState.fresh(p), rate=0.05)
-        assert p2.allclose(p)
+        assert np.array_equal(p2.flat, p.flat)
 
     def test_two_identical_grads_second_step_magnitude(self):
         p = single_layer([[2.0]], [0.0])
-        g = ParamGrads([np.array([[-0.3]])], [np.array([0.0])])
+        g = np.array([-0.3, 0.0])
         st = AdamState.fresh(p)
         p1, st = adam_step(p, g, st, rate=0.01)
         p2, st = adam_step(p1, g, st, rate=0.01)
@@ -137,16 +162,68 @@ class TestAdam:
 
     def test_non_finite_grads_abort(self):
         p = single_layer([[1.0]], [0.0])
-        g = ParamGrads([np.array([[np.inf]])], [np.array([0.0])])
+        g = np.array([np.inf, 0.0])
         with pytest.raises(TrainingError):
             adam_step(p, g, AdamState.fresh(p), rate=0.1)
 
+    def test_matches_straight_line_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        p = init_encoder(3, (4,), 2, rng)
+        grads = [rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 3) for _ in range(5)]
+        st = AdamState.fresh(p)
+        q = p
+        for g in grads:
+            q, st = adam_step(q, g, st, rate=0.01)
+        ref_p, ref_m, ref_v = straight_line_adam(p.flat, grads, 0.01)
+        assert q.flat.tolist() == ref_p and st.m.tolist() == ref_m and st.v.tolist() == ref_v
+
     def test_purity(self):
         p = single_layer([[1.0]], [0.5])
-        g = ParamGrads([np.array([[1.0]])], [np.array([1.0])])
+        g = np.array([1.0, 1.0])
         st = AdamState.fresh(p)
         adam_step(p, g, st, rate=0.1)
-        assert p.weights[0][0, 0] == 1.0 and st.step == 0 and not st.m_w[0].any()
+        assert p.weights[0][0, 0] == 1.0 and st.step == 0 and not st.m.any() and not st.v.any()
+
+
+def straight_line_adam(p, grads, rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Independent Adam over Python floats, one entry at a time."""
+    p = [float(x) for x in p]
+    m = [0.0] * len(p)
+    v = [0.0] * len(p)
+    for step, g in enumerate(grads, start=1):
+        c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
+        for j, gj in enumerate(g):
+            m[j] = m[j] * beta1 + (1.0 - beta1) * gj
+            v[j] = v[j] * beta2 + (1.0 - beta2) * gj * gj
+            p[j] -= rate * (m[j] / c1) / (math.sqrt(v[j] / c2) + eps)
+    return p, m, v
+
+
+class TestFlatLayout:
+    def two_layers(self):
+        w0, b0 = np.arange(6.0).reshape(3, 2), np.arange(6.0, 9.0)
+        w1, b1 = np.arange(9.0, 15.0).reshape(2, 3), np.arange(15.0, 17.0)
+        return EncoderParams([w0, w1], [b0, b1])
+
+    def test_order_is_w0_b0_w1_b1(self):
+        p = self.two_layers()
+        np.testing.assert_array_equal(p.flat, np.arange(17.0))
+        gw, gb = p.layers(-np.arange(17.0))
+        np.testing.assert_array_equal(gw[1], -np.arange(9.0, 15.0).reshape(2, 3))
+        np.testing.assert_array_equal(gb[0], -np.arange(6.0, 9.0))
+
+    def test_weights_and_biases_are_views(self):
+        p = self.two_layers()
+        p.flat[7] = -1.0
+        assert p.biases[0][1] == -1.0
+        p.weights[1][0, 0] = -2.0
+        assert p.flat[9] == -2.0
+
+    def test_copy_owns_its_vector(self):
+        p = self.two_layers()
+        q = p.copy()
+        q.flat[0] = 99.0
+        assert p.weights[0][0, 0] == 0.0 and q.weights[0][0, 0] == 99.0
 
 
 class TestSchedule:
@@ -193,4 +270,4 @@ class TestPrelu:
 def test_init_encoder_deterministic():
     a = init_encoder(8, (16, 16), 4, np.random.default_rng(42))
     b = init_encoder(8, (16, 16), 4, np.random.default_rng(42))
-    assert a.allclose(b)
+    assert np.array_equal(a.flat, b.flat)

@@ -1,3 +1,7 @@
+import hashlib
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -86,19 +90,19 @@ class TestTrainBranch:
         t = Trainer(tiny_ds, cfg)
         init = t.params.copy()
         params, log = train_branch(tiny_ds, cfg)
-        assert params.allclose(init)
+        assert np.array_equal(params.flat, init.flat)
         assert log.epochs == []
 
     def test_same_seed_bit_identical(self, tiny_ds):
         cfg = tiny_cfg(epochs=4, lam_db=0.05)
         a, _ = train_branch(tiny_ds, cfg)
         b, _ = train_branch(tiny_ds, cfg)
-        assert a.allclose(b)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_different_seed_differs(self, tiny_ds):
         a, _ = train_branch(tiny_ds, tiny_cfg(epochs=2))
         b, _ = train_branch(tiny_ds, tiny_cfg(epochs=2, seed=2))
-        assert not a.allclose(b)
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_final_epoch_rate_at_most_base_over_epochs(self, tiny_ds):
         cfg = tiny_cfg(epochs=5, rate=0.02)
@@ -138,7 +142,7 @@ class TestTrainBranch:
         t.run()
         # rate 0 means params cannot move even if hinges fire; the stronger
         # claim is on the optimizer step counter for all-zero-grad batches
-        assert t.params.allclose(before)
+        assert np.array_equal(t.params.flat, before.flat)
         assert t.adam.step <= step_before + t.batches_per_epoch
 
 
@@ -150,11 +154,11 @@ class TestCheckpoint:
         path = tmp_path / "branch.npz"
         checkpoint_save(path, t.params, t.adam, cfg, t.epoch)
         params, state, cfg2, epoch = checkpoint_load(path)
-        assert params.allclose(t.params)
+        assert np.array_equal(params.flat, t.params.flat)
         assert epoch == 2 and cfg2 == cfg
         assert state.step == t.adam.step
-        for a, b in zip(state.m_w, t.adam.m_w):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.m, t.adam.m)
+        np.testing.assert_array_equal(state.v, t.adam.v)
 
     def test_resume_equals_straight_run(self, tiny_ds, tmp_path):
         cfg = tiny_cfg(epochs=8, lam_db=0.05)
@@ -169,7 +173,7 @@ class TestCheckpoint:
         resumed.run()
 
         assert resumed.epoch == straight.epoch == 8
-        assert resumed.params.allclose(straight.params)
+        assert np.array_equal(resumed.params.flat, straight.params.flat)
 
     def test_corrupt_final_byte_fails_cleanly(self, tiny_ds, tmp_path):
         cfg = tiny_cfg(epochs=1)
@@ -190,6 +194,90 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[: 100])
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+    def saved(self, tiny_ds, tmp_path):
+        cfg = tiny_cfg(epochs=1, hidden=(6,))  # w0 is [6, 8], so a transpose changes its shape
+        t = Trainer(tiny_ds, cfg)
+        t.run()
+        path = tmp_path / "c.npz"
+        checkpoint_save(path, t.params, t.adam, cfg, t.epoch)
+        return path
+
+    def test_transposed_moment_rejected(self, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        rewrite_checkpoint(path, adam_mw0=saved_arrays(path)["adam_mw0"].T)
+        with pytest.raises(CheckpointError, match="adam_mw0"):
+            checkpoint_load(path)
+
+    def test_non_float_array_rejected(self, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        rewrite_checkpoint(path, w0=saved_arrays(path)["w0"].astype(str))
+        with pytest.raises(CheckpointError, match="w0"):
+            checkpoint_load(path)
+
+    def test_meta_without_n_layers_rejected(self, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        rewrite_checkpoint(path, meta_json=meta_without(path, "n_layers"))
+        with pytest.raises(CheckpointError, match="n_layers"):
+            checkpoint_load(path)
+
+    def test_widths_contradicting_config_rejected(self, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        meta = json.loads(str(saved_arrays(path)["meta_json"]))
+        meta["config"]["hidden"] = "64"
+        rewrite_checkpoint(path, meta_json=np.array(json.dumps(meta, sort_keys=True)))
+        with pytest.raises(CheckpointError, match="widths"):
+            checkpoint_load(path)
+
+    def test_meta_not_json_rejected(self, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        rewrite_checkpoint(path, meta_json=np.array("{not json"))
+        with pytest.raises(CheckpointError, match="meta_json"):
+            checkpoint_load(path)
+
+
+def saved_arrays(path):
+    """The arrays in a checkpoint's payload (its 40-byte trailer dropped)."""
+    with np.load(io.BytesIO(path.read_bytes()[:-40]), allow_pickle=False) as data:
+        return {k: data[k] for k in data.files}
+
+
+def rewrite_checkpoint(path, **replaced):
+    """Re-save a checkpoint with some entries replaced, under a valid
+    checksum, so only the loader's own checks can reject it."""
+    trailer = path.read_bytes()[-8:]
+    buf = io.BytesIO()
+    np.savez(buf, **{**saved_arrays(path), **replaced})
+    payload = buf.getvalue()
+    path.write_bytes(payload + hashlib.sha256(payload).digest() + trailer)
+
+
+def meta_without(path, key):
+    """A checkpoint's meta_json entry with one key removed."""
+    meta = json.loads(str(saved_arrays(path)["meta_json"]))
+    del meta[key]
+    return np.array(json.dumps(meta, sort_keys=True))
+
+
+class TestGoldenBytes:
+    """sha256 of a checkpoint and its trainlog after 2 epochs, pinned before
+    parameters, gradients and Adam moments moved into one flat vector; any
+    change to the bytes written fails here."""
+
+    def test_checkpoint_and_trainlog(self, tiny_ds, tmp_path):
+        cfg = tiny_cfg(epochs=2, lam_db=0.05, hidden=(6, 5))
+        t = Trainer(tiny_ds, cfg)
+        t.run()
+        path = tmp_path / "golden.npz"
+        checkpoint_save(path, t.params, t.adam, cfg, t.epoch)
+        digests = (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(t.log.to_csv().encode()).hexdigest(),
+        )
+        assert digests == (
+            "6d3ef72aa64033b6811ce74e75d422c21a1d2bb88c19ae6bc2915715f2aa579e",
+            "40b869d2f6c0609b6f95c0c3beea2ae2cc14358a0ea69ba8a8aa80ef2e216a08",
+        )
 
 
 class TestBatchRetry:

@@ -3,9 +3,13 @@
 Runs `biasreid.cli.main` through gen, train (reduce and enhance), embed,
 eval, eval nobias, stats and probe for the default preset at seeds 0-2, and
 through gen and train (reduce and enhance) for pose2, cam6 and part3 at
-seed 0. Prints `<sha256>  <path>` for each output file (paths relative to
-the output directory; manifests are skipped, they hold wall times), then
-the sha256 of that sorted list. Two trees that print the same last line
+seed 0. It audits raw features too, with eval, eval nobias, stats and
+probe on the preset's audited channel: those of pose2, cam6 and part3 at
+seed 0, and those of two 3000-id default-preset datasets at seeds 0 and 1,
+whose large rankings are the kind the benchmark's audit-3k workload makes.
+Prints `<sha256>  <path>` for each output file (paths relative to the
+output directory; manifests are skipped, they hold wall times), then the
+sha256 of that sorted list. Two trees that print the same last line
 wrote the same bytes.
 
     python3 scripts/output_digests.py OUT_DIR
@@ -28,6 +32,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from biasreid.cli import main as cli_main  # noqa: E402
+from biasreid.presets import PRESETS  # noqa: E402
 
 MODES = ("reduce", "enhance")
 
@@ -48,17 +53,30 @@ def train_branches(out: Path, preset: str, seed: int) -> Path:
     return data
 
 
+def audit(out: Path, data: Path, channel: str, seed: int) -> None:
+    """eval standard and nobias, stats and probe on one feature table."""
+    run("eval", "--data", str(data), "--out", str(out / "eval"))
+    run("eval", "--data", str(data), "--protocol", "nobias", "--channel", channel,
+        "--out", str(out / "eval_nobias"))
+    run("stats", "--data", str(data), "--channel", channel, "--out", str(out / "stats"))
+    run("probe", "--data", str(data), "--channel", channel, "--seed", str(seed),
+        "--out", str(out / "probe"))
+
+
 def full_pipeline(out: Path, seed: int) -> None:
     data = train_branches(out, "default", seed)
     ckpts = [str(out / m / "checkpoint.npz") for m in MODES]
     run("embed", *ckpts, "--data", str(data), "--out", str(out / "embed"))
-    emb = str(out / "embed" / "embeddings.csv")
-    run("eval", "--data", emb, "--out", str(out / "eval"))
-    run("eval", "--data", emb, "--protocol", "nobias", "--channel", "pose",
-        "--out", str(out / "eval_nobias"))
-    run("stats", "--data", emb, "--channel", "pose", "--out", str(out / "stats"))
-    run("probe", "--data", emb, "--channel", "pose", "--seed", str(seed),
-        "--out", str(out / "probe"))
+    audit(out, out / "embed" / "embeddings.csv", "pose", seed)
+
+
+def raw_audit_3k(out: Path, seed: int) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / "gen.cfg"
+    config.write_text("n_ids = 3000\n")
+    run("gen", "--preset", "default", "--seed", str(seed), "--config", str(config),
+        "--out", str(out / "gen"))
+    audit(out / "raw", out / "gen" / "dataset.csv", "pose", seed)
 
 
 def main(argv: list[str]) -> int:
@@ -69,7 +87,10 @@ def main(argv: list[str]) -> int:
     for seed in (0, 1, 2):
         full_pipeline(root / f"default_s{seed}", seed)
     for preset in ("pose2", "cam6", "part3"):
-        train_branches(root / f"{preset}_s0", preset, 0)
+        data = train_branches(root / f"{preset}_s0", preset, 0)
+        audit(root / f"{preset}_s0" / "raw", data, PRESETS[preset].bias_channel, 0)
+    for seed in (0, 1):
+        raw_audit_3k(root / f"audit3k_s{seed}", seed)
 
     lines = []
     for path in sorted(root.rglob("*")):

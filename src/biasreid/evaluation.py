@@ -8,10 +8,21 @@ inflate or deflate the scores. Bias retention in a frozen representation is
 measured by a small probe (learnable PReLU then a linear layer) and by the
 probability that the item at rank r is a same-bias negative/positive.
 
-A ranking is a set of [Q, G] arrays (see `RankResult`). Excluded items get
-an infinite distance, so one stable argsort per row yields the kept items,
-all finite, in the (distance, gallery index) order that sorting them alone
-gave, then the excluded ones by index.
+A ranking is exact to a chosen depth (see `RankResult`). Excluded items get
+an infinite distance, and the ranking is the (distance, gallery index)
+order, the one a stable sort of each row gives: the kept items, all finite,
+nearest first, then the excluded ones by index. No row is sorted whole:
+
+- A positive's 0-based rank is the number of kept items at a smaller
+  distance plus those at an equal distance and a lower index; CMC and mAP
+  read nothing else.
+- The first `depth` items, which the same-bias curves read, come from an
+  argpartition to the depth and a sort of those candidates by (distance,
+  index). Where the first item past the cut ties the last one before it (two
+  excluded items always tie), the candidates are not unique, and that row
+  alone is ranked by the stable sort.
+
+At depth G the head is the whole stable order.
 """
 
 from __future__ import annotations
@@ -32,46 +43,101 @@ PROTOCOLS = ("standard", "nobias")
 
 @dataclass
 class RankResult:
-    """The retained queries' rankings as [Q, G] arrays, one row per query.
+    """The retained queries' rankings, one row per query, to a fixed depth.
 
-    `order[q, :lengths[q]]` are the kept gallery positions, nearest first; the
-    excluded ones follow by index. `positive` and `same_bias[ch]` flag items
-    sharing the query's identity or `ch` label, and are False past `lengths[q]`.
+    `order[q]` holds the first `depth` gallery positions of the ranking: the
+    kept ones, nearest first, then the excluded ones by index. `positive`
+    and `same_bias[ch]` are [Q, depth] masks over `order` that flag the kept
+    items sharing the query's identity or `ch` label. `lengths[q]` counts
+    the kept items. `pos_ranks[q, :n_pos[q]]` are the 0-based ranks of the
+    query's positives among them, ascending; the slots past `n_pos[q]` hold G.
     """
 
     order: np.ndarray
-    lengths: np.ndarray
     positive: np.ndarray
     same_bias: dict[str, np.ndarray]
+    lengths: np.ndarray
+    pos_ranks: np.ndarray
+    n_pos: np.ndarray
     dropped: int
 
     @property
     def n_queries(self) -> int:
         return len(self.order)
 
+    @property
+    def depth(self) -> int:
+        return self.order.shape[1]
+
+
+# query rows handled at a time: bounds the [rows, G] temporaries of the distances and ranking
+_BLOCK = 128
+
 
 def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[len(a), len(b)] squared Euclidean distances via |a|^2 + |b|^2 - 2ab.
 
-    Not bit-exact: the Gram expansion rounds differently from a per-pair
-    sum((a - b)^2) and needs the clamp at 0. It stays beside the bit-exact
-    `losses.pairwise_sqdist` because ranking needs only Q x G memory here,
-    where the per-pair broadcast would hold a Q x G x D array.
+    Computed as (|a|^2 + |b|^2) - (a @ b.T) * 2, then clamped at 0, into the
+    product's own buffer, a block of rows at a time, so no second Q x G array
+    is held. Not bit-exact against a per-pair sum((a - b)^2): the Gram
+    expansion rounds differently and needs the clamp. It stays beside the
+    bit-exact `losses.pairwise_sqdist` because ranking needs only Q x G
+    memory here, where the per-pair broadcast would hold a Q x G x D array.
     """
-    sq_a = (a * a).sum(axis=1)[:, None]
-    sq_b = (b * b).sum(axis=1)[None, :]
-    d2 = sq_a + sq_b - 2.0 * (a @ b.T)
+    sq_a, sq_b = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    d2 = a @ b.T
+    d2 *= 2.0
+    for start in range(0, len(a), _BLOCK):
+        rows = d2[start : start + _BLOCK]
+        np.subtract(sq_a[start : start + _BLOCK, None] + sq_b, rows, out=rows)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
+def _positive_ranks(d2: np.ndarray, pos: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+    """Ascending ranks of the positives at gallery positions `pos[:, :n_pos]`
+    in rows `d2`, by counting; the slots past `n_pos` get G."""
+    g = d2.shape[1]
+    ranks = np.full(pos.shape, g)
+    for j in range(n_pos.max()):
+        has = n_pos > j
+        at = np.take_along_axis(d2, pos[:, j : j + 1], axis=1)
+        below = np.count_nonzero(d2 < at, axis=1)
+        # equal distances rank by index; the positive's own equality is no tie
+        tied = np.flatnonzero((np.count_nonzero(d2 == at, axis=1) > 1) & has)
+        if len(tied):
+            lower = np.arange(g) < pos[tied, j : j + 1]
+            below[tied] += np.count_nonzero((d2[tied] == at[tied]) & lower, axis=1)
+        ranks[has, j] = below[has]
+    ranks.sort(axis=1)
+    return ranks
+
+
+def _head(d2: np.ndarray, depth: int) -> np.ndarray:
+    """[rows, depth] gallery positions of each row's first `depth` items in
+    (distance, index) order."""
+    g = d2.shape[1]
+    part = np.argpartition(d2, min(depth, g - 1), axis=1)
+    cand = np.sort(part[:, :depth], axis=1)
+    vals = np.take_along_axis(d2, cand, axis=1)
+    head = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    if depth < g:
+        # the first item past the cut ties the last one before it
+        tied = np.take_along_axis(d2, part[:, depth : depth + 1], axis=1)[:, 0] == vals.max(axis=1)
+        if tied.any():
+            head[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :depth]
+    return head
+
+
 def rank_gallery(
-    es: Table, protocol: str = "standard", channel: str | None = None
+    es: Table, protocol: str = "standard", channel: str | None = None, depth: int | None = None
 ) -> RankResult:
     """Rank the gallery for every query under the chosen exclusion protocol.
 
     Ties in distance break toward the lower gallery index. Queries left
-    without any positive are dropped and counted.
+    without any positive are dropped and counted. `order` and the masks hold
+    the first `depth` items (default and at most: the whole gallery); the
+    positive ranks are exact at any depth.
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -80,11 +146,15 @@ def rank_gallery(
             raise ConfigError("nobias protocol needs a bias channel")
         if channel not in es.channels:
             raise ConfigError(f"unknown bias channel {channel!r}")
+    if depth is not None and depth < 1:
+        raise ConfigError(f"ranking depth must be >= 1, got {depth}")
 
     q_rows = np.flatnonzero(es.splits == "query")
     g_rows = np.flatnonzero(es.splits == "gallery")
     if len(q_rows) == 0 or len(g_rows) == 0:
         raise EvaluationError("need non-empty query and gallery splits")
+    g = len(g_rows)
+    depth = g if depth is None else min(depth, g)
 
     d2 = _cross_sqdist(es.matrix[q_rows], es.matrix[g_rows])
     # a row max is inf or NaN once any of its distances overflowed
@@ -93,46 +163,66 @@ def rank_gallery(
         row = int(q_rows[np.argmax(overflow)])
         raise EvaluationError(f"query row {row}: squared distances overflow float64")
 
-    def same(labels: np.ndarray) -> np.ndarray:
-        return labels[q_rows][:, None] == labels[g_rows][None, :]
-
-    same_id = same(es.ids)
-    kept = ~(same_id & same(es.cameras))
+    q_ids, g_ids = es.ids[q_rows], es.ids[g_rows]
+    same_id = q_ids[:, None] == g_ids[None, :]
+    excluded = same_id & (es.cameras[q_rows][:, None] == es.cameras[g_rows][None, :])
     if protocol == "nobias":
-        kept &= same_id | ~same(es.codes[channel])
-    d2[~kept] = np.inf  # after the overflow check: every kept distance is finite
-    order = np.argsort(d2, axis=1, kind="stable")
-    del d2
-    positive = np.take_along_axis(same_id & kept, order, axis=1)
-    same_bias = {
-        ch: np.take_along_axis(same(es.codes[ch]) & kept, order, axis=1) for ch in es.channels
-    }
-    lengths = kept.sum(axis=1)
+        codes = es.codes[channel]
+        excluded |= ~same_id & (codes[q_rows][:, None] == codes[g_rows][None, :])
+    del same_id
+    d2[excluded] = np.inf  # after the overflow check: every kept distance is finite
+    lengths = g - np.count_nonzero(excluded, axis=1)
+    del excluded
 
-    has_pos = positive.any(axis=1)
-    dropped = len(has_pos) - int(has_pos.sum())
-    if dropped == len(has_pos):
+    # each query's same-identity gallery items in index order, from one sort of the gallery ids
+    by_id = np.argsort(g_ids, kind="stable")
+    lo = np.searchsorted(g_ids[by_id], q_ids, side="left")
+    hi = np.searchsorted(g_ids[by_id], q_ids, side="right")
+    slots = lo[:, None] + np.arange(np.max(hi - lo))
+    mates = by_id[np.minimum(slots, g - 1)]
+    is_pos = (slots < hi[:, None]) & np.isfinite(np.take_along_axis(d2, mates, axis=1))
+    n_pos = np.count_nonzero(is_pos, axis=1)
+
+    kept_rows = np.flatnonzero(n_pos)
+    dropped = len(q_rows) - len(kept_rows)
+    if dropped == len(q_rows):
         raise EvaluationError("every query was dropped (no cross-camera positives)")
-    if dropped:
-        order, lengths, positive = order[has_pos], lengths[has_pos], positive[has_pos]
-        same_bias = {ch: m[has_pos] for ch, m in same_bias.items()}
-    return RankResult(order, lengths, positive, same_bias, dropped)
+    n_pos, lengths, q_rows = n_pos[kept_rows], lengths[kept_rows], q_rows[kept_rows]
+    # the positives packed to the left of each row, still in index order
+    packed = np.argsort(~is_pos[kept_rows], axis=1, kind="stable")[:, : n_pos.max()]
+    pos = np.take_along_axis(mates[kept_rows], packed, axis=1)
+
+    order = np.empty((len(kept_rows), depth), dtype=np.int64)
+    kept = np.empty(order.shape, dtype=bool)
+    pos_ranks = np.empty(pos.shape, dtype=np.int64)
+    for start in range(0, len(kept_rows), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rows = d2[kept_rows[block]]
+        pos_ranks[block] = _positive_ranks(rows, pos[block], n_pos[block])
+        order[block] = _head(rows, depth)
+        kept[block] = np.isfinite(np.take_along_axis(rows, order[block], axis=1))
+    del d2
+
+    def same(labels: np.ndarray) -> np.ndarray:
+        return (labels[g_rows][order] == labels[q_rows][:, None]) & kept
+
+    same_bias = {ch: same(es.codes[ch]) for ch in es.channels}
+    return RankResult(order, same(es.ids), same_bias, lengths, pos_ranks, n_pos, dropped)
 
 
 def cmc_map(rr: RankResult, max_rank: int = 20) -> tuple[np.ndarray, float]:
-    """CMC(k) for k = 1..max_rank and mean average precision.
+    """CMC(k) for k = 1..max_rank and mean average precision, from the
+    positives' ranks.
 
     AP per query is the mean of precision measured at each positive's rank,
     by one row-wise `np.mean` per positive count: it sums as a per-query one.
     """
-    cmc = np.cumsum(np.bincount(rr.positive.argmax(axis=1), minlength=max_rank)[:max_rank])
-    # row-major hits: a hit's index minus its row's first index is its rank among the positives
-    rows, hits = np.nonzero(rr.positive)
-    precision = (np.arange(len(rows)) - np.searchsorted(rows, rows) + 1) / (hits + 1.0)
-    n_pos = rr.positive.sum(axis=1)
+    cmc = np.cumsum(np.bincount(rr.pos_ranks[:, 0], minlength=max_rank)[:max_rank])
+    precision = np.arange(1, rr.pos_ranks.shape[1] + 1) / (rr.pos_ranks + 1.0)
     aps = np.zeros(rr.n_queries)
-    for n in np.unique(n_pos):
-        aps[n_pos == n] = precision[n_pos[rows] == n].reshape(-1, n).mean(axis=1)
+    for n in np.unique(rr.n_pos):
+        rows = rr.n_pos == n
+        aps[rows] = precision[rows, :n].mean(axis=1)
     return cmc / rr.n_queries, float(aps.mean())
 
 
@@ -151,6 +241,8 @@ def same_bias_rank_prob(
         raise EvaluationError(
             f"max_rank {max_rank} exceeds every retained list length (max {rr.lengths.max()})"
         )
+    if max_rank > rr.depth:
+        raise EvaluationError(f"max_rank {max_rank} exceeds the ranked depth {rr.depth}")
     matches = rr.positive[:, :max_rank] == (polarity == "positive")
     hits = (matches & rr.same_bias[channel][:, :max_rank]).sum(axis=0)
     have = (rr.lengths[:, None] > np.arange(max_rank)).sum(axis=0)
@@ -370,7 +462,7 @@ def evaluate_embeddings(
     config_echo: dict | None = None,
 ) -> EvalReport:
     """Full report: CMC/mAP plus per-channel curves, nauc, optional probes."""
-    rr = rank_gallery(es, protocol, channel)
+    rr = rank_gallery(es, protocol, channel, depth=max(1, curve_rank))
     max_rank = max(1, min(max_rank, int(rr.lengths.max())))
     curve_rank = max(1, min(curve_rank, int(rr.lengths.min())))
     cmc, mean_ap = cmc_map(rr, max_rank)

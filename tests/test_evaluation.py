@@ -75,11 +75,11 @@ def naive_cmc(pos_lists, max_rank):
 
 
 def brute_force_rank(es, protocol="standard", channel=None):
-    """Per-query ranking loop: (orders, positive, same_bias, dropped) as lists.
+    """Per-query ranking loop: (orders, positive, same_bias, dropped, dists).
 
     Each retained query's kept gallery positions are sorted on their own,
-    stably, so the lower index wins a tie; its masks are gathered through
-    that order.
+    stably, so the lower index wins a tie; its masks and its distances
+    (`dists`) are gathered through that order.
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -98,7 +98,7 @@ def brute_force_rank(es, protocol="standard", channel=None):
             raise EvaluationError(f"query row {row}: squared distances overflow float64")
     g_ids = es.ids[g_rows]
     g_cams = es.cameras[g_rows]
-    orders, positive, same_bias = [], [], {ch: [] for ch in es.channels}
+    orders, positive, same_bias, dists = [], [], {ch: [] for ch in es.channels}, []
     dropped = 0
     for qi, row in enumerate(q_rows):
         qid, qcam = es.ids[row], es.cameras[row]
@@ -111,12 +111,13 @@ def brute_force_rank(es, protocol="standard", channel=None):
             continue
         order = keep[np.argsort(d2[qi, keep], kind="stable")]
         orders.append(order)
+        dists.append(d2[qi, order])
         positive.append(g_ids[order] == qid)
         for ch in es.channels:
             same_bias[ch].append(es.codes[ch][g_rows][order] == es.codes[ch][row])
     if not orders:
         raise EvaluationError("every query was dropped (no cross-camera positives)")
-    return orders, positive, same_bias, dropped
+    return orders, positive, same_bias, dropped, dists
 
 
 def brute_force_cmc_map(positive, max_rank):
@@ -217,6 +218,25 @@ class TestRankGallery:
         rr = rank_gallery(es, "standard")
         np.testing.assert_array_equal(rr.order[0, : rr.lengths[0]], [0, 1, 2])
 
+    def test_depth_below_one_rejected(self):
+        es = make_es([0.0, 1.0, 2.0], [1, 1, 2], [0, 1, 1], ["query", "gallery", "gallery"])
+        for depth in (0, -1):
+            with pytest.raises(ConfigError):
+                rank_gallery(es, "standard", depth=depth)
+
+    def test_depth_holds_head_and_exact_positive_ranks(self):
+        es = make_es(
+            emb=[0.0, 3.0, 1.0, 2.0, 4.0],
+            ids=[5, 5, 6, 7, 5],
+            cams=[0, 1, 1, 1, 1],
+            splits=["query", "gallery", "gallery", "gallery", "gallery"],
+        )
+        rr = rank_gallery(es, "standard", depth=2)
+        np.testing.assert_array_equal(rr.order, [[1, 2]])  # d=1, 4 of 1, 4, 9, 16
+        np.testing.assert_array_equal(rr.positive, [[False, False]])
+        np.testing.assert_array_equal(rr.pos_ranks, [[2, 3]])
+        assert rr.n_pos[0] == 2 and rr.lengths[0] == 4
+
     def test_empty_query_split_errors(self):
         es = make_es([0.0, 1.0], [1, 1], [0, 1], ["gallery", "gallery"])
         with pytest.raises(EvaluationError):
@@ -306,55 +326,109 @@ def random_table(rng, grid):
     return Table(matrix, ids, rng.integers(0, 3, size=n), splits, codes, channels)
 
 
+DEPTHS = (1, 2, 3, 10, None)  # None ranks the whole gallery
+
+
+def cut_ties(dists, n_gallery, depth):
+    """(finite, excluded): rows whose item at the depth cut ties the next one.
+
+    `dists` are each row's kept distances in ranking order; the excluded
+    items follow at inf, so two of them always tie.
+    """
+    finite = excluded = 0
+    for d in dists:
+        if depth < n_gallery:
+            row = np.concatenate([d, np.full(n_gallery - len(d), np.inf)])
+            if row[depth - 1] == row[depth]:
+                finite += bool(np.isfinite(row[depth]))
+                excluded += bool(np.isinf(row[depth]))
+    return finite, excluded
+
+
 class TestRankingOracle:
-    """rank_gallery, cmc_map and the curves equal the per-query loops exactly."""
+    """rank_gallery, cmc_map and the curves equal the per-query loops exactly,
+    at every ranking depth."""
 
     @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
     def test_matches_brute_force_on_random_tables(self, grid):
         rng = np.random.default_rng(11 + grid)
-        seen = {"ranked": 0, "dropped": 0, "error": 0}
+        seen = {"ranked": 0, "dropped": 0, "error": 0, "finite_cut_tie": 0, "excluded_cut_tie": 0}
         for _ in range(500):
             es = random_table(rng, grid)
+            n_gallery = int(np.sum(es.splits == "gallery"))
             for protocol, channel in [("standard", None), ("nobias", "pose"), ("nobias", "cam")]:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got, got_err = outcome(rank_gallery, es, protocol, channel)
                     ref, ref_err = outcome(brute_force_rank, es, protocol, channel)
-                assert got_err == ref_err
+                    metrics = ref_err or self.reference_metrics(ref[1], ref[2], n_gallery)
+                    for depth in DEPTHS:
+                        got, got_err = outcome(rank_gallery, es, protocol, channel, depth)
+                        assert got_err == ref_err
+                        if not ref_err:
+                            self.check_ranking(got, n_gallery, depth, ref, metrics)
                 if ref_err:
                     seen["error"] += 1
                     continue
                 seen["ranked"] += 1
                 seen["dropped"] += ref[3] > 0
-                self.check_ranking(got, *ref)
+                for depth in DEPTHS[:-1]:
+                    finite, excluded = cut_ties(ref[4], n_gallery, depth)
+                    seen["finite_cut_tie"] += finite
+                    seen["excluded_cut_tie"] += excluded
 
+        # both kinds of tie at the cut send rows to the stable-sort fallback
+        if not grid:
+            seen.pop("finite_cut_tie")
         assert min(seen.values()) >= 20, seen
 
     @staticmethod
-    def check_ranking(rr, orders, positive, same_bias, dropped):
+    def reference_metrics(positive, same_bias, n_gallery):
+        """CMC/mAP and curve outcomes by max_rank, from the per-query loops."""
+        lengths = [len(p) for p in positive]
+        cmc = {k: brute_force_cmc_map(positive, k) for k in {1, 5, max(lengths), n_gallery}}
+        curves = {
+            (ch, polarity, k): outcome(brute_force_curve, positive, same_bias[ch], polarity, k)
+            for ch in same_bias
+            for polarity in ("negative", "positive")
+            for k in {1, min(lengths), max(lengths), max(lengths) + 1}
+        }
+        return cmc, curves
+
+    @staticmethod
+    def check_ranking(rr, n_gallery, depth, ref, metrics):
+        orders, positive, same_bias, dropped, _ = ref
+        width = n_gallery if depth is None else min(depth, n_gallery)
         assert rr.dropped == dropped and rr.n_queries == len(orders)
+        assert rr.order.shape == (len(orders), width)
         lengths = [len(o) for o in orders]
         np.testing.assert_array_equal(rr.lengths, lengths)
+        tail = np.zeros(n_gallery, dtype=bool)
         for q, n in enumerate(lengths):
-            np.testing.assert_array_equal(rr.order[q, :n], orders[q])
-            np.testing.assert_array_equal(rr.positive[q, :n], positive[q])
-            assert not rr.positive[q, n:].any()
+            # the excluded items follow the kept ones by index
+            full = np.concatenate([orders[q], np.setdiff1d(np.arange(n_gallery), orders[q])])
+            assert np.array_equal(rr.order[q], full[:width]), q
+            pos = np.concatenate([positive[q], tail[n:]])
+            assert np.array_equal(rr.positive[q], pos[:width]), q
             for ch in same_bias:
-                np.testing.assert_array_equal(rr.same_bias[ch][q, :n], same_bias[ch][q])
-                assert not rr.same_bias[ch][q, n:].any()
-        width = rr.order.shape[1]
-        for max_rank in sorted({1, 5, max(lengths), width}):
-            cmc, m = cmc_map(rr, max_rank)
-            ref_cmc, ref_m = brute_force_cmc_map(positive, max_rank)
-            assert np.array_equal(cmc, ref_cmc) and m == ref_m
-        for ch in same_bias:
-            for polarity in ("negative", "positive"):
-                for depth in sorted({1, min(lengths), max(lengths), max(lengths) + 1}):
-                    got, got_err = outcome(same_bias_rank_prob, rr, ch, polarity, depth)
-                    ref, ref_err = outcome(
-                        brute_force_curve, positive, same_bias[ch], polarity, depth
-                    )
-                    assert got_err == ref_err
-                    assert ref_err or np.array_equal(got, ref)
+                same = np.concatenate([same_bias[ch][q], tail[n:]])
+                assert np.array_equal(rr.same_bias[ch][q], same[:width]), (q, ch)
+            ranks = np.flatnonzero(positive[q])
+            assert rr.n_pos[q] == len(ranks)
+            assert np.array_equal(rr.pos_ranks[q, : len(ranks)], ranks), q
+            assert (rr.pos_ranks[q, len(ranks) :] == n_gallery).all()
+        ref_cmc, ref_curves = metrics
+        for max_rank, (cmc, m) in ref_cmc.items():
+            got_cmc, got_m = cmc_map(rr, max_rank)
+            assert np.array_equal(got_cmc, cmc) and got_m == m
+        for (ch, polarity, max_rank), (curve, err) in ref_curves.items():
+            got, got_err = outcome(same_bias_rank_prob, rr, ch, polarity, max_rank)
+            if err:
+                assert got_err == err
+            elif max_rank > width:
+                assert got_err == (
+                    EvaluationError, f"max_rank {max_rank} exceeds the ranked depth {width}"
+                )
+            else:
+                assert got_err is None and np.array_equal(got, curve)
 
 
 HAND_EMB = [0.0, 10.0, 20.0, 1.0, 11.0, 19.0, 5.0]
@@ -412,6 +486,16 @@ class TestSameBiasRankProb:
         max_len = rr.lengths.max()
         curve = same_bias_rank_prob(rr, "pose", "negative", max_len)
         assert not curve.any()
+
+    def test_rank_beyond_ranked_depth_errors(self):
+        es = make_es(HAND_EMB, HAND_IDS, HAND_CAMS, HAND_SPLITS, HAND_POSE)
+        rr = rank_gallery(es, "standard", depth=2)
+        np.testing.assert_array_equal(
+            same_bias_rank_prob(rr, "pose", "negative", 2),
+            same_bias_rank_prob(self.hand_rr(), "pose", "negative", 2),
+        )
+        with pytest.raises(EvaluationError, match="ranked depth 2"):
+            same_bias_rank_prob(rr, "pose", "negative", 3)
 
     def test_rank_beyond_every_list_errors(self):
         with pytest.raises(EvaluationError):

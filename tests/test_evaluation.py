@@ -359,12 +359,12 @@ class TestRankingOracle:
             for protocol, channel in [("standard", None), ("nobias", "pose"), ("nobias", "cam")]:
                 with np.errstate(over="ignore", invalid="ignore"):
                     ref, ref_err = outcome(brute_force_rank, es, protocol, channel)
-                    metrics = ref_err or self.reference_metrics(ref[1], ref[2], n_gallery)
+                    want = ref_err or self.reference(ref, n_gallery)
                     for depth in DEPTHS:
                         got, got_err = outcome(rank_gallery, es, protocol, channel, depth)
                         assert got_err == ref_err
                         if not ref_err:
-                            self.check_ranking(got, n_gallery, depth, ref, metrics)
+                            self.check_ranking(got, n_gallery, depth, want)
                 if ref_err:
                     seen["error"] += 1
                     continue
@@ -381,45 +381,55 @@ class TestRankingOracle:
         assert min(seen.values()) >= 20, seen
 
     @staticmethod
-    def reference_metrics(positive, same_bias, n_gallery):
-        """CMC/mAP and curve outcomes by max_rank, from the per-query loops."""
-        lengths = [len(p) for p in positive]
-        cmc = {k: brute_force_cmc_map(positive, k) for k in {1, 5, max(lengths), n_gallery}}
-        curves = {
-            (ch, polarity, k): outcome(brute_force_curve, positive, same_bias[ch], polarity, k)
-            for ch in same_bias
-            for polarity in ("negative", "positive")
-            for k in {1, min(lengths), max(lengths), max(lengths) + 1}
+    def reference(ref, n_gallery):
+        """The loops' rankings as full [Q, G] arrays, the excluded items
+        following by index, with CMC/mAP and curve outcomes by max_rank."""
+        orders, positive, same_bias, dropped, _ = ref
+        lengths = [len(o) for o in orders]
+
+        def padded(masks):
+            return np.array([np.concatenate([m, np.zeros(n_gallery - len(m), bool)]) for m in masks])
+
+        n_pos = [int(p.sum()) for p in positive]
+        pos_ranks = np.full((len(orders), max(n_pos)), n_gallery)
+        for q, p in enumerate(positive):
+            pos_ranks[q, : n_pos[q]] = np.flatnonzero(p)
+        return {
+            "dropped": dropped,
+            "lengths": lengths,
+            "order": np.array(
+                [np.concatenate([o, np.setdiff1d(np.arange(n_gallery), o)]) for o in orders]
+            ),
+            "positive": padded(positive),
+            "same_bias": {ch: padded(m) for ch, m in same_bias.items()},
+            "pos_ranks": pos_ranks,
+            "n_pos": n_pos,
+            "cmc_map": {
+                k: brute_force_cmc_map(positive, k) for k in {1, 5, max(lengths), n_gallery}
+            },
+            "curves": {
+                (ch, polarity, k): outcome(brute_force_curve, positive, same_bias[ch], polarity, k)
+                for ch in same_bias
+                for polarity in ("negative", "positive")
+                for k in {1, min(lengths), max(lengths), max(lengths) + 1}
+            },
         }
-        return cmc, curves
 
     @staticmethod
-    def check_ranking(rr, n_gallery, depth, ref, metrics):
-        orders, positive, same_bias, dropped, _ = ref
+    def check_ranking(rr, n_gallery, depth, want):
         width = n_gallery if depth is None else min(depth, n_gallery)
-        assert rr.dropped == dropped and rr.n_queries == len(orders)
-        assert rr.order.shape == (len(orders), width)
-        lengths = [len(o) for o in orders]
-        np.testing.assert_array_equal(rr.lengths, lengths)
-        tail = np.zeros(n_gallery, dtype=bool)
-        for q, n in enumerate(lengths):
-            # the excluded items follow the kept ones by index
-            full = np.concatenate([orders[q], np.setdiff1d(np.arange(n_gallery), orders[q])])
-            assert np.array_equal(rr.order[q], full[:width]), q
-            pos = np.concatenate([positive[q], tail[n:]])
-            assert np.array_equal(rr.positive[q], pos[:width]), q
-            for ch in same_bias:
-                same = np.concatenate([same_bias[ch][q], tail[n:]])
-                assert np.array_equal(rr.same_bias[ch][q], same[:width]), (q, ch)
-            ranks = np.flatnonzero(positive[q])
-            assert rr.n_pos[q] == len(ranks)
-            assert np.array_equal(rr.pos_ranks[q, : len(ranks)], ranks), q
-            assert (rr.pos_ranks[q, len(ranks) :] == n_gallery).all()
-        ref_cmc, ref_curves = metrics
-        for max_rank, (cmc, m) in ref_cmc.items():
+        assert rr.dropped == want["dropped"]
+        assert np.array_equal(rr.lengths, want["lengths"])
+        assert np.array_equal(rr.order, want["order"][:, :width])
+        assert np.array_equal(rr.positive, want["positive"][:, :width])
+        for ch, masks in want["same_bias"].items():
+            assert np.array_equal(rr.same_bias[ch], masks[:, :width]), ch
+        assert np.array_equal(rr.pos_ranks, want["pos_ranks"])
+        assert np.array_equal(rr.n_pos, want["n_pos"])
+        for max_rank, (cmc, m) in want["cmc_map"].items():
             got_cmc, got_m = cmc_map(rr, max_rank)
             assert np.array_equal(got_cmc, cmc) and got_m == m
-        for (ch, polarity, max_rank), (curve, err) in ref_curves.items():
+        for (ch, polarity, max_rank), (curve, err) in want["curves"].items():
             got, got_err = outcome(same_bias_rank_prob, rr, ch, polarity, max_rank)
             if err:
                 assert got_err == err

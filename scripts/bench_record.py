@@ -2,17 +2,18 @@
 
 For each workload in perfbench/workloads.py, runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 1
+    python3 perfbench/run.py --workload W --seed 1 --trace 0
+    python3 perfbench/run.py --workload W --seed 1 --trace 1
 
-each in a fresh process, then the tier-1 tests once, and writes one JSON
-file. It names, per workload, the preset, the data size, the repeat count
-and the host scale of the end-to-end run, with every end-to-end and
-per-layer metric; and, once, the numpy version, the core count and the
-tier-1 wall time. The short sha is the checkout's HEAD; `dirty` says
+each in a fresh process, at perfbench's own run length and one fixed seed
+so that every record is comparable with its parent's, then the tier-1
+tests once, and writes one JSON file. It names, per workload, the preset,
+the data size, the repeat count and the host scale of the end-to-end run,
+with every end-to-end and per-layer metric; and, once, the numpy version,
+the core count and the tier-1 wall time. The short sha is the checkout's HEAD; `dirty` says
 whether `src/`, `tests/` or `perfbench/` differed from it.
 
-    python3 scripts/bench_record.py [--seed 0] [--seconds 45] [--out-dir .]
+    python3 scripts/bench_record.py [--out-dir .]
 
 A copy placed in another checkout records that checkout.
 """
@@ -37,6 +38,7 @@ from biasreid.presets import get_preset  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PRESET = "default"  # the preset every workload's `gen` starts from
+SEED = 1  # the seed of every run
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -45,11 +47,11 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(workload: str, trace: int) -> dict:
     """One perfbench run: its result line, its `env:` line and its exit code."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(ln[len("env: "):]) for ln in lines if ln.startswith("env: ")), {})
@@ -71,9 +73,9 @@ def data_size(workload) -> dict:
             "epochs": preset.branch_overrides["epochs"] if workload.modes else 0}
 
 
-def record_workload(name: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def record_workload(name: str) -> tuple[dict, dict]:
     """The workload's record, and the `env:` line of its end-to-end run."""
-    e2e, traced = bench(name, seed, seconds, 0), bench(name, seed, seconds, 1)
+    e2e, traced = bench(name, 0), bench(name, 1)
     env = e2e["env"]
     return {
         **data_size(WORKLOADS[name]),
@@ -106,20 +108,18 @@ def tier1() -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args()
 
     sha = git("rev-parse", "HEAD")
     workloads, env = {}, {}
     for name in WORKLOADS:
-        workloads[name], env = record_workload(name, args.seed, args.seconds)
+        workloads[name], env = record_workload(name)
     record = {
         "git_sha": sha,
         "dirty": bool(git("status", "--porcelain", "--", "src", "tests", "perfbench")),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": env.get("seconds"),
         **{k: env.get(k) for k in ("numpy", "python", "blas", "affinity", "threads")},
         "cores": env.get("nproc"),
         "workloads": workloads,

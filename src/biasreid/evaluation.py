@@ -169,28 +169,23 @@ def rank_gallery(
     if protocol == "nobias":
         codes = es.codes[channel]
         excluded |= ~same_id & (codes[q_rows][:, None] == codes[g_rows][None, :])
+    # each query's positives, row-major: in gallery-index order within a row
+    pos_q, pos_g = np.nonzero(same_id & ~excluded)
     del same_id
     d2[excluded] = np.inf  # after the overflow check: every kept distance is finite
     lengths = g - np.count_nonzero(excluded, axis=1)
     del excluded
-
-    # each query's same-identity gallery items in index order, from one sort of the gallery ids
-    by_id = np.argsort(g_ids, kind="stable")
-    lo = np.searchsorted(g_ids[by_id], q_ids, side="left")
-    hi = np.searchsorted(g_ids[by_id], q_ids, side="right")
-    slots = lo[:, None] + np.arange(np.max(hi - lo))
-    mates = by_id[np.minimum(slots, g - 1)]
-    is_pos = (slots < hi[:, None]) & np.isfinite(np.take_along_axis(d2, mates, axis=1))
-    n_pos = np.count_nonzero(is_pos, axis=1)
+    n_pos = np.bincount(pos_q, minlength=len(q_rows))
 
     kept_rows = np.flatnonzero(n_pos)
     dropped = len(q_rows) - len(kept_rows)
     if dropped == len(q_rows):
         raise EvaluationError("every query was dropped (no cross-camera positives)")
+    # the positives packed to the left of each row; the slots past n_pos hold 0
+    pos = np.zeros((len(q_rows), n_pos.max()), dtype=np.int64)
+    pos[pos_q, np.arange(len(pos_q)) - (np.cumsum(n_pos) - n_pos)[pos_q]] = pos_g
     n_pos, lengths, q_rows = n_pos[kept_rows], lengths[kept_rows], q_rows[kept_rows]
-    # the positives packed to the left of each row, still in index order
-    packed = np.argsort(~is_pos[kept_rows], axis=1, kind="stable")[:, : n_pos.max()]
-    pos = np.take_along_axis(mates[kept_rows], packed, axis=1)
+    pos = pos[kept_rows]
 
     order = np.empty((len(kept_rows), depth), dtype=np.int64)
     kept = np.empty(order.shape, dtype=bool)

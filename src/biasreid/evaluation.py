@@ -163,14 +163,19 @@ def rank_gallery(
         row = int(q_rows[np.argmax(overflow)])
         raise EvaluationError(f"query row {row}: squared distances overflow float64")
 
-    q_ids, g_ids = es.ids[q_rows], es.ids[g_rows]
-    same_id = q_ids[:, None] == g_ids[None, :]
-    excluded = same_id & (es.cameras[q_rows][:, None] == es.cameras[g_rows][None, :])
+    # the [Q, G] masks are built in place: at most three are alive at once
+    same_id = es.ids[q_rows][:, None] == es.ids[g_rows][None, :]
+    excluded = es.cameras[q_rows][:, None] == es.cameras[g_rows][None, :]
+    excluded &= same_id
     if protocol == "nobias":
         codes = es.codes[channel]
-        excluded |= ~same_id & (codes[q_rows][:, None] == codes[g_rows][None, :])
+        same_code = codes[q_rows][:, None] == codes[g_rows][None, :]
+        same_code[same_id] = False
+        excluded |= same_code
+        del same_code
+    same_id[excluded] = False
     # each query's positives, row-major: in gallery-index order within a row
-    pos_q, pos_g = np.nonzero(same_id & ~excluded)
+    pos_q, pos_g = np.nonzero(same_id)
     del same_id
     d2[excluded] = np.inf  # after the overflow check: every kept distance is finite
     lengths = g - np.count_nonzero(excluded, axis=1)
@@ -317,6 +322,8 @@ def train_probe(
     gw, gb = grads[1 : 1 + c * d].reshape(c, d), grads[1 + c * d :]
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
+    # d prelu(x, slope) / d slope: x where x <= 0, else 0; the features are frozen
+    x_neg = np.where(x > 0, 0.0, x)
 
     for step in range(1, cfg.epochs + 1):
         h, _ = prelu(x, float(theta[0]))
@@ -325,7 +332,7 @@ def train_probe(
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=1, keepdims=True)
         dlogits = (probs - onehot) / n
-        grads[0] = np.sum((dlogits @ w) * np.where(x > 0, 0.0, x))
+        grads[0] = np.sum((dlogits @ w) * x_neg)
         gw[...] = dlogits.T @ h
         gb[...] = dlogits.sum(axis=0)
         adam_update(theta, grads, m, v, step, cfg.rate)
@@ -456,10 +463,17 @@ def evaluate_embeddings(
     probe_cfg: ProbeConfig | None = None,
     config_echo: dict | None = None,
 ) -> EvalReport:
-    """Full report: CMC/mAP plus per-channel curves, nauc, optional probes."""
-    rr = rank_gallery(es, protocol, channel, depth=max(1, curve_rank))
-    max_rank = max(1, min(max_rank, int(rr.lengths.max())))
-    curve_rank = max(1, min(curve_rank, int(rr.lengths.min())))
+    """Full report: CMC/mAP plus per-channel curves, nauc, optional probes.
+
+    `max_rank` and `curve_rank` must be >= 1; each is cut to the longest and
+    the shortest retained list, respectively.
+    """
+    for name, rank in (("max_rank", max_rank), ("curve_rank", curve_rank)):
+        if rank < 1:
+            raise ConfigError(f"{name} must be >= 1, got {rank}")
+    rr = rank_gallery(es, protocol, channel, depth=curve_rank)
+    max_rank = min(max_rank, int(rr.lengths.max()))
+    curve_rank = min(curve_rank, int(rr.lengths.min()))  # each list holds a positive
     cmc, mean_ap = cmc_map(rr, max_rank)
     stats: dict[str, ChannelStats] = {}
     for ch in stat_channels if stat_channels is not None else es.channels:

@@ -24,19 +24,21 @@ shapes the embedding, and its gradient reaches the near neighbours that
 decide ranks.
 
 All gradients are exact subgradients with respect to the embeddings.
-`combined_loss` builds the batch's distance matrix once for both terms, and
-each term equals a plain per-anchor loop bit for bit. The identity term
-selects by masked argmax/argmin (first index wins, and the masks' +-inf
-never tie a real distance, since `pairwise_sqdist` rejects overflow), sums
-its active hinges in index order, and scatters its gradient with one
-`np.add.at` over rows a_0, p_0, q_0, a_1, ... of the active anchors: the
-loop's float additions in the loop's order. The bias term's sums also run
-in index order.
+`combined_loss` builds the batch's distance matrix once for both terms, from
+the i < j pairs only, and each term equals a plain per-anchor loop bit for
+bit. The identity term selects by masked argmax/argmin (first index wins,
+and the masks' +-inf never tie a real distance, since `pairwise_sqdist`
+rejects overflow), sums its active hinges in index order, and scatters its
+gradient with one 1-D `np.add.at` over the flat gradient: element k of row
+r gets index r * d + k, and the rows come as a_0, p_0, q_0, a_1, ... of the
+active anchors, so every element receives the loop's float additions in the
+loop's order. The bias term's sums also run in index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,22 +47,44 @@ from .errors import BatchCompositionError, ConfigError, DataError
 MODES = ("reduce", "enhance")
 
 
+# pairs handled at a time: bounds the [pairs, d] difference buffer (64 KiB at d = 64)
+_PAIR_BLOCK = 128
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the i < j pairs of an n x n matrix."""
+    return np.triu_indices(n, 1)
+
+
 def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
     """Symmetric [n, n] matrix of squared Euclidean distances.
 
-    Bit-exact: computed as sum((a - b)^2) per pair, which equals a naive
-    per-pair loop, so selection ties and the oracles' values reproduce
-    exactly. Batches are small, so the O(n^2 d) broadcast is cheap. Ranking
-    uses `evaluation._cross_sqdist` instead, whose Gram form is not bit-exact
-    but needs only Q x G memory.
+    Bit-exact: each i < j pair is one contiguous sum((e_i - e_j)^2) and is
+    mirrored into (j, i), which is exact since (a - b)^2 == (b - a)^2; the
+    diagonal is exactly 0. So it equals a naive per-pair loop, and selection
+    ties and the oracles' values reproduce exactly. The pairs are taken
+    `_PAIR_BLOCK` at a time into a small buffer, so no [n, n, d] broadcast
+    is built. Ranking uses `evaluation._cross_sqdist` instead, whose Gram
+    form is not bit-exact but needs only Q x G memory.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(e).all():
         raise DataError("non-finite embeddings")
-    diff = e[:, None, :] - e[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    if not np.isfinite(d2).all():
+    n = e.shape[0]
+    rows, cols = _upper_pairs(n)
+    upper = np.empty(len(rows))
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        blk = slice(start, start + _PAIR_BLOCK)
+        diff = np.take(e, rows[blk], axis=0)
+        diff -= np.take(e, cols[blk], axis=0)
+        diff *= diff
+        upper[blk] = diff.sum(axis=-1)
+    if not np.isfinite(upper).all():
         raise DataError("squared distance between embeddings overflows float64")
+    d2 = np.zeros((n, n))
+    d2[rows, cols] = upper
+    d2[cols, rows] = upper
     return d2
 
 
@@ -145,8 +169,10 @@ def reid_hard_loss(
     an = emb[a] - emb[q]
     rows_hit = np.stack([a, p, q], axis=1).ravel()
     terms = np.stack([2.0 * (ap - an), -2.0 * ap, 2.0 * an], axis=1)
-    grads = np.zeros_like(emb)
-    np.add.at(grads, rows_hit, terms.reshape(-1, emb.shape[1]))
+    # one 1-D scatter over the flat elements, row by row in rows_hit's order
+    d = emb.shape[1]
+    grads = np.zeros(emb.shape)  # C order, so its ravel is a view
+    np.add.at(grads.ravel(), (rows_hit[:, None] * d + np.arange(d)).ravel(), terms.ravel())
     total = float(_ordered_sum(args[active]))
     sel = TripletSelection(pos_idx, neg_idx, args, active, np.zeros(n, dtype=bool))
     return LossOutput(total, grads, sel)

@@ -11,6 +11,7 @@ row-major. Adam is elementwise, so it updates all of them in one pass.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,7 +75,11 @@ class EncoderParams:
         return self.shapes[-1][0]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.weights, self.biases, self.hidden_slope)
+        """The same parameters in a new `flat`; `self` was validated when built."""
+        out = copy.copy(self)
+        out.flat = self.flat.copy()
+        out.weights, out.biases = out.layers(out.flat)
+        return out
 
 
 @dataclass

@@ -614,6 +614,13 @@ class TestEvaluateAndSweep:
         d = report.to_dict()
         assert d["rank1"] == report.rank1
 
+    @pytest.mark.parametrize("name", ["max_rank", "curve_rank"])
+    @pytest.mark.parametrize("rank", [0, -5])
+    def test_rank_below_one_rejected(self, small_split_ds, name, rank):
+        # a clamp to 1 would report rank5 and rank10 as CMC@1
+        with pytest.raises(ConfigError, match=name):
+            evaluate_embeddings(small_split_ds, **{name: rank})
+
     def test_sweep_lambda_zero_equals_baseline(self, small_split_ds):
         base = BranchConfig(
             bias_channel="pose", p=3, k=2, epochs=2, rate=0.01, hidden=(8,), d_emb=4, seed=3,

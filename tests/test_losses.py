@@ -92,14 +92,32 @@ class TestPairwiseSqdist:
         d2 = pairwise_sqdist(np.ones((4, 3)))
         np.testing.assert_array_equal(d2, np.zeros((4, 4)))
 
+    @staticmethod
+    def naive(e):
+        n = len(e)
+        out = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                out[i, j] = ((e[i] - e[j]) ** 2).sum()
+        return out
+
     def test_matches_naive_loop(self):
-        rng = np.random.default_rng(0)
-        e = rng.normal(size=(5, 3))
-        naive = np.zeros((5, 5))
-        for i in range(5):
-            for j in range(5):
-                naive[i, j] = ((e[i] - e[j]) ** 2).sum()
-        np.testing.assert_allclose(pairwise_sqdist(e), naive, atol=1e-12)
+        e = np.random.default_rng(0).normal(size=(5, 3))
+        np.testing.assert_array_equal(pairwise_sqdist(e), self.naive(e))
+
+    # 0, 1, 136, 528 and 2016 pairs: empty, one pair, and across pair blocks
+    @pytest.mark.parametrize("n", [1, 2, 17, 33, 64])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_bit_exact_across_pair_blocks(self, n, scale):
+        rng = np.random.default_rng(n)
+        normal = scale * rng.normal(size=(n, 64))
+        # rounded grid rows, with duplicates: zero and tied distances
+        grid = np.round(rng.normal(size=(n, 64)), 1)
+        grid[n // 2 :] = grid[: n - n // 2]
+        for e in (normal, scale * grid):
+            d2 = pairwise_sqdist(e)
+            assert d2.shape == (n, n)
+            assert np.array_equal(d2.view(np.uint64), self.naive(e).view(np.uint64))
 
     def test_properties(self):
         rng = np.random.default_rng(1)
@@ -275,7 +293,8 @@ def assert_hard_loss_matches_oracle(emb, ids, m):
     out = reid_hard_loss(emb, pairwise_sqdist(emb), ids, m)
     value, grads = brute_force_hard_loss(emb, ids, m)
     assert out.value == value
-    assert np.array_equal(out.grads, grads)
+    # the bits, so a -0.0 against a 0.0 shows too
+    assert np.array_equal(out.grads.view(np.uint64), grads.view(np.uint64))
 
 
 class TestSelectionOracle:

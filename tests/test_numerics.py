@@ -225,6 +225,18 @@ class TestFlatLayout:
         q.flat[0] = 99.0
         assert p.weights[0][0, 0] == 0.0 and q.weights[0][0, 0] == 99.0
 
+    def test_copy_is_bit_equal_with_views_of_its_own_flat(self):
+        p = init_encoder(5, (4, 3), 2, np.random.default_rng(0), hidden_slope=0.2)
+        q = p.copy()
+        assert np.array_equal(q.flat.view(np.uint64), p.flat.view(np.uint64))
+        assert q.shapes == p.shapes and q.hidden_slope == p.hidden_slope
+        assert not np.shares_memory(q.flat, p.flat)
+        for qa, pa in zip(q.weights + q.biases, p.weights + p.biases):
+            assert np.shares_memory(qa, q.flat) and not np.shares_memory(qa, p.flat)
+            assert np.array_equal(qa, pa)
+        q.flat[:] = -1.0
+        assert all((a == -1.0).all() for a in q.weights + q.biases)
+
 
 class TestSchedule:
     def test_endpoints_and_midpoint(self):

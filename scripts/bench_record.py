@@ -13,6 +13,13 @@ with every end-to-end and per-layer metric; and, once, the numpy version,
 the core count and the tier-1 wall time. The short sha is the checkout's HEAD; `dirty` says
 whether `src/`, `tests/` or `perfbench/` differed from it.
 
+The per-layer metrics come from one traced pass, which perfbench reports
+unscaled, so the host's drift would read as a change of the code. While
+the traced run goes, this process samples the host's speed with
+perfbench's HostSpeed, and the record keeps that scale as
+`per_layer_host_scale` and every s/ms metric times it as
+`per_layer_scaled`, beside the raw `per_layer`.
+
     python3 scripts/bench_record.py [--out-dir .]
 
 A copy placed in another checkout records that checkout.
@@ -35,6 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from biasreid.presets import get_preset  # noqa: E402
+from hostspeed import HostSpeed  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PRESET = "default"  # the preset every workload's `gen` starts from
@@ -75,8 +83,12 @@ def data_size(workload) -> dict:
 
 def record_workload(name: str) -> tuple[dict, dict]:
     """The workload's record, and the `env:` line of its end-to-end run."""
-    e2e, traced = bench(name, 0), bench(name, 1)
+    e2e = bench(name, 0)
+    with HostSpeed() as host:
+        traced = bench(name, 1)
+    scale = host.scale()
     env = e2e["env"]
+    metrics = traced["result"]["metrics"]
     return {
         **data_size(WORKLOADS[name]),
         "repeats": {"passes": env.get("passes"), "setups": env.get("setups")},
@@ -84,7 +96,10 @@ def record_workload(name: str) -> tuple[dict, dict]:
         "end_to_end": {k: v["value"] for k, v in e2e["result"]["metrics"].items()},
         "end_to_end_raw": {k: env.get(k) for k in ("wall_raw_s", "setup_raw_s", "pass_raw_s",
                                                    "pass_scaled_s")},
-        "per_layer": {k: v["value"] for k, v in traced["result"]["metrics"].items()},
+        "per_layer": {k: v["value"] for k, v in metrics.items()},
+        "per_layer_host_scale": scale,
+        "per_layer_scaled": {k: v["value"] * scale for k, v in metrics.items()
+                             if v["unit"] in ("s", "ms")},
         "checks": {f"trace{t}": {k: run["result"][k] for k in
                                  ("correct", "attempted", "failed", "exit_code", "problems")}
                    for t, run in ((0, e2e), (1, traced))},

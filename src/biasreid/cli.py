@@ -82,6 +82,15 @@ def _file_config(args) -> dict[str, str]:
     return read_kv(args.config) if getattr(args, "config", None) else {}
 
 
+def _seed(args, default: int = 0) -> int:
+    """The --seed flag, or `default` when it is not given."""
+    if args.seed is None:
+        return default
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _branch_config(args, raw: dict[str, str]):
     """Preset defaults < config file < CLI flags."""
     base = dict(raw)
@@ -100,7 +109,7 @@ def _branch_config(args, raw: dict[str, str]):
     if getattr(args, "channel", None):
         cfg = replace(cfg, bias_channel=args.channel)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=_seed(args))
     cfg.validate()
     return cfg
 
@@ -116,7 +125,7 @@ def cmd_gen(args) -> int:
         base.update(raw)
         raw = base
     gen_cfg, fraction = generator_config_from_dict(raw)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
     ds = generate_synthetic(gen_cfg, seed=seed)
     ds = split_query_gallery(ds, fraction, np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_STREAM))))
     data_path = out / "dataset.csv"
@@ -205,7 +214,7 @@ def cmd_probe(args) -> int:
         epochs=as_int(raw, "probe_epochs", 200),
         rate=as_float(raw, "probe_rate", 0.01),
         train_fraction=as_float(raw, "probe_train_fraction", 0.5),
-        seed=args.seed if args.seed is not None else as_int(raw, "probe_seed", 0),
+        seed=_seed(args, as_int(raw, "probe_seed", 0)),
     )
     report, _ = fit_probe(es, args.channel, cfg)
     path = out / "probe.json"

@@ -135,6 +135,8 @@ class GeneratorConfig:
             raise ConfigError("latent/feature dims must be >= 1")
         if not (0 <= self.sigma < np.inf and 0 < self.feature_scale < np.inf):
             raise ConfigError("sigma must be finite and >= 0, feature_scale finite and > 0")
+        if self.mix_seed < 0:
+            raise ConfigError(f"mix_seed must be >= 0, got {self.mix_seed}")
         names = [c.name for c in self.channels]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate channel names")
@@ -344,12 +346,10 @@ class PKSampler:
             self._queue.extend(int(i) for i in fresh)
         chosen, self._queue = self._queue[: self.p], self._queue[self.p :]
 
-        picks = []
-        for ident in chosen:
-            pool = self.by_id[ident]
-            replace = len(pool) < self.k
-            picks.extend(self.rng.choice(pool, size=self.k, replace=replace))
-        idx = np.array(picks, dtype=int)
+        pools = [self.by_id[ident] for ident in chosen]
+        idx = np.concatenate(
+            [self.rng.choice(pool, size=self.k, replace=len(pool) < self.k) for pool in pools]
+        )
         return Batch(idx, self.ds.ids[idx], {c: arr[idx] for c, arr in self.ds.codes.items()})
 
 

@@ -282,6 +282,8 @@ class ProbeConfig:
             raise ConfigError(f"probe_rate must be finite and >= 0, got {self.rate}")
         if not np.isfinite(self.train_fraction):
             raise ConfigError(f"probe_train_fraction must be finite, got {self.train_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"probe_seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -293,7 +295,7 @@ class ProbeParams:
 
 
 def _probe_logits(probe: ProbeParams, x: np.ndarray) -> np.ndarray:
-    h, _ = prelu(x, probe.slope)
+    h = prelu(x, probe.slope)
     return h @ probe.weights.T + probe.bias
 
 
@@ -326,7 +328,7 @@ def train_probe(
     x_neg = np.where(x > 0, 0.0, x)
 
     for step in range(1, cfg.epochs + 1):
-        h, _ = prelu(x, float(theta[0]))
+        h = prelu(x, float(theta[0]))
         logits = h @ w.T + b
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)

@@ -29,10 +29,11 @@ the i < j pairs only, and each term equals a plain per-anchor loop bit for
 bit. The identity term selects by masked argmax/argmin (first index wins,
 and the masks' +-inf never tie a real distance, since `pairwise_sqdist`
 rejects overflow), sums its active hinges in index order, and scatters its
-gradient with one 1-D `np.add.at` over the flat gradient: element k of row
-r gets index r * d + k, and the rows come as a_0, p_0, q_0, a_1, ... of the
-active anchors, so every element receives the loop's float additions in the
-loop's order. The bias term's sums also run in index order.
+gradient with one weighted `np.bincount` over the flat gradient, which adds
+its weights one by one in input order: element k of row r gets index
+r * d + k, and the rows come as a_0, p_0, q_0, a_1, ... of the active
+anchors, so every element receives the loop's float additions in the loop's
+order. The bias term's sums also run in index order.
 """
 
 from __future__ import annotations
@@ -91,10 +92,12 @@ def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
 class _HingeStats:
     @property
     def active_fraction(self) -> float:
-        considered = ~self.skipped
-        if not considered.any():
+        """Share of the considered (not skipped) anchors whose hinge is active."""
+        considered = len(self.skipped) - np.count_nonzero(self.skipped)
+        if considered == 0:
             return 0.0
-        return float(self.active[considered].mean())
+        # `active` never marks a skipped anchor, so its count is over the considered ones
+        return np.count_nonzero(self.active) / considered
 
 
 @dataclass
@@ -150,8 +153,8 @@ def reid_hard_loss(
     if n == 0:
         raise BatchCompositionError("empty batch")
     same = labels[:, None] == labels[None, :]
+    diff = ~same
     np.fill_diagonal(same, False)
-    diff = labels[:, None] != labels[None, :]
     lacking = ~same.any(axis=1) | ~diff.any(axis=1)
     if lacking.any():
         a = int(np.argmax(lacking))
@@ -167,12 +170,12 @@ def reid_hard_loss(
     # d/de of [m + d2(a,p) - d2(a,q)]: through the selected pair only
     ap = emb[a] - emb[p]
     an = emb[a] - emb[q]
-    rows_hit = np.stack([a, p, q], axis=1).ravel()
-    terms = np.stack([2.0 * (ap - an), -2.0 * ap, 2.0 * an], axis=1)
-    # one 1-D scatter over the flat elements, row by row in rows_hit's order
+    rows_hit = np.array([a, p, q]).T.ravel()
+    terms = np.array([2.0 * (ap - an), -2.0 * ap, 2.0 * an]).transpose(1, 0, 2)
+    # one sequential 1-D scatter over the flat elements, in rows_hit's order
     d = emb.shape[1]
-    grads = np.zeros(emb.shape)  # C order, so its ravel is a view
-    np.add.at(grads.ravel(), (rows_hit[:, None] * d + np.arange(d)).ravel(), terms.ravel())
+    flat_idx = (rows_hit[:, None] * d + np.arange(d)).ravel()
+    grads = np.bincount(flat_idx, terms.ravel(), minlength=n * d).reshape(n, d)
     total = float(_ordered_sum(args[active]))
     sel = TripletSelection(pos_idx, neg_idx, args, active, np.zeros(n, dtype=bool))
     return LossOutput(total, grads, sel)
@@ -205,13 +208,14 @@ def bias_easy_loss(
     if labels.shape[0] != n:
         raise ConfigError("bias labels misaligned with embeddings")
     same = labels[:, None] == labels[None, :]
+    diff = ~same
     np.fill_diagonal(same, False)
-    diff = labels[:, None] != labels[None, :]
     skipped = ~same.any(axis=1) | ~diff.any(axis=1)
     if skipped.all() and n > 0:
         raise BatchCompositionError("every anchor lacks a same-bias or different-bias partner")
-    same[skipped] = False
-    diff[skipped] = False
+    if skipped.any():
+        same[skipped] = False
+        diff[skipped] = False
     # a skipped anchor has empty pools; a count of 1 keeps its zero sums finite
     n_same = np.maximum(same.sum(axis=1), 1)
     n_diff = np.maximum(diff.sum(axis=1), 1)

@@ -6,13 +6,15 @@ tape from which exact reverse-mode parameter gradients are recovered.
 
 An encoder's parameters, its gradients and its Adam moments share one
 layout: a contiguous vector holding w0, b0, w1, b1, ... in turn, each weight
-row-major. Adam is elementwise, so it updates all of them in one pass.
+row-major. Adam is elementwise, so it updates all of them in one pass, in
+place: the trainer that owns an encoder and its Adam state is their only
+writer, so no step copies them.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,18 +110,16 @@ def init_encoder(
     return EncoderParams(weights, biases, hidden_slope)
 
 
-def prelu(x: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise x if x > 0 else slope * x, plus the derivative.
+def prelu(x: np.ndarray, slope: float) -> np.ndarray:
+    """Elementwise x if x > 0 else slope * x.
 
-    The derivative at exactly 0 is taken as `slope` so tests are deterministic.
+    Only the value: `backprop` applies the derivative (1 above 0, `slope` at
+    and below 0) from the tape's pre-activations.
     """
     if not np.isfinite(slope):
         raise ConfigError("prelu slope must be finite")
     x = np.asarray(x, dtype=np.float64)
-    pos = x > 0
-    y = np.where(pos, x, slope * x)
-    dy = np.where(pos, 1.0, slope)
-    return y, dy
+    return np.where(x > 0, x, slope * x)
 
 
 def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, EncodeTape]:
@@ -140,7 +140,7 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, Encod
         z = h @ w.T + b
         preacts.append(z)
         if i < last:
-            h, _ = prelu(z, params.hidden_slope)
+            h = prelu(z, params.hidden_slope)
         else:
             h = z
     return h, EncodeTape(params, layer_inputs, preacts)
@@ -150,7 +150,10 @@ def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> np.ndarray:
     """Exact reverse-mode gradients of sum(embedding_grads * embeddings).
 
     Returns one vector laid out like the `flat` of the encoder that produced
-    `tape`, each layer's gradient written into its view.
+    `tape`, each layer's gradient written into its view. A hidden layer's
+    derivative is 1 where its pre-activation is > 0 and the slope elsewhere,
+    at exactly 0 too; `delta * 1.0 == delta`, so passing delta through
+    unscaled there is exact.
     """
     g = np.asarray(embedding_grads, dtype=np.float64)
     params = tape.params
@@ -164,8 +167,7 @@ def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> np.ndarray:
     delta = g
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            _, dact = prelu(tape.preacts[i], params.hidden_slope)
-            delta = delta * dact
+            delta = np.where(tape.preacts[i] > 0, delta, delta * params.hidden_slope)
         gw[i][...] = delta.T @ tape.layer_inputs[i]
         gb[i][...] = delta.sum(axis=0)
         if i > 0:
@@ -218,14 +220,14 @@ def adam_update(
     p -= rate * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def adam_step(
-    params: EncoderParams, grads: np.ndarray, state: AdamState, rate: float
-) -> tuple[EncoderParams, AdamState]:
-    """One Adam update of an encoder; returns fresh (params, state)."""
-    out = params.copy()
-    st = replace(state, m=state.m.copy(), v=state.v.copy(), step=state.step + 1)
-    adam_update(out.flat, grads, st.m, st.v, st.step, rate, st.beta1, st.beta2, st.eps)
-    return out, st
+def adam_step(params: EncoderParams, grads: np.ndarray, state: AdamState, rate: float) -> None:
+    """One Adam update of an encoder, in place: updates `params.flat`,
+    `state.m` and `state.v` (and so every view of them) and increments
+    `state.step`; an update that raises leaves all of them as they were.
+    Callers that need the old values copy them first."""
+    st = state
+    adam_update(params.flat, grads, st.m, st.v, st.step + 1, rate, st.beta1, st.beta2, st.eps)
+    st.step += 1
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,8 @@ class BranchConfig:
             raise ConfigError("need p >= 2 and k >= 2")
         if self.epochs < 0 or self.rate < 0:
             raise ConfigError("epochs and rate must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d_emb < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("encoder widths must be >= 1")
 
@@ -216,7 +218,7 @@ class Trainer:
         for _ in range(_MAX_BATCH_RETRIES):
             batch = sampler.draw()
             labels = batch.codes[self.cfg.bias_channel]
-            if not self._bias_diverse or len(np.unique(labels)) >= 2:
+            if not self._bias_diverse or (labels != labels[0]).any():
                 return batch, labels
         raise BatchCompositionError(
             f"no batch with >= 2 {self.cfg.bias_channel!r} classes after "
@@ -267,7 +269,7 @@ class Trainer:
             if not out.grads.any():
                 continue  # nothing to update, keep optimizer state untouched
             grads = backprop(tape, out.grads)
-            self.params, self.adam = adam_step(self.params, grads, self.adam, rate)
+            adam_step(self.params, grads, self.adam, rate)
         nb = self.batches_per_epoch
         self.log.epochs.append(
             EpochStats(

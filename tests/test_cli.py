@@ -209,6 +209,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError") and key in err
 
+    @pytest.mark.parametrize(
+        "cmd,name,value",
+        [("gen", "--seed", "-1"), ("train", "--seed", "-3"), ("probe", "--seed", "-2"),
+         ("sweep", "--seed", "-1"), ("train", "seed", "-1"), ("probe", "probe_seed", "-4"),
+         ("gen", "mix_seed", "-1")],
+    )
+    def test_negative_seed_rejected(self, cmd, name, value, pipeline, small_gen_cfg,
+                                    small_branch_cfg, tmp_path, capsys):
+        _, data, emb_dir, _ = pipeline
+        args, base_cfg = {
+            "gen": ([], small_gen_cfg),
+            "train": (["--data", str(data)], small_branch_cfg),
+            "probe": (["--data", str(emb_dir / "embeddings.csv"), "--channel", "pose"], None),
+            "sweep": (["--data", str(data), "--lambdas", "0.01"], small_branch_cfg),
+        }[cmd]
+        lines = base_cfg.read_text().splitlines() if base_cfg else []
+        if name == "--seed":
+            args += [name, value]
+        else:
+            lines.append(f"{name} = {value}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code = run([cmd, *args, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError") and f"{name} must be >= 0" in err
+
     def test_overflowing_ranking_distances_rejected(self, tmp_path, capsys):
         # query row 0's identical positive should rank first, but its squared
         # norms overflow, so its distances are inf - inf = NaN

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biasreid.errors import BatchCompositionError, ConfigError, DataError
-from biasreid.losses import bias_easy_loss, combined_loss, pairwise_sqdist, reid_hard_loss
+from biasreid.losses import (
+    PoolSelection,
+    bias_easy_loss,
+    combined_loss,
+    pairwise_sqdist,
+    reid_hard_loss,
+)
 
 
 # ----------------------------------------------------------------------------
@@ -327,6 +333,38 @@ class TestSelectionOracle:
             emb = rng.integers(-2, 3, size=(n_ids * k, d)) * scale
             ids = rng.permutation(np.repeat(np.arange(n_ids), k))
             assert_hard_loss_matches_oracle(emb, ids, float(rng.choice([0.0, 0.3, 1.0, 2.5])))
+
+
+def mask_mean_active_fraction(sel) -> float:
+    """The share of considered anchors that are active, as a bool-mask mean."""
+    considered = ~sel.skipped
+    return float(sel.active[considered].mean()) if considered.any() else 0.0
+
+
+class TestActiveFraction:
+    def test_empty_pool_selection_reads_zero(self):
+        for n in (0, 1, 6):
+            sel = PoolSelection.empty(n)
+            assert sel.active_fraction == 0.0 == mask_mean_active_fraction(sel)
+
+    def test_equals_mask_mean_on_partly_skipped_batches(self):
+        rng = np.random.default_rng(45)
+        partly_skipped = 0
+        for _ in range(300):
+            n_ids, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            emb, ids, bias = random_batch(rng, n_ids, k, d=2, n_bias=int(rng.integers(2, 5)))
+            m = float(rng.uniform(0.0, 3.0))
+            d2 = pairwise_sqdist(emb)
+            sel = reid_hard_loss(emb, d2, ids, m).selection
+            assert sel.active_fraction == mask_mean_active_fraction(sel)
+            try:
+                sel = bias_easy_loss(emb, d2, bias, m).selection
+            except BatchCompositionError:
+                continue
+            partly_skipped += bool(sel.skipped.any())
+            assert isinstance(sel.active_fraction, float)
+            assert sel.active_fraction == mask_mean_active_fraction(sel)
+        assert partly_skipped >= 20
 
 
 def embedding_fd_grads(value_fn, emb, h=1e-6):

@@ -126,6 +126,18 @@ class TestBackprop:
         fd = finite_difference_grads(value, params, h=1e-5)
         assert gradient_relative_error(analytic, fd) < 1e-5
 
+    @pytest.mark.parametrize("slope", [0.25, 0.3, 1.0])
+    def test_hidden_derivative_from_preacts(self, slope):
+        # one hidden unit between two unit weights: the hidden bias's gradient
+        # is the rectifier's derivative at the pre-activation, 1 above 0 and
+        # the slope below 0 and at exactly 0
+        p = EncoderParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)], slope)
+        for x, expected in ((2.0, 1.0), (-2.0, slope), (0.0, slope)):
+            _, tape = encode(p, np.array([[x]]))
+            assert tape.preacts[0][0, 0] == x
+            _, gb = p.layers(backprop(tape, np.ones((1, 1))))
+            assert gb[0][0] == expected
+
     def test_shape_mismatch(self):
         p = single_layer(np.eye(2), np.zeros(2))
         _, tape = encode(p, np.ones((1, 2)))
@@ -136,53 +148,62 @@ class TestBackprop:
 class TestAdam:
     def test_first_step_is_signed_rate(self):
         p = single_layer([[1.0]], [0.0])
+        start = p.copy()
         g = np.array([0.5, 0.0])  # w0, b0
         st = AdamState.fresh(p)
-        p2, st2 = adam_step(p, g, st, rate=0.1)
+        adam_step(p, g, st, rate=0.1)
         # first bias-corrected step is rate * g/(|g| + eps') ~= rate * sign(g)
-        assert p2.weights[0][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-6)
-        assert st2.step == 1 and st.step == 0
+        assert p.weights[0][0, 0] == pytest.approx(start.weights[0][0, 0] - 0.1, abs=1e-6)
+        assert st.step == 1
 
     def test_zero_grad_fresh_state_no_move(self):
         rng = np.random.default_rng(3)
         p = init_encoder(3, (4,), 2, rng)
+        start = p.copy()
         g = np.zeros_like(p.flat)
-        p2, _ = adam_step(p, g, AdamState.fresh(p), rate=0.05)
-        assert np.array_equal(p2.flat, p.flat)
+        adam_step(p, g, AdamState.fresh(p), rate=0.05)
+        assert np.array_equal(p.flat, start.flat)
 
     def test_two_identical_grads_second_step_magnitude(self):
         p = single_layer([[2.0]], [0.0])
         g = np.array([-0.3, 0.0])
         st = AdamState.fresh(p)
-        p1, st = adam_step(p, g, st, rate=0.01)
-        p2, st = adam_step(p1, g, st, rate=0.01)
+        adam_step(p, g, st, rate=0.01)
+        p1 = p.copy()
+        adam_step(p, g, st, rate=0.01)
         # moment ratios cancel for constant gradients: step magnitude ~= rate
-        assert abs(p2.weights[0][0, 0] - p1.weights[0][0, 0]) == pytest.approx(0.01, rel=1e-4)
-        assert p2.weights[0][0, 0] > p1.weights[0][0, 0]  # moves against negative grad
+        assert abs(p.weights[0][0, 0] - p1.weights[0][0, 0]) == pytest.approx(0.01, rel=1e-4)
+        assert p.weights[0][0, 0] > p1.weights[0][0, 0]  # moves against negative grad
 
     def test_non_finite_grads_abort(self):
         p = single_layer([[1.0]], [0.0])
         g = np.array([np.inf, 0.0])
+        st = AdamState.fresh(p)
         with pytest.raises(TrainingError):
-            adam_step(p, g, AdamState.fresh(p), rate=0.1)
+            adam_step(p, g, st, rate=0.1)
+        assert st.step == 0 and p.weights[0][0, 0] == 1.0 and not st.m.any()
 
     def test_matches_straight_line_oracle_bit_for_bit(self):
         rng = np.random.default_rng(4)
         p = init_encoder(3, (4,), 2, rng)
+        start = p.copy()
         grads = [rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 3) for _ in range(5)]
         st = AdamState.fresh(p)
-        q = p
         for g in grads:
-            q, st = adam_step(q, g, st, rate=0.01)
-        ref_p, ref_m, ref_v = straight_line_adam(p.flat, grads, 0.01)
-        assert q.flat.tolist() == ref_p and st.m.tolist() == ref_m and st.v.tolist() == ref_v
+            adam_step(p, g, st, rate=0.01)
+        ref_p, ref_m, ref_v = straight_line_adam(start.flat, grads, 0.01)
+        assert p.flat.tolist() == ref_p and st.m.tolist() == ref_m and st.v.tolist() == ref_v
 
-    def test_purity(self):
+    def test_updates_in_place(self):
         p = single_layer([[1.0]], [0.5])
+        flat = p.flat
         g = np.array([1.0, 1.0])
         st = AdamState.fresh(p)
         adam_step(p, g, st, rate=0.1)
-        assert p.weights[0][0, 0] == 1.0 and st.step == 0 and not st.m.any() and not st.v.any()
+        assert p.flat is flat
+        assert p.weights[0][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-6)
+        assert st.step == 1
+        assert g.tolist() == [1.0, 1.0]
 
 
 def straight_line_adam(p, grads, rate, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -260,23 +281,17 @@ class TestSchedule:
 
 class TestPrelu:
     def test_definition(self):
-        y, dy = prelu(np.array([2.0, -2.0]), 0.25)
+        y = prelu(np.array([2.0, -2.0]), 0.25)
         np.testing.assert_array_equal(y, [2.0, -0.5])
-        np.testing.assert_array_equal(dy, [1.0, 0.25])
 
     def test_slope_one_is_identity(self):
         x = np.array([-3.0, 0.0, 1.5])
-        y, dy = prelu(x, 1.0)
+        y = prelu(x, 1.0)
         np.testing.assert_array_equal(y, x)
-        np.testing.assert_array_equal(dy, np.ones(3))
 
     def test_slope_zero_is_rectifier(self):
-        y, _ = prelu(np.array([-3.0, 0.0, 3.0]), 0.0)
+        y = prelu(np.array([-3.0, 0.0, 3.0]), 0.0)
         np.testing.assert_array_equal(y, [0.0, 0.0, 3.0])
-
-    def test_derivative_at_zero_is_slope(self):
-        _, dy = prelu(np.array([0.0]), 0.3)
-        assert dy[0] == 0.3
 
 
 def test_init_encoder_deterministic():

@@ -14,11 +14,14 @@ the core count and the tier-1 wall time. The short sha is the checkout's HEAD; `
 whether `src/`, `tests/` or `perfbench/` differed from it.
 
 The per-layer metrics come from one traced pass, which perfbench reports
-unscaled, so the host's drift would read as a change of the code. While
-the traced run goes, this process samples the host's speed with
-perfbench's HostSpeed, and the record keeps that scale as
-`per_layer_host_scale` and every s/ms metric times it as
-`per_layer_scaled`, beside the raw `per_layer`.
+unscaled, so the host's drift would read as a change of the code. Just
+before and just after the traced run, this process sleeps IDLE_S seconds
+while perfbench's HostSpeed samples the host's speed, and the record keeps
+the scale of those samples as `per_layer_host_scale` and every s/ms metric
+times it as `per_layer_scaled`, beside the raw `per_layer`. The samples are
+not taken during the run, because on a 2-core host the traced child holds
+the other core and the sampler's slice then runs about 2x slower than the
+host's speed.
 
     python3 scripts/bench_record.py [--out-dir .]
 
@@ -47,6 +50,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 PRESET = "default"  # the preset every workload's `gen` starts from
 SEED = 1  # the seed of every run
+IDLE_S = 3.0  # seconds of host-speed sampling on each side of the traced run
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -78,14 +82,18 @@ def data_size(workload) -> dict:
     return {"preset": PRESET, "gen_keys": workload.gen_keys, "n_ids": gen.n_ids,
             "rows": gen.n_ids * gen.samples_per_id, "features": gen.d_in,
             "branches": list(workload.modes),
-            "epochs": preset.branch_overrides["epochs"] if workload.modes else 0}
+            "epochs": preset.branch.epochs if workload.modes else 0}
 
 
 def record_workload(name: str) -> tuple[dict, dict]:
     """The workload's record, and the `env:` line of its end-to-end run."""
     e2e = bench(name, 0)
-    with HostSpeed() as host:
-        traced = bench(name, 1)
+    host = HostSpeed()
+    with host:
+        time.sleep(IDLE_S)
+    traced = bench(name, 1)
+    with host:
+        time.sleep(IDLE_S)
     scale = host.scale()
     env = e2e["env"]
     metrics = traced["result"]["metrics"]

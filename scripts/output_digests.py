@@ -88,7 +88,7 @@ def main(argv: list[str]) -> int:
         full_pipeline(root / f"default_s{seed}", seed)
     for preset in ("pose2", "cam6", "part3"):
         data = train_branches(root / f"{preset}_s0", preset, 0)
-        audit(root / f"{preset}_s0" / "raw", data, PRESETS[preset].bias_channel, 0)
+        audit(root / f"{preset}_s0" / "raw", data, PRESETS[preset].branch.bias_channel, 0)
     for seed in (0, 1):
         raw_audit_3k(root / f"audit3k_s{seed}", seed)
 

@@ -12,16 +12,17 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import as_float, as_int, check_keys, read_kv
+from .config import from_kv, read_kv, to_kv
 from .dataset import (
+    GEN_CONFIG_KEYS,
+    GeneratorConfig,
     generate_synthetic,
-    generator_config_dict,
     load_dataset,
     save_dataset,
     split_query_gallery,
@@ -37,21 +38,17 @@ from .evaluation import (
     lambda_sweep,
     sweep_to_csv,
 )
-from .presets import GEN_CONFIG_KEYS, generator_config_from_dict, get_preset
-from .trainer import (
-    BRANCH_CONFIG_KEYS,
-    Trainer,
-    branch_config_from_dict,
-    checkpoint_load,
-    checkpoint_save,
-)
+from .presets import get_preset
+from .trainer import BRANCH_CONFIG_KEYS, BranchConfig, Trainer, checkpoint_load, checkpoint_save
 
 _SPLIT_STREAM = 10
 
 
-def _keys_epilog(title: str, keys: dict[str, str]) -> str:
+def _keys_epilog(title: str, keys: dict, defaults) -> str:
+    """Each key's help, with its default read from the config class."""
+    values = to_kv(defaults, keys)
     lines = [f"{title} keys (key = value file, unknown keys rejected):"]
-    lines += [f"  {k:<22} {v}" for k, v in keys.items()]
+    lines += [f"  {key:<22} {text} (default {values[key]})" for key, (_, _, text) in keys.items()]
     return "\n".join(lines)
 
 
@@ -91,47 +88,29 @@ def _seed(args, default: int = 0) -> int:
     return args.seed
 
 
-def _branch_config(args, raw: dict[str, str]):
-    """Preset defaults < config file < CLI flags."""
-    base = dict(raw)
-    if getattr(args, "preset", None):
-        preset = get_preset(args.preset)
-        overrides = dict(preset.branch_overrides)
-        overrides.setdefault("bias_channel", preset.bias_channel)
-        for key, value in overrides.items():
-            name = {"lam_db": "lambda_db", "lam_dr": "lambda_dr"}.get(key, key)
-            if name == "hidden":
-                value = ",".join(str(h) for h in value)
-            base.setdefault(name, str(value))
-    cfg = branch_config_from_dict(base)
-    if getattr(args, "mode", None):
+def _branch_config(args):
+    """Preset (or BranchConfig defaults) < config file < CLI flags."""
+    base = get_preset(args.preset).branch if args.preset else BranchConfig()
+    cfg = from_kv(base, _file_config(args), BRANCH_CONFIG_KEYS, what="branch config")
+    if args.mode:
         cfg = replace(cfg, mode=args.mode)
-    if getattr(args, "channel", None):
+    if args.channel:
         cfg = replace(cfg, bias_channel=args.channel)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=_seed(args))
-    cfg.validate()
-    return cfg
+    return replace(cfg, seed=_seed(args, cfg.seed))
 
 
 def cmd_gen(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
-    raw = _file_config(args)
-    if args.preset:
-        preset = get_preset(args.preset)
-        base = {k: str(v) for k, v in generator_config_dict(preset.generator).items()}
-        base["eval_fraction"] = str(preset.eval_fraction)
-        base.update(raw)
-        raw = base
-    gen_cfg, fraction = generator_config_from_dict(raw)
+    base = get_preset(args.preset).generator if args.preset else GeneratorConfig()
+    gen_cfg = from_kv(base, _file_config(args), GEN_CONFIG_KEYS, what="generator config")
     seed = _seed(args)
     ds = generate_synthetic(gen_cfg, seed=seed)
-    ds = split_query_gallery(ds, fraction, np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_STREAM))))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_STREAM)))
+    ds = split_query_gallery(ds, gen_cfg.eval_fraction, rng)
     data_path = out / "dataset.csv"
     save_dataset(ds, data_path)
-    resolved = dict(ds.meta["generator"], eval_fraction=fraction,
-                    dropped_queries=ds.meta["dropped_queries"])
+    resolved = dict(ds.meta["generator"], dropped_queries=ds.meta["dropped_queries"])
     _write_manifest(out, "gen", args, resolved, [], [data_path], t0)
     print(f"wrote {data_path} ({len(ds)} samples, {ds.meta['dropped_queries']} dropped queries)")
     return 0
@@ -141,14 +120,15 @@ def cmd_train(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
     ds = load_dataset(args.data)
-    cfg = _branch_config(args, _file_config(args))
+    cfg = _branch_config(args)
     trainer = Trainer(ds, cfg)
     trainer.run()
     ckpt = out / "checkpoint.npz"
     checkpoint_save(ckpt, trainer.params, trainer.adam, cfg, trainer.epoch)
     log_path = out / "trainlog.csv"
     log_path.write_text(trainer.log.to_csv())
-    _write_manifest(out, "train", args, cfg.to_dict(), [args.data], [ckpt, log_path], t0)
+    _write_manifest(out, "train", args, to_kv(cfg, BRANCH_CONFIG_KEYS), [args.data],
+                    [ckpt, log_path], t0)
     last = trainer.log.epochs[-1] if trainer.log.epochs else None
     tail = f", final loss_dr {last.loss_dr:.5f}" if last else ""
     print(f"trained {cfg.mode} branch for {trainer.epoch} epochs{tail}; wrote {ckpt}")
@@ -184,7 +164,7 @@ def cmd_eval(args) -> int:
     )
     outputs = []
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     outputs.append(report_path)
     metrics_path = out / "metrics.csv"
     flat = report.flat_metrics()
@@ -208,19 +188,12 @@ def cmd_probe(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
     es = load_embeddings(args.data)
-    raw = _file_config(args)
-    check_keys(raw, PROBE_CONFIG_KEYS, what="probe config")
-    cfg = ProbeConfig(
-        epochs=as_int(raw, "probe_epochs", 200),
-        rate=as_float(raw, "probe_rate", 0.01),
-        train_fraction=as_float(raw, "probe_train_fraction", 0.5),
-        seed=_seed(args, as_int(raw, "probe_seed", 0)),
-    )
+    cfg = from_kv(ProbeConfig(), _file_config(args), PROBE_CONFIG_KEYS, what="probe config")
+    cfg = replace(cfg, seed=_seed(args, cfg.seed))
     report, _ = fit_probe(es, args.channel, cfg)
     path = out / "probe.json"
     path.write_text(json.dumps(report.__dict__, indent=2, sort_keys=True) + "\n")
-    resolved = {"channel": args.channel, "probe_epochs": cfg.epochs, "probe_rate": cfg.rate,
-                "probe_train_fraction": cfg.train_fraction, "probe_seed": cfg.seed}
+    resolved = dict(to_kv(cfg, PROBE_CONFIG_KEYS), channel=args.channel)
     _write_manifest(out, "probe", args, resolved, [args.data], [path], t0)
     print(f"probe accuracy on {args.channel}: {report.accuracy:.4f} "
           f"({report.n_test} held-out rows)")
@@ -254,7 +227,7 @@ def cmd_sweep(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
     ds = load_dataset(args.data)
-    cfg = _branch_config(args, _file_config(args))
+    cfg = _branch_config(args)
     try:
         lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
     except ValueError:
@@ -262,7 +235,7 @@ def cmd_sweep(args) -> int:
     rows = lambda_sweep(ds, cfg, cfg.mode, lambdas)
     sweep_path = out / "sweep.csv"
     sweep_path.write_text(sweep_to_csv(rows))
-    resolved = dict(cfg.to_dict(), lambdas=",".join(f"{v:g}" for v in lambdas))
+    resolved = dict(to_kv(cfg, BRANCH_CONFIG_KEYS), lambdas=",".join(f"{v:g}" for v in lambdas))
     _write_manifest(out, "sweep", args, resolved, [args.data], [sweep_path], t0)
     print(sweep_to_csv(rows).strip())
     return 0
@@ -278,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.RawDescriptionHelpFormatter
 
     p = sub.add_parser("gen", help="generate a synthetic dataset with query/gallery split",
-                       epilog=_keys_epilog("generator", GEN_CONFIG_KEYS), formatter_class=fmt)
+                       epilog=_keys_epilog("generator", GEN_CONFIG_KEYS, GeneratorConfig()),
+                       formatter_class=fmt)
     p.add_argument("--config", help="generator key=value file")
     p.add_argument("--preset", help="bundled preset: default, pose2, cam6, part3")
     p.add_argument("--out", required=True, help="output directory")
@@ -286,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train one branch on a dataset CSV",
-                       epilog=_keys_epilog("branch", BRANCH_CONFIG_KEYS), formatter_class=fmt)
+                       epilog=_keys_epilog("branch", BRANCH_CONFIG_KEYS, BranchConfig()),
+                       formatter_class=fmt)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", help="branch key=value file")
     p.add_argument("--preset", help="use a bundled preset's branch defaults")
@@ -310,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("probe", help="train a frozen-feature bias probe and report accuracy",
-                       epilog=_keys_epilog("probe", PROBE_CONFIG_KEYS), formatter_class=fmt)
+                       epilog=_keys_epilog("probe", PROBE_CONFIG_KEYS, ProbeConfig()),
+                       formatter_class=fmt)
     p.add_argument("--data", required=True, help="embeddings CSV")
     p.add_argument("--channel", required=True)
     p.add_argument("--config", help="probe key=value file")
@@ -325,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("sweep", help="train+evaluate one branch per lambda value",
-                       epilog=_keys_epilog("branch", BRANCH_CONFIG_KEYS), formatter_class=fmt)
+                       epilog=_keys_epilog("branch", BRANCH_CONFIG_KEYS, BranchConfig()),
+                       formatter_class=fmt)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--lambdas", required=True, help="comma-separated bias-loss weights")
     p.add_argument("--config", help="branch key=value file")

@@ -1,11 +1,20 @@
-"""Flat `key = value` config files with closed-world key checking.
+"""Flat `key = value` config files with closed-world key checking, and the
+text spelling of every config value.
 
 One file per run kind; unknown keys are rejected so misspellings never fall
 back to silent defaults. Blank lines and `#` comments are allowed.
+
+Each config is a frozen dataclass whose field defaults are the only defaults.
+Its file keys are declared once, in a table `key -> (field, parser, help)`.
+`from_kv` parses the keys a file gives over a base config (the class
+defaults or a preset) and validates the result; `to_kv` spells a config back
+as the values a manifest or checkpoint records, and `from_kv` reads those
+back to an equal config.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
@@ -40,42 +49,45 @@ def check_keys(values: dict[str, str], allowed, *, what: str) -> None:
         )
 
 
-def as_int(values: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in values:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(values[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected integer, got {values[key]!r}") from None
-
-
-def as_float(values: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in values:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected number, got {values[key]!r}") from None
-
-
-def as_str(values: dict[str, str], key: str, default: str | None = None) -> str:
-    if key not in values:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    return values[key]
-
-
-def as_bool(values: dict[str, str], key: str, default: bool) -> bool:
-    if key not in values:
-        return default
-    raw = values[key].lower()
+def switch(text: str) -> bool:
+    """on/off (also true/false, 1/0, yes/no)."""
+    raw = text.lower()
     if raw in ("on", "true", "1", "yes"):
         return True
     if raw in ("off", "false", "0", "no"):
         return False
-    raise ConfigError(f"key {key!r}: expected on/off, got {values[key]!r}")
+    raise ValueError(f"expected on/off, got {text!r}")
+
+
+def ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty value is the empty tuple."""
+    return tuple(int(part) for part in text.split(",")) if text.strip() else ()
+
+
+def from_kv(base, values: dict[str, str], keys: dict, *, what: str):
+    """`base` with the keys given in `values` parsed into their fields, validated."""
+    check_keys(values, keys, what=what)
+    changes = {}
+    for key, text in values.items():
+        name, parse, _ = keys[key]
+        try:
+            changes[name] = parse(text)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{what} key {key!r}: cannot read {text!r}: {exc}") from None
+    cfg = replace(base, **changes)
+    cfg.validate()
+    return cfg
+
+
+def to_kv(cfg, keys: dict) -> dict:
+    """Each key's value in `cfg`: numbers and strings as they are, on/off for
+    bools, tuples joined with commas."""
+    out = {}
+    for key, (name, _, _) in keys.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool):
+            value = "on" if value else "off"
+        elif isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        out[key] = value
+    return out

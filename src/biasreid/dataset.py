@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import to_kv
 from .errors import AlignmentError, ConfigError, DataError, EvaluationError, ParseError
 
 SPLITS = ("train", "query", "gallery")
@@ -110,23 +111,57 @@ class ChannelSpec:
     d_latent: int
     gain: float
 
+    def __str__(self) -> str:
+        """`name:classes:dim:gain`, the gain in repr so it reads back exactly."""
+        return f"{self.name}:{self.n_classes}:{self.d_latent}:{self.gain!r}"
+
+
+def parse_channel_spec(raw: str) -> tuple[ChannelSpec, ...]:
+    """Parse 'pose:3:8:1.0,cam:2:8:1.0' (name:classes:latent_dim:gain)."""
+    specs = []
+    for part in raw.split(","):
+        bits = part.strip().split(":")
+        if len(bits) != 4:
+            raise ConfigError(f"channel spec {part!r}: expected name:classes:dim:gain")
+        try:
+            specs.append(ChannelSpec(bits[0], int(bits[1]), int(bits[2]), float(bits[3])))
+        except ValueError:
+            raise ConfigError(f"channel spec {part!r}: non-numeric field") from None
+    return tuple(specs)
+
+
+GEN_CONFIG_KEYS = {
+    "n_ids": ("n_ids", int, "number of identities"),
+    "samples_per_id": ("samples_per_id", int, "samples per identity"),
+    "d_id": ("d_id", int, "identity latent dimension"),
+    "d_in": ("d_in", int, "feature dimension"),
+    "sigma": ("sigma", float, "per-sample noise scale"),
+    "channels": ("channels", parse_channel_spec,
+                 "bias channels as name:classes:latent_dim:gain, comma separated"),
+    "mix_seed": ("mix_seed", int, "seed for the fixed mixing matrices"),
+    "feature_scale": ("feature_scale", float, "global feature scaling"),
+    "eval_fraction": ("eval_fraction", float, "fraction of identities held out for query/gallery"),
+}
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs of the synthetic latent-factor generator. Defaults are config,
-    not ground truth."""
+    """Knobs of the synthetic latent-factor generator and of the split that
+    follows it. The defaults are the bundled default preset (see presets);
+    they are config, not ground truth."""
 
-    n_ids: int = 100
-    samples_per_id: int = 8
+    n_ids: int = 120
+    samples_per_id: int = 6
     d_id: int = 16
-    d_in: int = 32
-    sigma: float = 0.1
+    d_in: int = 16
+    sigma: float = 0.2
     channels: tuple[ChannelSpec, ...] = (
-        ChannelSpec("pose", 3, 8, 1.0),
-        ChannelSpec("cam", 2, 8, 1.0),
+        ChannelSpec("pose", 3, 8, 1.2),
+        ChannelSpec("cam", 2, 8, 0.5),
     )
     mix_seed: int = 0
-    feature_scale: float = 1.0
+    feature_scale: float = 0.05
+    eval_fraction: float = 0.4
 
     def validate(self) -> None:
         if self.n_ids < 2 or self.samples_per_id < 2:
@@ -137,6 +172,8 @@ class GeneratorConfig:
             raise ConfigError("sigma must be finite and >= 0, feature_scale finite and > 0")
         if self.mix_seed < 0:
             raise ConfigError(f"mix_seed must be >= 0, got {self.mix_seed}")
+        if not 0 <= self.eval_fraction <= 1:
+            raise ConfigError(f"eval_fraction must be in [0, 1], got {self.eval_fraction}")
         names = [c.name for c in self.channels]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate channel names")
@@ -181,38 +218,10 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:
     x = cfg.feature_scale * (x + cfg.sigma * noise)
 
     channels = {c.name: [str(k) for k in range(c.n_classes)] for c in cfg.channels}
-    meta = {"seed": seed, "generator": generator_config_dict(cfg)}
+    meta = {"seed": seed, "generator": to_kv(cfg, GEN_CONFIG_KEYS)}
     return Table(
         x, ids, class_of[CAMERA_CHANNEL], np.full(n, "train"), class_of, channels, meta=meta
     )
-
-
-def generator_config_dict(cfg: GeneratorConfig) -> dict:
-    chans = ",".join(f"{c.name}:{c.n_classes}:{c.d_latent}:{c.gain:g}" for c in cfg.channels)
-    return {
-        "n_ids": cfg.n_ids,
-        "samples_per_id": cfg.samples_per_id,
-        "d_id": cfg.d_id,
-        "d_in": cfg.d_in,
-        "sigma": cfg.sigma,
-        "channels": chans,
-        "mix_seed": cfg.mix_seed,
-        "feature_scale": cfg.feature_scale,
-    }
-
-
-def parse_channel_spec(raw: str) -> tuple[ChannelSpec, ...]:
-    """Parse 'pose:3:8:1.0,cam:2:8:1.0' (name:classes:latent_dim:gain)."""
-    specs = []
-    for part in raw.split(","):
-        bits = part.strip().split(":")
-        if len(bits) != 4:
-            raise ConfigError(f"channel spec {part!r}: expected name:classes:dim:gain")
-        try:
-            specs.append(ChannelSpec(bits[0], int(bits[1]), int(bits[2]), float(bits[3])))
-        except ValueError:
-            raise ConfigError(f"channel spec {part!r}: non-numeric field") from None
-    return tuple(specs)
 
 
 # ----------------------------------------------------------------------------
@@ -260,6 +269,9 @@ def load_dataset(path) -> Table:
     header = rows[0]
     if header[:3] != ["id", "camera", "split"]:
         raise ParseError(f"{path}: header must start with id,camera,split, got {header[:3]}")
+    repeated = [col for j, col in enumerate(header) if col in header[:j]]
+    if repeated:
+        raise ParseError(f"{path}: header repeats column {repeated[0]!r}")
 
     chan_names: list[str] = []
     feat_start = None

@@ -261,10 +261,10 @@ def nauc(curve: np.ndarray, k: int = 10) -> float:
 # ----------------------------------------------------------------------------
 
 PROBE_CONFIG_KEYS = {
-    "probe_epochs": "full-batch training epochs (default 200)",
-    "probe_rate": "Adam learning rate (default 0.01)",
-    "probe_train_fraction": "fraction of rows used for fitting (default 0.5)",
-    "probe_seed": "probe init/split seed (default 0)",
+    "probe_epochs": ("epochs", int, "full-batch training epochs"),
+    "probe_rate": ("rate", float, "Adam learning rate"),
+    "probe_train_fraction": ("train_fraction", float, "fraction of rows used for fitting"),
+    "probe_seed": ("seed", int, "probe init/split seed"),
 }
 
 
@@ -276,6 +276,9 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"probe_epochs must be >= 0, got {self.epochs}")
         if not (np.isfinite(self.rate) and self.rate >= 0):
@@ -411,31 +414,6 @@ class EvalReport:
     n_gallery: int
     dropped_queries: int
     config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "channel": self.channel,
-            "rank1": self.rank1,
-            "rank5": self.rank5,
-            "rank10": self.rank10,
-            "cmc": self.cmc,
-            "map": self.map,
-            "channels": {
-                ch: {
-                    "p_neg": st.p_neg,
-                    "p_pos": st.p_pos,
-                    "nauc_neg": st.nauc_neg,
-                    "nauc_pos": st.nauc_pos,
-                    "probe_accuracy": st.probe_accuracy,
-                }
-                for ch, st in self.channels.items()
-            },
-            "n_queries": self.n_queries,
-            "n_gallery": self.n_gallery,
-            "dropped_queries": self.dropped_queries,
-            "config": self.config,
-        }
 
     def flat_metrics(self) -> dict:
         flat = {

@@ -13,13 +13,13 @@ import hashlib
 import io
 import json
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import as_bool, as_float, as_int, as_str, check_keys
+from .config import from_kv, ints, switch, to_kv
 from .dataset import Batch, PKSampler, Table
 from .errors import BatchCompositionError, CheckpointError, ConfigError, TrainingError
 from .losses import MODES, CombinedLoss, combined_loss
@@ -40,21 +40,21 @@ _STREAM_EPOCH = 1
 _MAX_BATCH_RETRIES = 10
 
 BRANCH_CONFIG_KEYS = {
-    "mode": "reduce | enhance",
-    "bias_channel": "name of the audited bias channel",
-    "lambda_dr": "identity-loss weight (default 1.0)",
-    "lambda_db": "bias-loss weight, unsigned; mode sets the sign (default 0.02)",
-    "margin_id": "identity triplet margin (default 0.3)",
-    "margin_bias": "bias triplet margin: mean sq. distance to the same-bias pool plus this "
-    "against the mean to the other-bias pool (default 0.3)",
-    "p": "identities per batch (default 16)",
-    "k": "instances per identity (default 4)",
-    "epochs": "training epochs (default 60)",
-    "rate": "base learning rate (default 0.0003)",
-    "seed": "master seed for init and batch sampling",
-    "hidden": "comma-separated hidden widths (default 64,64)",
-    "d_emb": "embedding dimension (default 64)",
-    "bias_hinge": "on keeps the [.]_+ clamp on the bias term (default on)",
+    "mode": ("mode", str, "reduce | enhance"),
+    "bias_channel": ("bias_channel", str, "name of the audited bias channel"),
+    "lambda_dr": ("lam_dr", float, "identity-loss weight"),
+    "lambda_db": ("lam_db", float, "bias-loss weight, unsigned; mode sets the sign"),
+    "margin_id": ("margin_id", float, "identity triplet margin"),
+    "margin_bias": ("margin_bias", float, "bias triplet margin: mean sq. distance to the "
+                    "same-bias pool plus this against the mean to the other-bias pool"),
+    "p": ("p", int, "identities per batch"),
+    "k": ("k", int, "instances per identity"),
+    "epochs": ("epochs", int, "training epochs"),
+    "rate": ("rate", float, "base learning rate"),
+    "seed": ("seed", int, "master seed for init and batch sampling"),
+    "hidden": ("hidden", ints, "comma-separated hidden widths, empty for none"),
+    "d_emb": ("d_emb", int, "embedding dimension"),
+    "bias_hinge": ("bias_hinge", switch, "on keeps the [.]_+ clamp on the bias term"),
 }
 
 
@@ -78,12 +78,14 @@ class BranchConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        values = self.to_dict()
+        values = to_kv(self, BRANCH_CONFIG_KEYS)
         for key in ("lambda_dr", "lambda_db", "margin_id", "margin_bias", "rate"):
             if not np.isfinite(values[key]):
                 raise ConfigError(f"{key} must be finite, got {values[key]}")
-        if self.lam_dr < 0 or self.lam_db < 0:
-            raise ConfigError("loss weights must be >= 0")
+        if self.lam_dr < 0:
+            raise ConfigError(f"lambda_dr must be >= 0, got {self.lam_dr}")
+        if self.lam_db < 0:
+            raise ConfigError("lambda_db is stored unsigned; use mode=reduce for the minus sign")
         if self.p < 2 or self.k < 2:
             raise ConfigError("need p >= 2 and k >= 2")
         if self.epochs < 0 or self.rate < 0:
@@ -92,56 +94,6 @@ class BranchConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d_emb < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("encoder widths must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "bias_channel": self.bias_channel,
-            "lambda_dr": self.lam_dr,
-            "lambda_db": self.lam_db,
-            "margin_id": self.margin_id,
-            "margin_bias": self.margin_bias,
-            "p": self.p,
-            "k": self.k,
-            "epochs": self.epochs,
-            "rate": self.rate,
-            "seed": self.seed,
-            "hidden": ",".join(str(h) for h in self.hidden),
-            "d_emb": self.d_emb,
-            "bias_hinge": "on" if self.bias_hinge else "off",
-        }
-
-
-def branch_config_from_dict(values: dict[str, str], **overrides) -> BranchConfig:
-    """Build a BranchConfig from raw key=value strings; unknown keys rejected."""
-    check_keys(values, BRANCH_CONFIG_KEYS, what="branch config")
-    hidden_raw = as_str(values, "hidden", "64,64")
-    try:
-        hidden = tuple(int(h) for h in hidden_raw.split(",") if h.strip())
-    except ValueError:
-        raise ConfigError(f"hidden: expected comma-separated ints, got {hidden_raw!r}") from None
-    lam_db = as_float(values, "lambda_db", 0.02)
-    if lam_db < 0:
-        raise ConfigError("lambda_db is stored unsigned; use mode=reduce for the minus sign")
-    cfg = BranchConfig(
-        mode=as_str(values, "mode", "reduce"),
-        bias_channel=as_str(values, "bias_channel", "pose"),
-        lam_dr=as_float(values, "lambda_dr", 1.0),
-        lam_db=lam_db,
-        margin_id=as_float(values, "margin_id", 0.3),
-        margin_bias=as_float(values, "margin_bias", 0.3),
-        p=as_int(values, "p", 16),
-        k=as_int(values, "k", 4),
-        epochs=as_int(values, "epochs", 60),
-        rate=as_float(values, "rate", 0.0003),
-        seed=as_int(values, "seed", 0),
-        hidden=hidden,
-        d_emb=as_int(values, "d_emb", 64),
-        bias_hinge=as_bool(values, "bias_hinge", True),
-    )
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
 
 
 @dataclass
@@ -312,7 +264,7 @@ def checkpoint_save(
             "beta2": state.beta2,
             "eps": state.eps,
         },
-        "config": cfg.to_dict(),
+        "config": to_kv(cfg, BRANCH_CONFIG_KEYS),
     }
     arrays = {"meta_json": np.array(json.dumps(meta, sort_keys=True))}
     mw, mb = params.layers(state.m)
@@ -379,7 +331,10 @@ def checkpoint_load(path) -> tuple[EncoderParams, AdamState, BranchConfig, int]:
         raise CheckpointError(f"{path}: missing array {exc}") from exc
     except ConfigError as exc:
         raise CheckpointError(f"{path}: layer arrays do not fit together: {exc}") from exc
-    cfg = branch_config_from_dict(raw_cfg)
+    try:
+        cfg = from_kv(BranchConfig(), raw_cfg, BRANCH_CONFIG_KEYS, what="branch config")
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: invalid saved config: {exc}") from exc
     widths = [n_out for n_out, _ in params.shapes]
     if widths != [*cfg.hidden, cfg.d_emb]:
         raise CheckpointError(f"{path}: layer widths {widths} contradict the saved config")

@@ -24,7 +24,7 @@ from biasreid.evaluation import (
 )
 from biasreid.losses import bias_easy_loss, combined_loss, pairwise_sqdist, reid_hard_loss
 from biasreid.numerics import backprop, encode, init_encoder
-from biasreid.presets import PRESETS, preset_branch_config
+from biasreid.presets import PRESETS
 from biasreid.trainer import Trainer, checkpoint_load, checkpoint_save, train_branch
 from test_numerics import finite_difference_grads, gradient_relative_error
 
@@ -39,7 +39,7 @@ def median(values):
 def make_preset_dataset(preset, seed):
     ds = generate_synthetic(preset.generator, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_STREAM)))
-    return split_query_gallery(ds, preset.eval_fraction, rng)
+    return split_query_gallery(ds, preset.generator.eval_fraction, rng)
 
 
 # ----------------------------------------------------------------------------
@@ -289,16 +289,16 @@ def run_branch(ds, cfg, channel):
 @pytest.fixture(scope="session")
 def default_runs():
     preset = PRESETS["default"]
-    channel = preset.bias_channel
+    channel = preset.branch.bias_channel
     t0 = time.monotonic()
     runs = {name: [] for name in ("bas", "R", "E", "E0", "RE")}
     for seed in SEEDS:
         ds = make_preset_dataset(preset, seed)
         cfgs = {
-            "bas": preset_branch_config(preset, mode="reduce", seed=seed, lam_db=0.0),
-            "R": preset_branch_config(preset, mode="reduce", seed=seed),
-            "E": preset_branch_config(preset, mode="enhance", seed=seed),
-            "E0": preset_branch_config(preset, mode="enhance", seed=seed, lam_dr=0.0, lam_db=1.0),
+            "bas": replace(preset.branch, mode="reduce", seed=seed, lam_db=0.0),
+            "R": replace(preset.branch, mode="reduce", seed=seed),
+            "E": replace(preset.branch, mode="enhance", seed=seed),
+            "E0": replace(preset.branch, mode="enhance", seed=seed, lam_dr=0.0, lam_db=1.0),
         }
         out = {name: run_branch(ds, cfg, channel) for name, cfg in cfgs.items()}
         joined = concat([out["R"]["es"], out["E"]["es"]])
@@ -337,8 +337,8 @@ def test_criterion_5_bias_enhancement_effect(criteria, default_runs):
     # noise-free two-class preset: enhance-only probe must exceed 0.9
     preset = PRESETS["pose2"]
     ds = make_preset_dataset(preset, seed=0)
-    cfg = preset_branch_config(preset, mode="enhance", seed=0, lam_dr=0.0, lam_db=1.0)
-    clean = run_branch(ds, cfg, preset.bias_channel)["probe"]
+    cfg = replace(preset.branch, mode="enhance", seed=0, lam_dr=0.0, lam_db=1.0)
+    clean = run_branch(ds, cfg, preset.branch.bias_channel)["probe"]
     detail = f"probe gain {gain:+.3f} (need >= 0.1), noise-free 2-class probe {clean:.3f} (> 0.9)"
     criteria.check(5, "bias-enhancement effect", gain >= 0.1 and clean > 0.9, detail)
 
@@ -389,7 +389,7 @@ def test_criterion_8_over_suppression(criteria):
     rank1_at = {0.005: [], 0.1: []}
     for seed in SEEDS:
         ds = make_preset_dataset(preset, seed)
-        cfg = preset_branch_config(preset, mode="reduce", seed=seed)
+        cfg = replace(preset.branch, mode="reduce", seed=seed)
         rows = lambda_sweep(ds, cfg, "reduce", [0.005, 0.01, 0.05, 0.1])
         rank1_at[0.005].append(rows[0].rank1)
         rank1_at[0.1].append(rows[3].rank1)
@@ -406,7 +406,7 @@ def test_criterion_8_over_suppression(criteria):
 def test_criterion_9_determinism_and_resume(criteria, tmp_path):
     preset = PRESETS["pose2"]
     ds = make_preset_dataset(preset, seed=0)
-    cfg = preset_branch_config(preset, mode="reduce", seed=5, epochs=8)
+    cfg = replace(preset.branch, mode="reduce", seed=5, epochs=8)
 
     a, _ = train_branch(ds, cfg)
     b, _ = train_branch(ds, cfg)
@@ -436,10 +436,10 @@ def test_criterion_10_nobias_exclusion(criteria):
     results = []
     for name, preset in PRESETS.items():
         ds = make_preset_dataset(preset, seed=0)
-        cfg = preset_branch_config(preset, mode="reduce", seed=0)
+        cfg = replace(preset.branch, mode="reduce", seed=0)
         params, _ = train_branch(ds, cfg)
         es = embed_all(params, ds, branch_name=name)
-        channel = preset.bias_channel
+        channel = preset.branch.bias_channel
 
         standard = rank_gallery(es, "standard")
         nobias = rank_gallery(es, "nobias", channel=channel)

@@ -5,8 +5,8 @@ import pytest
 from test_trainer import meta_without, rewrite_checkpoint, saved_arrays
 
 from biasreid.cli import build_parser, main
+from biasreid.dataset import GEN_CONFIG_KEYS
 from biasreid.evaluation import PROBE_CONFIG_KEYS
-from biasreid.presets import GEN_CONFIG_KEYS
 from biasreid.trainer import BRANCH_CONFIG_KEYS
 
 
@@ -144,6 +144,26 @@ class TestPipeline:
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
         assert (a / "dataset.csv").read_bytes() == data.read_bytes()
 
+    def test_gen_replays_from_its_manifest(self, small_gen_cfg, tmp_path):
+        # a gain with more digits than a %g spelling keeps
+        lines = [ln for ln in small_gen_cfg.read_text().splitlines() if ln.split()[0] != "channels"]
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("\n".join(lines + ["channels = pose:2:4:1.23456789,cam:2:4:0.5"]) + "\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(["gen", "--config", str(cfg), "--out", str(first), "--seed", "7"]) == 0
+        resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
+        del resolved["dropped_queries"]  # an outcome, not a key
+        replay = tmp_path / "replay.cfg"
+        replay.write_text("".join(f"{k} = {v}\n" for k, v in resolved.items()))
+        assert run(["gen", "--config", str(replay), "--out", str(again), "--seed", "7"]) == 0
+        assert (first / "dataset.csv").read_bytes() == (again / "dataset.csv").read_bytes()
+
+    def test_gen_defaults_are_the_default_preset(self, tmp_path):
+        plain, preset = tmp_path / "plain", tmp_path / "preset"
+        assert run(["gen", "--out", str(plain), "--seed", "2"]) == 0
+        assert run(["gen", "--preset", "default", "--out", str(preset), "--seed", "2"]) == 0
+        assert (plain / "dataset.csv").read_bytes() == (preset / "dataset.csv").read_bytes()
+
 
 class TestSweep:
     def test_sweep_table_echoes_lambdas(self, pipeline, small_branch_cfg, tmp_path, capsys):
@@ -278,7 +298,9 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: ConfigError")
         assert not (out / "dataset.csv").exists()
 
-    @pytest.mark.parametrize("damage", ["transposed_moment", "no_n_layers", "meta_not_json"])
+    @pytest.mark.parametrize(
+        "damage", ["transposed_moment", "no_n_layers", "meta_not_json", "bad_mode", "unknown_key"]
+    )
     def test_embed_rejects_malformed_checkpoint(self, damage, pipeline, tmp_path, capsys):
         root, data, _, _ = pipeline
         ckpt = tmp_path / "checkpoint.npz"
@@ -288,11 +310,19 @@ class TestErrors:
             rewrite_checkpoint(ckpt, adam_mw1=saved_arrays(ckpt)["adam_mw1"].T)
         elif damage == "no_n_layers":
             rewrite_checkpoint(ckpt, meta_json=meta_without(ckpt, "n_layers"))
-        else:
+        elif damage == "meta_not_json":
             rewrite_checkpoint(ckpt, meta_json=np.array("{not json"))
+        else:
+            meta = json.loads(str(saved_arrays(ckpt)["meta_json"]))
+            if damage == "bad_mode":
+                meta["config"]["mode"] = "sideways"
+            else:
+                meta["config"]["lambda_bd"] = meta["config"].pop("lambda_db")
+            rewrite_checkpoint(ckpt, meta_json=np.array(json.dumps(meta, sort_keys=True)))
         code = run(["embed", str(ckpt), "--data", str(data), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: CheckpointError")
+        err = capsys.readouterr().err
+        assert err.startswith("error: CheckpointError") and str(ckpt) in err
 
     def test_nobias_without_channel(self, pipeline, tmp_path, capsys):
         _, _, emb_dir, _ = pipeline

@@ -1,0 +1,26 @@
+import pytest
+
+from biasreid.config import from_kv, to_kv
+from biasreid.dataset import GEN_CONFIG_KEYS, ChannelSpec, GeneratorConfig
+from biasreid.evaluation import PROBE_CONFIG_KEYS, ProbeConfig
+from biasreid.trainer import BRANCH_CONFIG_KEYS, BranchConfig
+
+
+@pytest.mark.parametrize(
+    "cfg,keys",
+    [
+        (BranchConfig(mode="enhance", lam_db=0.125, hidden=(8,), bias_hinge=False),
+         BRANCH_CONFIG_KEYS),
+        (BranchConfig(hidden=()), BRANCH_CONFIG_KEYS),
+        (GeneratorConfig(channels=(ChannelSpec("pose", 3, 8, 1.23456789),
+                                   ChannelSpec("cam", 2, 4, 0.1)),
+                         sigma=1 / 3, eval_fraction=0.25),
+         GEN_CONFIG_KEYS),
+        (ProbeConfig(epochs=7, rate=0.003, train_fraction=0.6, seed=2), PROBE_CONFIG_KEYS),
+    ],
+    ids=["branch", "branch_no_hidden", "generator", "probe"],
+)
+def test_kv_round_trip(cfg, keys):
+    # every field is reachable through a key, and its text reads back exactly
+    text = {key: str(value) for key, value in to_kv(cfg, keys).items()}
+    assert from_kv(type(cfg)(), text, keys, what="test") == cfg

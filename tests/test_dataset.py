@@ -25,6 +25,7 @@ def tiny_cfg(**kw):
         d_in=8,
         sigma=0.1,
         channels=(ChannelSpec("pose", 3, 3, 1.0), ChannelSpec("cam", 2, 3, 1.0)),
+        feature_scale=1.0,
     )
     base.update(kw)
     return GeneratorConfig(**base)
@@ -60,6 +61,7 @@ class TestGenerator:
             d_in=16,
             sigma=0.0,
             channels=(ChannelSpec("pose", 3, 6, 8.0), ChannelSpec("cam", 2, 3, 0.0)),
+            feature_scale=1.0,
         )
         ds = generate_synthetic(cfg, seed=1)
         x = ds.matrix
@@ -101,7 +103,10 @@ class TestGenerator:
         cfg = GeneratorConfig(
             n_ids=150,
             samples_per_id=8,
+            d_in=32,
+            sigma=0.1,
             channels=(ChannelSpec("pose", 3, 8, 1.0), ChannelSpec("cam", 2, 8, 1.0)),
+            feature_scale=1.0,
         )
         ds = generate_synthetic(cfg, seed=5)
         assert len(ds) >= 1000
@@ -168,6 +173,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text("id,camera,split,pose,f0,f1\n0,0,train,a,1.0,oops\n")
         with pytest.raises(ParseError, match="row 2.*f1"):
+            load_dataset(path)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        # a repeated channel column would keep only its last copy
+        path = tmp_path / "d.csv"
+        path.write_text("id,camera,split,pose,pose,f0\n0,0,train,a,b,1.0\n")
+        with pytest.raises(ParseError, match="repeats column 'pose'"):
             load_dataset(path)
 
     def test_unknown_split_rejected(self, tmp_path):

@@ -24,7 +24,9 @@ def ds():
         samples_per_id=4,
         d_id=3,
         d_in=6,
+        sigma=0.1,
         channels=(ChannelSpec("pose", 2, 3, 1.0), ChannelSpec("cam", 2, 3, 1.0)),
+        feature_scale=1.0,
     )
     return generate_synthetic(cfg, seed=0)
 
@@ -148,6 +150,7 @@ class TestGoldenBytes:
             d_in=8,
             sigma=0.1,
             channels=(ChannelSpec("pose", 3, 3, 1.0), ChannelSpec("cam", 2, 3, 1.0)),
+            feature_scale=1.0,
         )
         return split_query_gallery(generate_synthetic(cfg, seed=9), 0.5, np.random.default_rng(0))
 

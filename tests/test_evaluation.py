@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -611,7 +613,7 @@ class TestEvaluateAndSweep:
         st = report.channels["pose"]
         assert st.probe_accuracy is not None
         assert len(st.p_neg) == len(st.p_pos)
-        d = report.to_dict()
+        d = asdict(report)
         assert d["rank1"] == report.rank1
 
     @pytest.mark.parametrize("name", ["max_rank", "curve_rank"])

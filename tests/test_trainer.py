@@ -5,14 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from biasreid.config import from_kv
 from biasreid.dataset import ChannelSpec, GeneratorConfig, Table, generate_synthetic
 from biasreid.errors import BatchCompositionError, CheckpointError, ConfigError
 from biasreid.losses import combined_loss
 from biasreid.numerics import encode
 from biasreid.trainer import (
+    BRANCH_CONFIG_KEYS,
     BranchConfig,
     Trainer,
-    branch_config_from_dict,
     checkpoint_load,
     checkpoint_save,
     resume_trainer,
@@ -51,27 +52,30 @@ def tiny_cfg(**kw):
     return BranchConfig(**base)
 
 
+def branch_from_kv(values):
+    return from_kv(BranchConfig(), values, BRANCH_CONFIG_KEYS, what="branch config")
+
+
 class TestBranchConfig:
     def test_lambda_defaults_by_mode_and_channel(self):
         # one default whatever the mode or channel: the presets' 0.02
         for mode in ("reduce", "enhance"):
             for channel in ("pose", "cam", "part"):
                 assert BranchConfig(mode=mode, bias_channel=channel).lam_db == 0.02
-        assert branch_config_from_dict({"mode": "enhance"}).lam_db == 0.02
+        assert branch_from_kv({"mode": "enhance"}).lam_db == 0.02
         assert BranchConfig(mode="reduce", lam_db=0.1).lam_db == 0.1
-
-    def test_from_dict_round_trip(self):
-        cfg = tiny_cfg(lam_db=0.02)
-        back = branch_config_from_dict({k: str(v) for k, v in cfg.to_dict().items()})
-        assert back == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="lambda_bd"):
-            branch_config_from_dict({"lambda_bd": "0.1"})
+            branch_from_kv({"lambda_bd": "0.1"})
 
     def test_negative_lambda_db_rejected(self):
         with pytest.raises(ConfigError, match="unsigned"):
-            branch_config_from_dict({"lambda_db": "-0.01"})
+            branch_from_kv({"lambda_db": "-0.01"})
+
+    def test_empty_hidden_width_rejected(self):
+        with pytest.raises(ConfigError, match="hidden"):
+            branch_from_kv({"hidden": "8,,8"})
 
     def test_canonical_defaults(self):
         cfg = BranchConfig()

@@ -3,14 +3,15 @@
 Runs `biasreid.cli.main` through gen, train (reduce and enhance), embed,
 eval, eval nobias, stats and probe for the default preset at seeds 0-2, and
 through gen and train (reduce and enhance) for pose2, cam6 and part3 at
-seed 0. It audits raw features too, with eval, eval nobias, stats and
-probe on the preset's audited channel: those of pose2, cam6 and part3 at
-seed 0, and those of two 3000-id default-preset datasets at seeds 0 and 1,
-whose large rankings are the kind the benchmark's audit-3k workload makes.
-Prints `<sha256>  <path>` for each output file (paths relative to the
-output directory; manifests are skipped, they hold wall times), then the
-sha256 of that sorted list. Two trees that print the same last line
-wrote the same bytes.
+seed 0. It sweeps the reduce branch on the pose2 dataset at seed 0 over
+lambda_db 0.005 and 0.1, which pins `sweep.csv`. It audits raw features
+too, with eval, eval nobias, stats and probe on the preset's audited
+channel: those of pose2, cam6 and part3 at seed 0, and those of two
+3000-id default-preset datasets at seeds 0 and 1, whose large rankings are
+the kind the benchmark's audit-3k workload makes. Prints `<sha256>  <path>`
+for each output file (paths relative to the output directory; manifests
+are skipped, they hold wall times), then the sha256 of that sorted list.
+Two trees that print the same last line wrote the same bytes.
 
     python3 scripts/output_digests.py OUT_DIR
 
@@ -89,6 +90,9 @@ def main(argv: list[str]) -> int:
     for preset in ("pose2", "cam6", "part3"):
         data = train_branches(root / f"{preset}_s0", preset, 0)
         audit(root / f"{preset}_s0" / "raw", data, PRESETS[preset].branch.bias_channel, 0)
+        if preset == "pose2":
+            run("sweep", "--data", str(data), "--preset", preset, "--lambdas", "0.005,0.1",
+                "--seed", "0", "--out", str(root / f"{preset}_s0" / "sweep"))
     for seed in (0, 1):
         raw_audit_3k(root / f"audit3k_s{seed}", seed)
 

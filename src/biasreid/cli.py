@@ -1,5 +1,7 @@
 """Command-line entry point wiring generation, training, embedding,
-evaluation, probing, statistics, and sweeps into reproducible runs.
+evaluation, probing, statistics, and sweeps into reproducible runs. It holds
+the run recipes: `run_branch` trains, embeds and scores one branch, and
+`lambda_sweep` runs one per bias-loss weight.
 
 Every command is a deterministic function of (config, inputs, --seed) and
 writes a RunManifest next to its outputs listing the resolved configuration
@@ -15,33 +17,70 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import from_kv, read_kv, to_kv
+from .config import comma_list, from_kv, read_kv, spell, to_kv
 from .dataset import (
     GEN_CONFIG_KEYS,
     GeneratorConfig,
-    generate_synthetic,
+    Table,
     load_dataset,
+    make_dataset,
     save_dataset,
-    split_query_gallery,
 )
 from .embedder import concat, embed_all, load_embeddings, save_embeddings
 from .errors import ConfigError, ToolkitError
 from .evaluation import (
     PROBE_CONFIG_KEYS,
+    EvalReport,
     ProbeConfig,
     curves_to_csv,
     evaluate_embeddings,
     fit_probe,
-    lambda_sweep,
-    sweep_to_csv,
 )
-from .presets import get_preset
-from .trainer import BRANCH_CONFIG_KEYS, BranchConfig, Trainer, checkpoint_load, checkpoint_save
+from .presets import PRESETS, get_preset
+from .trainer import (
+    BRANCH_CONFIG_KEYS,
+    BranchConfig,
+    Trainer,
+    TrainLog,
+    checkpoint_load,
+    checkpoint_save,
+    train_branch,
+)
 
-_SPLIT_STREAM = 10
+
+def run_branch(ds: Table, cfg: BranchConfig,
+               probe_cfg: ProbeConfig) -> tuple[TrainLog, Table, EvalReport]:
+    """Train one branch, embed every row and score it under the standard
+    protocol, probing `cfg.bias_channel`; the report's config echoes `cfg`."""
+    params, log = train_branch(ds, cfg)
+    es = embed_all(params, ds, branch_name=cfg.mode)
+    report = evaluate_embeddings(es, stat_channels=[cfg.bias_channel], probe_cfg=probe_cfg,
+                                 config_echo=to_kv(cfg, BRANCH_CONFIG_KEYS))
+    return log, es, report
+
+
+def lambda_sweep(ds: Table, base_cfg: BranchConfig, lambdas,
+                 probe_cfg: ProbeConfig = ProbeConfig()) -> list[EvalReport]:
+    """One `run_branch` per bias-loss weight, each `base_cfg` with that lam_db."""
+    if not lambdas:
+        raise ConfigError("lambda sweep needs at least one value")
+    cfgs = [replace(base_cfg, lam_db=float(lam)) for lam in lambdas]
+    for cfg in cfgs:
+        cfg.validate()
+    return [run_branch(ds, cfg, probe_cfg)[2] for cfg in cfgs]
+
+
+def sweep_to_csv(reports: list[EvalReport]) -> str:
+    """One row per `run_branch` report: its lam_db and its scores."""
+    lines = ["lambda_db,rank1,map,probe_acc,nauc10_neg"]
+    for r in reports:
+        st = r.channels[r.config["bias_channel"]]
+        lines.append(
+            f"{r.config['lambda_db']:.17g},{r.rank1:.17g},{r.map:.17g},"
+            f"{st.probe_accuracy:.17g},{st.nauc_neg:.17g}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _keys_epilog(title: str, keys: dict, defaults) -> str:
@@ -104,10 +143,7 @@ def cmd_gen(args) -> int:
     out = _out_dir(args)
     base = get_preset(args.preset).generator if args.preset else GeneratorConfig()
     gen_cfg = from_kv(base, _file_config(args), GEN_CONFIG_KEYS, what="generator config")
-    seed = _seed(args)
-    ds = generate_synthetic(gen_cfg, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_STREAM)))
-    ds = split_query_gallery(ds, gen_cfg.eval_fraction, rng)
+    ds = make_dataset(gen_cfg, _seed(args))
     data_path = out / "dataset.csv"
     save_dataset(ds, data_path)
     resolved = dict(ds.meta["generator"], dropped_queries=ds.meta["dropped_queries"])
@@ -229,15 +265,15 @@ def cmd_sweep(args) -> int:
     ds = load_dataset(args.data)
     cfg = _branch_config(args)
     try:
-        lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--lambdas expects comma-separated numbers, got {args.lambdas!r}") from None
-    rows = lambda_sweep(ds, cfg, cfg.mode, lambdas)
+        lambdas = comma_list(args.lambdas, float)
+    except ValueError as exc:
+        raise ConfigError(f"--lambdas expects comma-separated numbers: {exc}") from None
+    table = sweep_to_csv(lambda_sweep(ds, cfg, lambdas))
     sweep_path = out / "sweep.csv"
-    sweep_path.write_text(sweep_to_csv(rows))
-    resolved = dict(to_kv(cfg, BRANCH_CONFIG_KEYS), lambdas=",".join(f"{v:g}" for v in lambdas))
+    sweep_path.write_text(table)
+    resolved = dict(to_kv(cfg, BRANCH_CONFIG_KEYS), lambdas=spell(lambdas))
     _write_manifest(out, "sweep", args, resolved, [args.data], [sweep_path], t0)
-    print(sweep_to_csv(rows).strip())
+    print(table.strip())
     return 0
 
 
@@ -249,12 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
     fmt = argparse.RawDescriptionHelpFormatter
+    presets = ", ".join(PRESETS)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset with query/gallery split",
                        epilog=_keys_epilog("generator", GEN_CONFIG_KEYS, GeneratorConfig()),
                        formatter_class=fmt)
     p.add_argument("--config", help="generator key=value file")
-    p.add_argument("--preset", help="bundled preset: default, pose2, cam6, part3")
+    p.add_argument("--preset", help=f"bundled preset: {presets}")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_gen)
@@ -264,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=fmt)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", help="branch key=value file")
-    p.add_argument("--preset", help="use a bundled preset's branch defaults")
+    p.add_argument("--preset", help=f"use a bundled preset's branch defaults: {presets}")
     p.add_argument("--mode", choices=["reduce", "enhance"])
     p.add_argument("--channel", help="bias channel the loss pairs on")
     p.add_argument("--seed", type=int, default=None)
@@ -306,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--lambdas", required=True, help="comma-separated bias-loss weights")
     p.add_argument("--config", help="branch key=value file")
-    p.add_argument("--preset")
+    p.add_argument("--preset", help=f"use a bundled preset's branch defaults: {presets}")
     p.add_argument("--mode", choices=["reduce", "enhance"], default="reduce")
     p.add_argument("--channel")
     p.add_argument("--seed", type=int, default=None)

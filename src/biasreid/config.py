@@ -59,9 +59,18 @@ def switch(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
+def comma_list(text: str, kind) -> tuple:
+    """Comma-separated values, each read by `kind`; an empty value is the
+    empty tuple, and an empty entry is an error."""
+    parts = text.split(",") if text.strip() else []
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty entry in {text!r}")
+    return tuple(kind(part) for part in parts)
+
+
 def ints(text: str) -> tuple[int, ...]:
     """Comma-separated integers; an empty value is the empty tuple."""
-    return tuple(int(part) for part in text.split(",")) if text.strip() else ()
+    return comma_list(text, int)
 
 
 def from_kv(base, values: dict[str, str], keys: dict, *, what: str):
@@ -79,15 +88,16 @@ def from_kv(base, values: dict[str, str], keys: dict, *, what: str):
     return cfg
 
 
+def spell(value):
+    """A value as a manifest records it: numbers and strings as they are,
+    on/off for bools, tuples joined with commas."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return value
+
+
 def to_kv(cfg, keys: dict) -> dict:
-    """Each key's value in `cfg`: numbers and strings as they are, on/off for
-    bools, tuples joined with commas."""
-    out = {}
-    for key, (name, _, _) in keys.items():
-        value = getattr(cfg, name)
-        if isinstance(value, bool):
-            value = "on" if value else "off"
-        elif isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        out[key] = value
-    return out
+    """Each key's value in `cfg`, spelled."""
+    return {key: spell(getattr(cfg, name)) for key, (name, _, _) in keys.items()}

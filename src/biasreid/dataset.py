@@ -1,5 +1,6 @@
 """Annotated rows as one columnar table, a controllable synthetic generator,
-CSV IO, P x K batching, and the query/gallery split.
+CSV IO, P x K batching, and the query/gallery split; `make_dataset` is the
+one recipe that generates a dataset and splits it.
 
 A `Table` holds n annotated rows as parallel columns:
 
@@ -413,3 +414,15 @@ def split_query_gallery(ds: Table, fraction: float, rng: np.random.Generator) ->
 
     meta = dict(ds.meta, dropped_queries=len(lonely), eval_fraction=fraction)
     return replace(ds, splits=splits, meta=meta)
+
+
+# the split's stream of the dataset seed, apart from the generator's draws
+_SPLIT_STREAM = 10
+
+
+def make_dataset(cfg: GeneratorConfig, seed: int) -> Table:
+    """The synthetic dataset of `cfg` at `seed`, split into train, query and
+    gallery rows: what `biasreid gen` writes."""
+    ds = generate_synthetic(cfg, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_STREAM)))
+    return split_query_gallery(ds, cfg.eval_fraction, rng)

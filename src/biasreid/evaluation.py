@@ -1,4 +1,5 @@
-"""Retrieval scoring and bias measurement.
+"""Retrieval scoring and bias measurement of a table of features or
+embeddings; it trains no encoder (the run recipes are in `cli`).
 
 Ranking uses squared Euclidean distances on the final descriptor. The
 standard protocol drops gallery items sharing both identity and camera with
@@ -27,16 +28,14 @@ At depth G the head is the whole stable order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .dataset import Table
-from .embedder import embed_all
 from .errors import ConfigError, EvaluationError
 from .numerics import adam_update, prelu
-from .trainer import BranchConfig, train_branch
 
 PROTOCOLS = ("standard", "nobias")
 
@@ -387,7 +386,7 @@ def fit_probe(es: Table, channel: str, cfg: ProbeConfig) -> tuple[ProbeReport, P
 
 
 # ----------------------------------------------------------------------------
-# Report assembly and the lambda sweep
+# Report assembly: CMC/mAP, curves and probes of one table
 # ----------------------------------------------------------------------------
 
 
@@ -487,61 +486,6 @@ def evaluate_embeddings(
         dropped_queries=rr.dropped,
         config=config_echo or {},
     )
-
-
-@dataclass
-class SweepRow:
-    lam_db: float
-    rank1: float
-    map: float
-    probe_accuracy: float
-    nauc_neg: float
-
-
-def lambda_sweep(
-    ds: Table,
-    base_cfg: BranchConfig,
-    mode: str,
-    lambdas: Iterable[float],
-    probe_cfg: ProbeConfig | None = None,
-) -> list[SweepRow]:
-    """One full train + embed + rank + probe cycle per lambda, shared seeds."""
-    lambdas = list(lambdas)
-    if not lambdas:
-        raise ConfigError("lambda sweep needs at least one value")
-    probe_cfg = probe_cfg or ProbeConfig()
-    rows = []
-    for lam in lambdas:
-        cfg = replace(base_cfg, mode=mode, lam_db=float(lam))
-        params, _ = train_branch(ds, cfg)
-        es = embed_all(params, ds, branch_name=f"{mode}:{lam:g}")
-        report = evaluate_embeddings(
-            es,
-            protocol="standard",
-            stat_channels=[cfg.bias_channel],
-            probe_cfg=probe_cfg,
-        )
-        st = report.channels[cfg.bias_channel]
-        rows.append(
-            SweepRow(
-                lam_db=float(lam),
-                rank1=report.rank1,
-                map=report.map,
-                probe_accuracy=float(st.probe_accuracy),
-                nauc_neg=st.nauc_neg,
-            )
-        )
-    return rows
-
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    lines = ["lambda_db,rank1,map,probe_acc,nauc10_neg"]
-    for r in rows:
-        lines.append(
-            f"{r.lam_db:.17g},{r.rank1:.17g},{r.map:.17g},"
-            f"{r.probe_accuracy:.17g},{r.nauc_neg:.17g}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def curves_to_csv(report: EvalReport, channel: str) -> str:

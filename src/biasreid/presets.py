@@ -28,41 +28,39 @@ from .trainer import BranchConfig
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     generator: GeneratorConfig
     branch: BranchConfig
 
 
-def _preset(name, bias_channel, epochs, **generator) -> Preset:
+def _preset(bias_channel, epochs, **generator) -> Preset:
     branch = BranchConfig(bias_channel=bias_channel, p=8, margin_bias=2.0, epochs=epochs)
-    return Preset(name, GeneratorConfig(**generator), branch)
+    return Preset(GeneratorConfig(**generator), branch)
 
 
 PRESETS: dict[str, Preset] = {
     # three pose classes plus a weaker two-camera channel; pose is audited
-    "default": _preset("default", "pose", 200),
+    "default": _preset("pose", 200),
     # noise-free two-pose-class setting (front/profile style)
     "pose2": _preset(
-        "pose2", "pose", 60,
+        "pose", 60,
         channels=(ChannelSpec("pose", 2, 8, 1.2), ChannelSpec("cam", 2, 8, 0.5)),
         sigma=0.0,
         n_ids=80,
     ),
     # six cameras as the audited channel, pose as secondary nuisance
     "cam6": _preset(
-        "cam6", "cam", 60,
+        "cam", 60,
         channels=(ChannelSpec("pose", 3, 8, 0.5), ChannelSpec("cam", 6, 8, 1.2)),
     ),
     # three visible-body-part classes, two cameras
     "part3": _preset(
-        "part3", "part", 60,
+        "part", 60,
         channels=(ChannelSpec("part", 3, 8, 1.2), ChannelSpec("cam", 2, 8, 0.5)),
     ),
 }
 
 
 def get_preset(name: str) -> Preset:
-    key = name.removeprefix("preset-")
-    if key not in PRESETS:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[key]
+    return PRESETS[name]

@@ -354,8 +354,3 @@ def _packed(path, arrays: dict, params: EncoderParams, prefix: str) -> np.ndarra
                 )
             view[...] = saved
     return vec
-
-
-def resume_trainer(path, ds: Table) -> Trainer:
-    params, state, cfg, epoch = checkpoint_load(path)
-    return Trainer(ds, cfg, params=params, adam=state, start_epoch=epoch)

@@ -12,13 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biasreid.dataset import Table, generate_synthetic, split_query_gallery
+from biasreid.cli import lambda_sweep, run_branch
+from biasreid.dataset import Table, make_dataset
 from biasreid.embedder import concat, embed_all
 from biasreid.evaluation import (
     ProbeConfig,
     cmc_map,
     evaluate_embeddings,
-    lambda_sweep,
     rank_gallery,
     same_bias_rank_prob,
 )
@@ -29,17 +29,10 @@ from biasreid.trainer import Trainer, checkpoint_load, checkpoint_save, train_br
 from test_numerics import finite_difference_grads, gradient_relative_error
 
 SEEDS = (0, 1, 2)
-_SPLIT_STREAM = 10
 
 
 def median(values):
     return float(np.median(np.asarray(values, dtype=float)))
-
-
-def make_preset_dataset(preset, seed):
-    ds = generate_synthetic(preset.generator, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_STREAM)))
-    return split_query_gallery(ds, preset.generator.eval_fraction, rng)
 
 
 # ----------------------------------------------------------------------------
@@ -270,11 +263,10 @@ def test_criterion_3_metric_oracle(criteria):
 # ----------------------------------------------------------------------------
 
 
-def run_branch(ds, cfg, channel):
-    params, log = train_branch(ds, cfg)
-    es = embed_all(params, ds, branch_name=cfg.mode)
-    report = evaluate_embeddings(es, stat_channels=[channel], probe_cfg=ProbeConfig())
-    st = report.channels[channel]
+def branch_scores(ds, cfg):
+    """One branch's run, keyed as the criteria read it."""
+    log, es, report = run_branch(ds, cfg, ProbeConfig())
+    st = report.channels[cfg.bias_channel]
     return {
         "rank1": report.rank1,
         "map": report.map,
@@ -293,14 +285,14 @@ def default_runs():
     t0 = time.monotonic()
     runs = {name: [] for name in ("bas", "R", "E", "E0", "RE")}
     for seed in SEEDS:
-        ds = make_preset_dataset(preset, seed)
+        ds = make_dataset(preset.generator, seed)
         cfgs = {
             "bas": replace(preset.branch, mode="reduce", seed=seed, lam_db=0.0),
             "R": replace(preset.branch, mode="reduce", seed=seed),
             "E": replace(preset.branch, mode="enhance", seed=seed),
             "E0": replace(preset.branch, mode="enhance", seed=seed, lam_dr=0.0, lam_db=1.0),
         }
-        out = {name: run_branch(ds, cfg, channel) for name, cfg in cfgs.items()}
+        out = {name: branch_scores(ds, cfg) for name, cfg in cfgs.items()}
         joined = concat([out["R"]["es"], out["E"]["es"]])
         report = evaluate_embeddings(joined, stat_channels=[channel])
         out["RE"] = {"rank1": report.rank1, "map": report.map}
@@ -336,9 +328,9 @@ def test_criterion_5_bias_enhancement_effect(criteria, default_runs):
     )
     # noise-free two-class preset: enhance-only probe must exceed 0.9
     preset = PRESETS["pose2"]
-    ds = make_preset_dataset(preset, seed=0)
+    ds = make_dataset(preset.generator, seed=0)
     cfg = replace(preset.branch, mode="enhance", seed=0, lam_dr=0.0, lam_db=1.0)
-    clean = run_branch(ds, cfg, preset.branch.bias_channel)["probe"]
+    clean = branch_scores(ds, cfg)["probe"]
     detail = f"probe gain {gain:+.3f} (need >= 0.1), noise-free 2-class probe {clean:.3f} (> 0.9)"
     criteria.check(5, "bias-enhancement effect", gain >= 0.1 and clean > 0.9, detail)
 
@@ -388,11 +380,11 @@ def test_criterion_8_over_suppression(criteria):
     preset = PRESETS["default"]
     rank1_at = {0.005: [], 0.1: []}
     for seed in SEEDS:
-        ds = make_preset_dataset(preset, seed)
+        ds = make_dataset(preset.generator, seed)
         cfg = replace(preset.branch, mode="reduce", seed=seed)
-        rows = lambda_sweep(ds, cfg, "reduce", [0.005, 0.01, 0.05, 0.1])
-        rank1_at[0.005].append(rows[0].rank1)
-        rank1_at[0.1].append(rows[3].rank1)
+        reports = lambda_sweep(ds, cfg, [0.005, 0.01, 0.05, 0.1])
+        rank1_at[0.005].append(reports[0].rank1)
+        rank1_at[0.1].append(reports[3].rank1)
     lo, hi = median(rank1_at[0.1]), median(rank1_at[0.005])
     detail = f"rank1 at lambda 0.1 = {lo:.3f} < rank1 at 0.005 = {hi:.3f}"
     criteria.check(8, "over-suppression trend", lo < hi, detail)
@@ -405,7 +397,7 @@ def test_criterion_8_over_suppression(criteria):
 
 def test_criterion_9_determinism_and_resume(criteria, tmp_path):
     preset = PRESETS["pose2"]
-    ds = make_preset_dataset(preset, seed=0)
+    ds = make_dataset(preset.generator, seed=0)
     cfg = replace(preset.branch, mode="reduce", seed=5, epochs=8)
 
     a, _ = train_branch(ds, cfg)
@@ -435,7 +427,7 @@ def test_criterion_9_determinism_and_resume(criteria, tmp_path):
 def test_criterion_10_nobias_exclusion(criteria):
     results = []
     for name, preset in PRESETS.items():
-        ds = make_preset_dataset(preset, seed=0)
+        ds = make_dataset(preset.generator, seed=0)
         cfg = replace(preset.branch, mode="reduce", seed=0)
         params, _ = train_branch(ds, cfg)
         es = embed_all(params, ds, branch_name=name)

@@ -1,13 +1,22 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from test_trainer import meta_without, rewrite_checkpoint, saved_arrays
 
-from biasreid.cli import build_parser, main
-from biasreid.dataset import GEN_CONFIG_KEYS
-from biasreid.evaluation import PROBE_CONFIG_KEYS
-from biasreid.trainer import BRANCH_CONFIG_KEYS
+from biasreid.cli import build_parser, lambda_sweep, main
+from biasreid.dataset import (
+    GEN_CONFIG_KEYS,
+    ChannelSpec,
+    GeneratorConfig,
+    make_dataset,
+    save_dataset,
+)
+from biasreid.embedder import embed_all
+from biasreid.evaluation import PROBE_CONFIG_KEYS, ProbeConfig, evaluate_embeddings
+from biasreid.presets import PRESETS
+from biasreid.trainer import BRANCH_CONFIG_KEYS, BranchConfig, train_branch
 
 
 def run(argv):
@@ -164,6 +173,28 @@ class TestPipeline:
         assert run(["gen", "--preset", "default", "--out", str(preset), "--seed", "2"]) == 0
         assert (plain / "dataset.csv").read_bytes() == (preset / "dataset.csv").read_bytes()
 
+    def test_gen_writes_the_shared_dataset_recipe(self, tmp_path):
+        # the acceptance criteria build their datasets with make_dataset
+        out = tmp_path / "gen"
+        assert run(["gen", "--preset", "pose2", "--seed", "1", "--out", str(out)]) == 0
+        save_dataset(make_dataset(PRESETS["pose2"].generator, seed=1), tmp_path / "shared.csv")
+        assert (out / "dataset.csv").read_bytes() == (tmp_path / "shared.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def small_split_ds():
+    cfg = GeneratorConfig(
+        n_ids=12,
+        samples_per_id=6,
+        d_id=4,
+        d_in=10,
+        sigma=0.05,
+        channels=(ChannelSpec("pose", 2, 4, 1.0), ChannelSpec("cam", 2, 4, 0.5)),
+        eval_fraction=0.5,
+        feature_scale=0.3,
+    )
+    return make_dataset(cfg, seed=1)
+
 
 class TestSweep:
     def test_sweep_table_echoes_lambdas(self, pipeline, small_branch_cfg, tmp_path, capsys):
@@ -179,6 +210,54 @@ class TestSweep:
         assert lines[0] == "lambda_db,rank1,map,probe_acc,nauc10_neg"
         assert len(lines) == 5
         assert [float(l.split(",")[0]) for l in lines[1:]] == [0.005, 0.01, 0.05, 0.1]
+
+    def test_sweep_replays_from_its_manifest(self, pipeline, small_branch_cfg, tmp_path):
+        # a weight with more digits than a %g spelling keeps
+        _, data, _, _ = pipeline
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(["sweep", "--data", str(data), "--config", str(small_branch_cfg),
+                    "--lambdas", "0.0123456789,0.05", "--seed", "4", "--out", str(first)]) == 0
+        resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
+        lambdas = resolved.pop("lambdas")
+        assert lambdas == "0.0123456789,0.05"
+        replay = tmp_path / "replay.cfg"
+        replay.write_text("".join(f"{k} = {v}\n" for k, v in resolved.items()))
+        assert run(["sweep", "--data", str(data), "--config", str(replay),
+                    "--lambdas", lambdas, "--out", str(again)]) == 0
+        assert (first / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("lambdas", ["0.01,,0.02,", "0.01,x", "0.01,-0.02", "nan"])
+    def test_bad_lambdas_rejected(self, lambdas, pipeline, small_branch_cfg, tmp_path, capsys):
+        _, data, _, _ = pipeline
+        out = tmp_path / "o"
+        code = run(["sweep", "--data", str(data), "--config", str(small_branch_cfg),
+                    "--lambdas", lambdas, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError")
+        assert not (out / "sweep.csv").exists()
+
+    def test_sweep_lambda_zero_equals_baseline(self, small_split_ds):
+        base = BranchConfig(
+            bias_channel="pose", p=3, k=2, epochs=2, rate=0.01, hidden=(8,), d_emb=4, seed=3,
+        )
+        probe_cfg = ProbeConfig(epochs=60)
+        (swept,) = lambda_sweep(small_split_ds, base, [0.0], probe_cfg=probe_cfg)
+
+        params, _ = train_branch(small_split_ds, replace(base, lam_db=0.0))
+        es = embed_all(params, small_split_ds)
+        report = evaluate_embeddings(es, stat_channels=["pose"], probe_cfg=probe_cfg)
+        assert swept.rank1 == report.rank1
+        assert swept.map == report.map
+        assert swept.channels == report.channels
+
+    def test_sweep_accepts_canonical_lambda_list(self, small_split_ds):
+        base = BranchConfig(
+            bias_channel="pose", p=3, k=2, epochs=1, rate=0.01, hidden=(6,), d_emb=3, seed=0,
+        )
+        reports = lambda_sweep(
+            small_split_ds, base, [0.005, 0.01, 0.05, 0.1], probe_cfg=ProbeConfig(epochs=30),
+        )
+        assert [r.config["lambda_db"] for r in reports] == [0.005, 0.01, 0.05, 0.1]
 
 
 class TestErrors:
@@ -196,6 +275,11 @@ class TestErrors:
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = run(["gen", "--preset", "nopreset", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown preset" in capsys.readouterr().err
+
+    def test_preset_takes_only_bare_names(self, tmp_path, capsys):
+        code = run(["gen", "--preset", "preset-default", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "unknown preset" in capsys.readouterr().err
 

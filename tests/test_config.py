@@ -1,6 +1,6 @@
 import pytest
 
-from biasreid.config import from_kv, to_kv
+from biasreid.config import comma_list, from_kv, spell, to_kv
 from biasreid.dataset import GEN_CONFIG_KEYS, ChannelSpec, GeneratorConfig
 from biasreid.evaluation import PROBE_CONFIG_KEYS, ProbeConfig
 from biasreid.trainer import BRANCH_CONFIG_KEYS, BranchConfig
@@ -24,3 +24,9 @@ def test_kv_round_trip(cfg, keys):
     # every field is reachable through a key, and its text reads back exactly
     text = {key: str(value) for key, value in to_kv(cfg, keys).items()}
     assert from_kv(type(cfg)(), text, keys, what="test") == cfg
+
+
+@pytest.mark.parametrize("values", [(), (0.0123456789,), (0.005, 1e-05, 0.1)])
+def test_comma_list_reads_its_spelling(values):
+    assert comma_list(spell(values), float) == values
+

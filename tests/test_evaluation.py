@@ -19,7 +19,6 @@ from biasreid.evaluation import (
     cmc_map,
     evaluate_embeddings,
     fit_probe,
-    lambda_sweep,
     nauc,
     probe_accuracy,
     rank_gallery,
@@ -622,32 +621,3 @@ class TestEvaluateAndSweep:
         # a clamp to 1 would report rank5 and rank10 as CMC@1
         with pytest.raises(ConfigError, match=name):
             evaluate_embeddings(small_split_ds, **{name: rank})
-
-    def test_sweep_lambda_zero_equals_baseline(self, small_split_ds):
-        base = BranchConfig(
-            bias_channel="pose", p=3, k=2, epochs=2, rate=0.01, hidden=(8,), d_emb=4, seed=3,
-        )
-        probe_cfg = ProbeConfig(epochs=60)
-        rows = lambda_sweep(small_split_ds, base, "reduce", [0.0], probe_cfg=probe_cfg)
-        from dataclasses import replace
-
-        cfg0 = replace(base, mode="reduce", lam_db=0.0)
-        params, _ = train_branch(small_split_ds, cfg0)
-        es = embed_all(params, small_split_ds)
-        report = evaluate_embeddings(
-            es, stat_channels=["pose"], probe_cfg=probe_cfg
-        )
-        assert rows[0].rank1 == report.rank1
-        assert rows[0].map == report.map
-        assert rows[0].probe_accuracy == report.channels["pose"].probe_accuracy
-        assert rows[0].nauc_neg == report.channels["pose"].nauc_neg
-
-    def test_sweep_accepts_canonical_lambda_list(self, small_split_ds):
-        base = BranchConfig(
-            bias_channel="pose", p=3, k=2, epochs=1, rate=0.01, hidden=(6,), d_emb=3, seed=0,
-        )
-        rows = lambda_sweep(
-            small_split_ds, base, "reduce", [0.005, 0.01, 0.05, 0.1],
-            probe_cfg=ProbeConfig(epochs=30),
-        )
-        assert [r.lam_db for r in rows] == [0.005, 0.01, 0.05, 0.1]

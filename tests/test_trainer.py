@@ -16,7 +16,6 @@ from biasreid.trainer import (
     Trainer,
     checkpoint_load,
     checkpoint_save,
-    resume_trainer,
     train_branch,
 )
 
@@ -173,7 +172,8 @@ class TestCheckpoint:
         half.run_epochs(4)
         path = tmp_path / "half.npz"
         checkpoint_save(path, half.params, half.adam, cfg, half.epoch)
-        resumed = resume_trainer(path, tiny_ds)
+        params, state, cfg2, epoch = checkpoint_load(path)
+        resumed = Trainer(tiny_ds, cfg2, params=params, adam=state, start_epoch=epoch)
         resumed.run()
 
         assert resumed.epoch == straight.epoch == 8

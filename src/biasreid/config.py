@@ -23,7 +23,10 @@ from .errors import ConfigError, ParseError
 def read_kv(path) -> dict[str, str]:
     """Parse a key=value file into an ordered dict of raw strings."""
     out: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

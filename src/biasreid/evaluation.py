@@ -77,7 +77,7 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[len(a), len(b)] squared Euclidean distances via |a|^2 + |b|^2 - 2ab.
 
     Computed as (|a|^2 + |b|^2) - (a @ b.T) * 2, then clamped at 0, into the
-    product's own buffer, a block of rows at a time, so no second Q x G array
+    product's own buffer in one pass of row blocks, so no second Q x G array
     is held. Not bit-exact against a per-pair sum((a - b)^2): the Gram
     expansion rounds differently and needs the clamp. It stays beside the
     bit-exact `losses.pairwise_sqdist` because ranking needs only Q x G
@@ -85,11 +85,11 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     sq_a, sq_b = (a * a).sum(axis=1), (b * b).sum(axis=1)
     d2 = a @ b.T
-    d2 *= 2.0
     for start in range(0, len(a), _BLOCK):
         rows = d2[start : start + _BLOCK]
+        rows *= 2.0
         np.subtract(sq_a[start : start + _BLOCK, None] + sq_b, rows, out=rows)
-    np.maximum(d2, 0.0, out=d2)
+        np.maximum(rows, 0.0, out=rows)
     return d2
 
 

@@ -273,6 +273,22 @@ class TestErrors:
         code = run(["eval", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code != 0
 
+    def test_non_utf8_data_rejected(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"id,camera,split,f0\n1,0,gallery,0.5\n1,1,qu\xe9ry,1.5\n")
+        code = run(["eval", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and f"{data}: not UTF-8 text" in err
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"n_ids = 10 # \xe9\n")
+        code = run(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and f"{cfg}: not UTF-8 text" in err
+
     def test_unknown_preset(self, tmp_path, capsys):
         code = run(["gen", "--preset", "nopreset", "--out", str(tmp_path / "o")])
         assert code == 2

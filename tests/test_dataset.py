@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biasreid import dataset
 from biasreid.dataset import (
     ChannelSpec,
     GeneratorConfig,
@@ -10,11 +14,13 @@ from biasreid.dataset import (
     Table,
     generate_synthetic,
     load_dataset,
+    make_dataset,
     parse_channel_spec,
     save_dataset,
     split_query_gallery,
 )
 from biasreid.errors import AlignmentError, ConfigError, DataError, EvaluationError, ParseError
+from biasreid.presets import PRESETS
 
 
 def tiny_cfg(**kw):
@@ -202,6 +208,166 @@ class TestCsvRoundTrip:
         # and a second save is byte-identical
         save_dataset(back, tmp_path / "d2.csv")
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
+
+
+def row_writer_oracle(ds, path, feature_prefix="f"):
+    """The row-by-row csv.writer loop the block writer replaced, kept as the
+    oracle of its bytes."""
+    chan_names = list(ds.channels)
+    labels = [np.array(ds.channels[c], dtype=object)[ds.codes[c]].tolist() for c in chan_names]
+    heads = zip(ds.ids.tolist(), ds.cameras.tolist(), ds.splits.tolist(), *labels)
+    with open(path, "w", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["id", "camera", "split", *chan_names, *(f"{feature_prefix}{j}" for j in range(ds.dim))]
+        )
+        for head, feats in zip(heads, ds.matrix):
+            writer.writerow([*head, *(f"{v:.17g}" for v in feats.tolist())])
+
+
+def named_table(name, matrix=None):
+    """Five rows whose `pose` classes are `name` and 'x', and whose second
+    channel is called `name`."""
+    if matrix is None:
+        matrix = np.random.default_rng(3).normal(size=(5, 3))
+    cams = [0, 1, 0, 1, 0]
+    return Table(
+        matrix, [-(2**63), 4, 4, 9, 2**63 - 1], cams,
+        ["train", "query", "gallery", "gallery", "train"],
+        {"pose": [0, 1, 0, 0, 1], name: cams},
+        {"pose": [name, "x"], name: ["0", "1"]},
+    )
+
+
+def force_scan(monkeypatch):
+    """Make load_dataset read every file by the per-cell scan."""
+    monkeypatch.setattr(dataset, "_parse_blocks", lambda lines, width, feat_start: None)
+
+
+def assert_same_bits(a, b):
+    assert a.matrix.shape == b.matrix.shape
+    np.testing.assert_array_equal(a.matrix.view(np.uint64), b.matrix.view(np.uint64))
+    for name in ("ids", "cameras", "splits"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+    assert a.channels == b.channels
+    for ch in a.channels:
+        np.testing.assert_array_equal(a.codes[ch], b.codes[ch])
+
+
+class TestCsvBlocks:
+    """The block writer and reader against the row writer and the scan."""
+
+    @pytest.mark.parametrize("name", ["", "a,b", 'say "hi"', "two\nlines", "é", " lead"])
+    @pytest.mark.parametrize("block", [dataset._CSV_BLOCK, 20])
+    def test_save_matches_row_writer(self, name, block, monkeypatch, tmp_path):
+        monkeypatch.setattr(dataset, "_CSV_BLOCK", block)  # 20 cells: 2 rows a block
+        values = [0.0, -0.0, 5e-324, 1e16, 1 / 3, -1e300, 2.0**-1074 * 3, 123456789012345678.0]
+        matrix = np.array(values + [np.nan, np.inf, -np.inf, 1e-5, 7.0, -2.5, 0.1]).reshape(5, 3)
+        for ds in (named_table(name, matrix), named_table(name)):
+            save_dataset(ds, tmp_path / "block.csv", feature_prefix="e")
+            row_writer_oracle(ds, tmp_path / "rows.csv", feature_prefix="e")
+            assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        back = load_dataset(tmp_path / "block.csv")  # the finite table, classes now sorted
+        assert sorted(back.channels["pose"]) == back.channels["pose"] == sorted([name, "x"])
+        np.testing.assert_array_equal(back.matrix, ds.matrix)
+
+    def test_csv_writer_cannot_quote_a_cell_alone(self):
+        # why the block writer quotes cells by its own rule
+        def written(row, lineterminator="\n"):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator=lineterminator).writerow(row)
+            return buf.getvalue()
+
+        # trap 1: a lone empty field is `""`, an empty field amid a row is nothing
+        assert written([""]) == '""\n' and written(["a", "", "b"]) == "a,,b\n"
+        # trap 2: "\n" is quoted only when the lineterminator holds it
+        assert written(["a", "x\ny"]) == 'a,"x\ny"\n'
+        assert written(["a", "x\ny"], lineterminator="\r") == "a,x\ny\r"
+        assert [dataset._csv_cell(c) for c in ["", "x\ny", "c\rr"]] == ["", '"x\ny"', '"c\rr"']
+
+    def test_carriage_return_in_names_round_trips(self, tmp_path):
+        # csv.writer left a bare CR, which split the row on reading
+        ds = named_table("cr\rx")
+        save_dataset(ds, tmp_path / "cr.csv")
+        assert_same_bits(load_dataset(tmp_path / "cr.csv"), ds)
+
+    def test_generated_files_read_by_blocks_as_by_scan(self, monkeypatch, tmp_path):
+        for preset in PRESETS.values():
+            ds = make_dataset(preset.generator, seed=1)
+            save_dataset(ds, tmp_path / "d.csv")
+            blocks = load_dataset(tmp_path / "d.csv")
+            assert_same_bits(blocks, ds)
+            with monkeypatch.context() as m:
+                force_scan(m)
+                assert_same_bits(blocks, load_dataset(tmp_path / "d.csv"))
+
+    def test_blocks_need_no_scan_on_plain_files(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(dataset, "_CSV_BLOCK", 20)
+        monkeypatch.setattr(dataset, "_scan", None)  # calling it would fail
+        ds = generate_synthetic(tiny_cfg(), seed=2)
+        save_dataset(ds, tmp_path / "d.csv")
+        assert_same_bits(load_dataset(tmp_path / "d.csv"), ds)
+
+    HEADER = "id,camera,split,pose,f0,f1\n"
+    BODY = ["0,0,train,a,1.5,-2\n", "+7, 8 ,query,b,.5,1_0.5\n", "1_0,1,gallery,a, -0 ,1e-320\n"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEADER + "".join(BODY).rstrip("\n"),  # no final newline
+            HEADER,
+            HEADER.rstrip("\n"),  # header only, no newline
+            "".join([HEADER, *BODY]).replace("\n", "\r\n"),
+            HEADER + "".join(BODY).replace(",a,", ',"a",').replace(",b,", ',"b, c",'),
+            HEADER + "".join(BODY * 4) + '3,0,train,"a",0,0\n',  # first quote in the 5th block
+        ],
+        ids=["no_final_newline", "header_only", "header_no_newline", "crlf", "quoted_labels",
+             "late_quote"],
+    )
+    def test_edge_files_read_as_by_scan(self, text, monkeypatch, tmp_path):
+        monkeypatch.setattr(dataset, "_CSV_BLOCK", 20)  # 3 rows a block
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        loaded = load_dataset(path)
+        force_scan(monkeypatch)
+        assert_same_bits(loaded, load_dataset(path))
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("5,0,train,a,1.0\n", "row 6: 5 fields, header has 6"),
+            ("x,0,train,a,1.0,2\n", "row 6, column id: not an integer: 'x'"),
+            ("5,99999999999999999999,train,a,1.0,2\n", "row 6, column camera: '99999999999999999999' does not fit in int64"),
+            ("5,0,test,a,1.0,2\n", "row 6, column split: unknown tag 'test'"),
+            ("5,0,train,a,1.0,oops\n", "row 6, column f1: not a number: 'oops'"),
+            ("5,0,train,a,1.0,inf\n", "row 6: non-finite feature value"),
+            ("\n", "row 6: 0 fields, header has 6"),
+            # 5 fields then 7: the right count of cells, each column parses
+            ("5,0,train,a,1.0\n1.0,5,0,train,a,1.0,2\n", "row 6: 5 fields, header has 6"),
+        ],
+    )
+    def test_bad_row_in_a_later_block_keeps_the_scan_message(self, row, message, monkeypatch,
+                                                             tmp_path):
+        monkeypatch.setattr(dataset, "_CSV_BLOCK", 20)
+        path = tmp_path / "d.csv"
+        path.write_text(self.HEADER + "".join(self.BODY) + "9,1,train,b,0,0\n" + row + self.BODY[0])
+        with pytest.raises(ParseError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_non_utf8_text_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"id,camera,split,f0\n0,0,tr\xe9in,1.0\n")
+        with pytest.raises(ParseError, match=r"d\.csv: not UTF-8 text"):
+            load_dataset(path)
+
+    def test_oversized_field_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,camera,split,pose,f0\n0,0,train,{'a' * (csv.field_size_limit() + 1)},1\n")
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            load_dataset(path)
 
 
 class TestPKSampler:

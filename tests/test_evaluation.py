@@ -161,6 +161,20 @@ def outcome(fn, *args):
 
 
 class TestRankGallery:
+    def test_cross_sqdist_matches_whole_matrix_passes(self):
+        # the one-pass row blocks against three whole-matrix passes: the same
+        # operations per element in the same order, so the same bits
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(300, 7))
+        b = np.concatenate([a[:40], rng.normal(size=(30, 7))])  # equal rows: clamped
+        d2 = a @ b.T
+        d2 *= 2.0
+        d2 = ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)) - d2
+        np.maximum(d2, 0.0, out=d2)
+        got = _cross_sqdist(a, b)
+        assert (d2 == 0).any()
+        np.testing.assert_array_equal(got.view(np.uint64), d2.view(np.uint64))
+
     def test_standard_exclusion_rule(self):
         # query (id=1, cam=1); gallery {(1,1), (1,2), (2,1)}
         es = make_es(

@@ -406,8 +406,10 @@ def load_dataset(path) -> Table:
     ids, cameras, splits, labels, matrix = columns
     channels, codes = {}, {}
     for c, column in zip(header[3:feat_start], labels):
-        names, codes[c] = np.unique(np.array(column, dtype=str), return_inverse=True)  # sorted
-        channels[c] = names.tolist()
+        # not np.unique over a str array: it strips trailing NULs, merging 'a' and 'a\0'
+        channels[c] = sorted(set(column))
+        index = {name: code for code, name in enumerate(channels[c])}
+        codes[c] = np.array([index[name] for name in column], dtype=np.intp)
     return Table(matrix, ids, cameras, splits, codes, channels)
 
 

@@ -24,6 +24,10 @@ nearest first, then the excluded ones by index. No row is sorted whole:
   alone is ranked by the stable sort.
 
 At depth G the head is the whole stable order.
+
+The queries are ranked one block of `_BLOCK` rows at a time, from the
+block's distances to the whole gallery, so besides its [Q, depth] result a
+ranking holds only [block, G] arrays: its memory is per block, not Q x G.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class RankResult:
         return self.order.shape[1]
 
 
-# query rows handled at a time: bounds the [rows, G] temporaries of the distances and ranking
+# query rows ranked at a time: bounds every [rows, G] array of a ranking
 _BLOCK = 128
 
 
@@ -77,19 +81,18 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[len(a), len(b)] squared Euclidean distances via |a|^2 + |b|^2 - 2ab.
 
     Computed as (|a|^2 + |b|^2) - (a @ b.T) * 2, then clamped at 0, into the
-    product's own buffer in one pass of row blocks, so no second Q x G array
-    is held. Not bit-exact against a per-pair sum((a - b)^2): the Gram
-    expansion rounds differently and needs the clamp. It stays beside the
-    bit-exact `losses.pairwise_sqdist` because ranking needs only Q x G
-    memory here, where the per-pair broadcast would hold a Q x G x D array.
+    product's own buffer. `rank_gallery` calls it on one block of query rows
+    against the whole gallery, so it holds two [block, G] arrays. Not
+    bit-exact against a per-pair sum((a - b)^2): the Gram expansion rounds
+    differently and needs the clamp, and the BLAS product may round a row
+    differently in another block. It stays beside the bit-exact
+    `losses.pairwise_sqdist` because the per-pair broadcast would hold a
+    [block, G, D] array.
     """
-    sq_a, sq_b = (a * a).sum(axis=1), (b * b).sum(axis=1)
     d2 = a @ b.T
-    for start in range(0, len(a), _BLOCK):
-        rows = d2[start : start + _BLOCK]
-        rows *= 2.0
-        np.subtract(sq_a[start : start + _BLOCK, None] + sq_b, rows, out=rows)
-        np.maximum(rows, 0.0, out=rows)
+    d2 *= 2.0
+    np.subtract((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1), d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
     return d2
 
 
@@ -154,58 +157,60 @@ def rank_gallery(
         raise EvaluationError("need non-empty query and gallery splits")
     g = len(g_rows)
     depth = g if depth is None else min(depth, g)
+    gallery, g_ids, g_cams = es.matrix[g_rows], es.ids[g_rows], es.cameras[g_rows]
 
-    d2 = _cross_sqdist(es.matrix[q_rows], es.matrix[g_rows])
-    # a row max is inf or NaN once any of its distances overflowed
-    overflow = ~np.isfinite(d2.max(axis=1))
-    if overflow.any():
-        row = int(q_rows[np.argmax(overflow)])
-        raise EvaluationError(f"query row {row}: squared distances overflow float64")
+    # per block of queries, those kept: their rows, lengths, n_pos, pos_ranks, order and kept mask
+    blocks = []
+    for start in range(0, len(q_rows), _BLOCK):
+        rows = q_rows[start : start + _BLOCK]
+        d2 = _cross_sqdist(es.matrix[rows], gallery)
+        # a row max is inf or NaN once any of its distances overflowed
+        overflow = ~np.isfinite(d2.max(axis=1))
+        if overflow.any():
+            row = int(rows[np.argmax(overflow)])
+            raise EvaluationError(f"query row {row}: squared distances overflow float64")
 
-    # the [Q, G] masks are built in place: at most three are alive at once
-    same_id = es.ids[q_rows][:, None] == es.ids[g_rows][None, :]
-    excluded = es.cameras[q_rows][:, None] == es.cameras[g_rows][None, :]
-    excluded &= same_id
-    if protocol == "nobias":
-        codes = es.codes[channel]
-        same_code = codes[q_rows][:, None] == codes[g_rows][None, :]
-        same_code[same_id] = False
-        excluded |= same_code
-        del same_code
-    same_id[excluded] = False
-    # each query's positives, row-major: in gallery-index order within a row
-    pos_q, pos_g = np.nonzero(same_id)
-    del same_id
-    d2[excluded] = np.inf  # after the overflow check: every kept distance is finite
-    lengths = g - np.count_nonzero(excluded, axis=1)
-    del excluded
-    n_pos = np.bincount(pos_q, minlength=len(q_rows))
+        same_id = es.ids[rows][:, None] == g_ids
+        excluded = es.cameras[rows][:, None] == g_cams
+        excluded &= same_id
+        if protocol == "nobias":
+            codes = es.codes[channel]
+            same_code = codes[rows][:, None] == codes[g_rows]
+            same_code[same_id] = False
+            excluded |= same_code
+        same_id[excluded] = False
+        d2[excluded] = np.inf  # after the overflow check: every kept distance is finite
+        lengths = g - np.count_nonzero(excluded, axis=1)
+        # each query's positives, row-major: in gallery-index order within a row
+        pos_q, pos_g = np.nonzero(same_id)
+        n_pos = np.bincount(pos_q, minlength=len(rows))
+        keep = np.flatnonzero(n_pos)
+        if len(keep) == 0:
+            continue
+        # the positives packed to the left of each row; the slots past n_pos hold 0
+        pos = np.zeros((len(rows), n_pos.max()), dtype=np.int64)
+        pos[pos_q, np.arange(len(pos_q)) - (np.cumsum(n_pos) - n_pos)[pos_q]] = pos_g
+        if len(keep) < len(rows):  # copies the block only when it dropped a query
+            d2, pos, n_pos, lengths, rows = d2[keep], pos[keep], n_pos[keep], lengths[keep], rows[keep]
+        head = _head(d2, depth)
+        kept = np.isfinite(np.take_along_axis(d2, head, axis=1))
+        blocks.append((rows, lengths, n_pos, _positive_ranks(d2, pos, n_pos), head, kept))
 
-    kept_rows = np.flatnonzero(n_pos)
-    dropped = len(q_rows) - len(kept_rows)
-    if dropped == len(q_rows):
+    if not blocks:
         raise EvaluationError("every query was dropped (no cross-camera positives)")
-    # the positives packed to the left of each row; the slots past n_pos hold 0
-    pos = np.zeros((len(q_rows), n_pos.max()), dtype=np.int64)
-    pos[pos_q, np.arange(len(pos_q)) - (np.cumsum(n_pos) - n_pos)[pos_q]] = pos_g
-    n_pos, lengths, q_rows = n_pos[kept_rows], lengths[kept_rows], q_rows[kept_rows]
-    pos = pos[kept_rows]
-
-    order = np.empty((len(kept_rows), depth), dtype=np.int64)
-    kept = np.empty(order.shape, dtype=bool)
-    pos_ranks = np.empty(pos.shape, dtype=np.int64)
-    for start in range(0, len(kept_rows), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        rows = d2[kept_rows[block]]
-        pos_ranks[block] = _positive_ranks(rows, pos[block], n_pos[block])
-        order[block] = _head(rows, depth)
-        kept[block] = np.isfinite(np.take_along_axis(rows, order[block], axis=1))
-    del d2
+    kept_rows, lengths, n_pos, ranks, order, kept = zip(*blocks)
+    # the blocks' empty rank slots hold G: pad each to the widest with G
+    width = max(r.shape[1] for r in ranks)
+    pos_ranks = np.concatenate(
+        [np.pad(r, ((0, 0), (0, width - r.shape[1])), constant_values=g) for r in ranks]
+    )
+    kept_rows, lengths, n_pos, order, kept = map(np.concatenate, (kept_rows, lengths, n_pos, order, kept))
 
     def same(labels: np.ndarray) -> np.ndarray:
-        return (labels[g_rows][order] == labels[q_rows][:, None]) & kept
+        return (labels[g_rows][order] == labels[kept_rows][:, None]) & kept
 
     same_bias = {ch: same(es.codes[ch]) for ch in es.channels}
+    dropped = len(q_rows) - len(kept_rows)
     return RankResult(order, same(es.ids), same_bias, lengths, pos_ranks, n_pos, dropped)
 
 

@@ -67,7 +67,7 @@ def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
     ties and the oracles' values reproduce exactly. The pairs are taken
     `_PAIR_BLOCK` at a time into a small buffer, so no [n, n, d] broadcast
     is built. Ranking uses `evaluation._cross_sqdist` instead, whose Gram
-    form is not bit-exact but needs only Q x G memory.
+    form is not bit-exact but needs only one block x G memory.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(e).all():

@@ -293,6 +293,20 @@ class TestCsvBlocks:
         save_dataset(ds, tmp_path / "cr.csv")
         assert_same_bits(load_dataset(tmp_path / "cr.csv"), ds)
 
+    @pytest.mark.parametrize("reader", ["blocks", "scan"])
+    def test_trailing_nul_names_stay_apart(self, reader, monkeypatch, tmp_path):
+        # np.unique over a str array strips trailing NULs: it merged these into 'a'
+        names = ["a", "a\x00", "a\x00\x00"] + (['q"'] if reader == "scan" else [])  # a quote: scan
+        n = 2 * len(names)
+        ds = Table(np.zeros((n, 1)), np.arange(n), np.zeros(n, int), ["train"] * n,
+                   {"pose": np.arange(n) % len(names)}, {"pose": names})
+        scans = []
+        scan = dataset._scan
+        monkeypatch.setattr(dataset, "_scan", lambda *args: scans.append(args) or scan(*args))
+        save_dataset(ds, tmp_path / "d.csv")
+        assert_same_bits(load_dataset(tmp_path / "d.csv"), ds)
+        assert len(scans) == (reader == "scan")
+
     def test_generated_files_read_by_blocks_as_by_scan(self, monkeypatch, tmp_path):
         for preset in PRESETS.values():
             ds = make_dataset(preset.generator, seed=1)

@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from biasreid import evaluation
 from biasreid.dataset import (
     ChannelSpec,
     GeneratorConfig,
@@ -80,7 +82,10 @@ def brute_force_rank(es, protocol="standard", channel=None):
 
     Each retained query's kept gallery positions are sorted on their own,
     stably, so the lower index wins a tie; its masks and its distances
-    (`dists`) are gathered through that order.
+    (`dists`) are gathered through that order. The distances are those
+    rank_gallery ranks, `_cross_sqdist` of each block of `_BLOCK` query
+    rows: the BLAS product may round a row differently in another block,
+    which moves exact ties.
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -93,7 +98,11 @@ def brute_force_rank(es, protocol="standard", channel=None):
     g_rows = np.flatnonzero(es.splits == "gallery")
     if len(q_rows) == 0 or len(g_rows) == 0:
         raise EvaluationError("need non-empty query and gallery splits")
-    d2 = _cross_sqdist(es.matrix[q_rows], es.matrix[g_rows])
+    step = evaluation._BLOCK
+    d2 = np.concatenate([
+        _cross_sqdist(es.matrix[q_rows[start : start + step]], es.matrix[g_rows])
+        for start in range(0, len(q_rows), step)
+    ])
     for qi, row in enumerate(q_rows):
         if not np.isfinite(d2[qi]).all():
             raise EvaluationError(f"query row {row}: squared distances overflow float64")
@@ -252,6 +261,24 @@ class TestRankGallery:
         np.testing.assert_array_equal(rr.pos_ranks, [[2, 3]])
         assert rr.n_pos[0] == 2 and rr.lengths[0] == 4
 
+    def test_memory_is_per_block_of_queries(self):
+        # 4096 queries x 2000 gallery items: one [Q, G] float64 array is 62.5 MiB
+        rng = np.random.default_rng(0)
+        n_q, n_g = 4096, 2000
+        ids = np.concatenate([np.arange(n_q) % 1000, np.arange(n_g) % 1000])
+        cams = rng.integers(0, 2, size=n_q + n_g)
+        splits = np.array(["query"] * n_q + ["gallery"] * n_g)
+        codes = {"pose": rng.integers(0, 3, size=n_q + n_g)}
+        es = Table(rng.normal(size=(n_q + n_g, 8)), ids, cams, splits, codes, {"pose": ["0", "1", "2"]})
+        tracemalloc.start()
+        try:
+            rr = rank_gallery(es, "nobias", "pose", depth=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rr.n_queries > n_q // 2
+        assert peak < n_q * n_g * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+
     def test_empty_query_split_errors(self):
         es = make_es([0.0, 1.0], [1, 1], [0, 1], ["gallery", "gallery"])
         with pytest.raises(EvaluationError):
@@ -319,13 +346,15 @@ class TestCmcMap:
             assert (np.diff(cmc) >= -1e-15).all()  # CMC monotone
 
 
-def random_table(rng, grid):
+def random_table(rng, grid, n_queries=None):
     """A small table with train rows mixed in and two bias channels.
 
     `grid` rows take values in {-2..2} times one step, so many distances
-    tie; a few tables carry a row whose squared norm overflows.
+    tie; a few tables carry a row whose squared norm overflows. It holds 0-6
+    queries unless `n_queries` is given.
     """
     n_q, n_gal, n_train = rng.integers(0, 7), rng.integers(1, 31), rng.integers(0, 4)
+    n_q = n_q if n_queries is None else n_queries
     n, d = n_q + n_gal + n_train, int(rng.integers(1, 5))
     if grid:
         matrix = rng.integers(-2, 3, size=(n, d)) * rng.choice([1.0, 0.1, 0.37])
@@ -371,15 +400,7 @@ class TestRankingOracle:
         for _ in range(500):
             es = random_table(rng, grid)
             n_gallery = int(np.sum(es.splits == "gallery"))
-            for protocol, channel in [("standard", None), ("nobias", "pose"), ("nobias", "cam")]:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ref, ref_err = outcome(brute_force_rank, es, protocol, channel)
-                    want = ref_err or self.reference(ref, n_gallery)
-                    for depth in DEPTHS:
-                        got, got_err = outcome(rank_gallery, es, protocol, channel, depth)
-                        assert got_err == ref_err
-                        if not ref_err:
-                            self.check_ranking(got, n_gallery, depth, want)
+            for ref, ref_err in self.check_table(es):
                 if ref_err:
                     seen["error"] += 1
                     continue
@@ -394,6 +415,74 @@ class TestRankingOracle:
         if not grid:
             seen.pop("finite_cut_tie")
         assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
+    def test_matches_brute_force_across_blocks(self, grid, monkeypatch):
+        # 4-query blocks: 9-20 queries span 3-5 blocks, the last often partial
+        monkeypatch.setattr(evaluation, "_BLOCK", 4)
+        rng = np.random.default_rng(21 + grid)
+        seen = {"ranked": 0, "dropped": 0, "error": 0}
+        for _ in range(150):
+            es = random_table(rng, grid, n_queries=int(rng.integers(9, 21)))
+            for ref, ref_err in self.check_table(es):
+                seen["error" if ref_err else "ranked"] += 1
+                seen["dropped"] += not ref_err and ref[3] > 0
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
+    def test_matches_brute_force_across_real_blocks(self, grid):
+        rng = np.random.default_rng(31 + grid)
+        for _ in range(2):
+            es = random_table(rng, grid, n_queries=2 * evaluation._BLOCK + int(rng.integers(1, 60)))
+            assert not any(ref_err for _, ref_err in self.check_table(es))
+
+    @staticmethod
+    def seam_table():
+        """12 queries, three 4-query blocks: query i has id i % 3 on camera 0,
+        and the gallery holds each of ids 0-2 on cameras 0 and 1."""
+        rng = np.random.default_rng(7)
+        ids = np.concatenate([np.arange(12) % 3, np.repeat(np.arange(3), 2)])
+        cams = np.concatenate([np.zeros(12, int), np.tile([0, 1], 3)])
+        splits = np.array(["query"] * 12 + ["gallery"] * 6)
+        codes = {"pose": rng.integers(0, 2, size=18), "cam": cams}
+        channels = {"pose": ["0", "1"], "cam": ["0", "1"]}
+        return Table(rng.normal(size=(18, 3)), ids, cams, splits, codes, channels)
+
+    def test_block_whose_queries_are_all_dropped(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_BLOCK", 4)
+        es = self.seam_table()
+        es.ids[4:8] = 9  # the middle block's queries: no gallery item of id 9
+        for ref, ref_err in self.check_table(es):
+            assert ref_err is None and ref[3] == 4
+        rr = rank_gallery(es, "standard")
+        assert rr.dropped == 4 and rr.n_queries == 8
+
+    @pytest.mark.parametrize("all_dropped", [False, True])
+    def test_overflow_in_a_later_block_named(self, monkeypatch, all_dropped):
+        monkeypatch.setattr(evaluation, "_BLOCK", 4)
+        es = self.seam_table()
+        if all_dropped:  # the overflow still comes first
+            es.ids[:12] = 9
+        es.matrix[9] = 1e200  # the third block's second query
+        want = (EvaluationError, "query row 9: squared distances overflow float64")
+        assert [ref_err for _, ref_err in self.check_table(es)] == [want] * 3
+
+    def check_table(self, es):
+        """rank_gallery against the loops under every protocol at every
+        depth: [(the loops' result, their error)] per protocol."""
+        n_gallery = int(np.sum(es.splits == "gallery"))
+        outcomes = []
+        for protocol, channel in [("standard", None), ("nobias", "pose"), ("nobias", "cam")]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref, ref_err = outcome(brute_force_rank, es, protocol, channel)
+                want = ref_err or self.reference(ref, n_gallery)
+                for depth in DEPTHS:
+                    got, got_err = outcome(rank_gallery, es, protocol, channel, depth)
+                    assert got_err == ref_err
+                    if not ref_err:
+                        self.check_ranking(got, n_gallery, depth, want)
+            outcomes.append((ref, ref_err))
+        return outcomes
 
     @staticmethod
     def reference(ref, n_gallery):

@@ -27,7 +27,7 @@ from .dataset import (
     make_dataset,
     save_dataset,
 )
-from .embedder import concat, embed_all, load_embeddings, save_embeddings
+from .embedder import concat, embed_all, save_embeddings
 from .errors import ConfigError, ToolkitError
 from .evaluation import (
     PROBE_CONFIG_KEYS,
@@ -54,7 +54,7 @@ def run_branch(ds: Table, cfg: BranchConfig,
     """Train one branch, embed every row and score it under the standard
     protocol, probing `cfg.bias_channel`; the report's config echoes `cfg`."""
     params, log = train_branch(ds, cfg)
-    es = embed_all(params, ds, branch_name=cfg.mode)
+    es = embed_all(params, ds)
     report = evaluate_embeddings(es, stat_channels=[cfg.bias_channel], probe_cfg=probe_cfg,
                                  config_echo=to_kv(cfg, BRANCH_CONFIG_KEYS))
     return log, es, report
@@ -175,11 +175,7 @@ def cmd_embed(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
     ds = load_dataset(args.data)
-    sets = []
-    for i, ckpt in enumerate(args.checkpoints):
-        params, _, cfg, _ = checkpoint_load(ckpt)
-        sets.append(embed_all(params, ds, branch_name=f"{cfg.mode}:{Path(ckpt).stem}:{i}"))
-    es = concat(sets)
+    es = concat([embed_all(checkpoint_load(ckpt)[0], ds) for ckpt in args.checkpoints])
     emb_path = out / "embeddings.csv"
     save_embeddings(es, emb_path)
     resolved = {"checkpoints": [str(c) for c in args.checkpoints], "dim": es.dim}
@@ -191,7 +187,7 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
-    es = load_embeddings(args.data)
+    es = load_dataset(args.data)
     report = evaluate_embeddings(
         es,
         protocol=args.protocol,
@@ -223,10 +219,10 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
-    es = load_embeddings(args.data)
+    es = load_dataset(args.data)
     cfg = from_kv(ProbeConfig(), _file_config(args), PROBE_CONFIG_KEYS, what="probe config")
     cfg = replace(cfg, seed=_seed(args, cfg.seed))
-    report, _ = fit_probe(es, args.channel, cfg)
+    report = fit_probe(es, args.channel, cfg)
     path = out / "probe.json"
     path.write_text(json.dumps(report.__dict__, indent=2, sort_keys=True) + "\n")
     resolved = dict(to_kv(cfg, PROBE_CONFIG_KEYS), channel=args.channel)
@@ -239,7 +235,7 @@ def cmd_probe(args) -> int:
 def cmd_stats(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
-    es = load_embeddings(args.data)
+    es = load_dataset(args.data)
     report = evaluate_embeddings(es, protocol="standard", stat_channels=[args.channel])
     st = report.channels[args.channel]
     curve_path = out / f"curves_{args.channel}.csv"

@@ -9,9 +9,8 @@ A `Table` holds n annotated rows as parallel columns:
 - `splits`: str [n], each one of SPLITS;
 - `codes[c]`: int [n] per bias channel c, indexing the class names
   `channels[c]` (the generator's class order, or sorted on load);
-- `provenance`: (branch name, (start, stop)) column spans of an embedding,
-  empty for a dataset (see embedder);
-- `meta`: how the rows were made (generator config, dropped queries).
+- `meta`: how the rows were made (generator config, dropped queries),
+  empty for a loaded table.
 
 Datasets and embeddings are the same type: an embedding is a table whose
 `matrix` holds encoder outputs. Tables share column arrays, and no function
@@ -67,7 +66,6 @@ class Table:
     splits: np.ndarray
     codes: dict[str, np.ndarray]
     channels: dict[str, list[str]]
-    provenance: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -94,14 +92,6 @@ class Table:
         for ch, arr in codes.items():
             if n and (arr.min() < 0 or arr.max() >= len(self.channels[ch])):
                 raise DataError(f"channel {ch!r}: code outside its {len(self.channels[ch])} classes")
-        spans = sorted(span for _, span in self.provenance)
-        cursor = 0
-        for start, stop in spans:
-            if start != cursor:
-                raise AlignmentError(f"provenance spans leave a gap at column {cursor}")
-            cursor = stop
-        if spans and cursor != matrix.shape[1]:
-            raise AlignmentError("provenance spans do not cover all columns")
         for name, arr in dict(columns, matrix=matrix, codes=codes).items():
             object.__setattr__(self, name, arr)
 
@@ -200,6 +190,8 @@ class GeneratorConfig:
         if CAMERA_CHANNEL not in names:
             raise ConfigError(f"generator requires a {CAMERA_CHANNEL!r} channel (protocol camera)")
         for c in self.channels:
+            if c.name in _FIXED_COLUMNS or _FEATURE_COL.match(c.name):
+                raise ConfigError(f"channel {c.name!r}: the CSV header reserves that name")
             if c.n_classes < 2:
                 raise ConfigError(f"channel {c.name!r}: class count must be >= 2")
             if c.d_latent < 1 or not 0 <= c.gain < np.inf:
@@ -238,7 +230,7 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:
     x = cfg.feature_scale * (x + cfg.sigma * noise)
 
     channels = {c.name: [str(k) for k in range(c.n_classes)] for c in cfg.channels}
-    meta = {"seed": seed, "generator": to_kv(cfg, GEN_CONFIG_KEYS)}
+    meta = {"generator": to_kv(cfg, GEN_CONFIG_KEYS)}
     return Table(
         x, ids, class_of[CAMERA_CHANNEL], np.full(n, "train"), class_of, channels, meta=meta
     )
@@ -248,6 +240,7 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:
 # CSV format: id,camera,split,<channel...>,f0..f{d-1}
 # ----------------------------------------------------------------------------
 
+_FIXED_COLUMNS = ("id", "camera", "split")
 _FEATURE_COL = re.compile(r"^([ef])(\d+)$")
 _INT64_RANGE = range(-(2**63), 2**63)
 # cells formatted or parsed at a time: bounds the rows, cells and text of one
@@ -270,7 +263,7 @@ def save_dataset(ds: Table, path, feature_prefix: str = "f") -> None:
     """Write the table a block of rows at a time (module docstring)."""
     chan_names = list(ds.channels)
     features = [f"{feature_prefix}{j}" for j in range(ds.dim)]
-    header = ",".join(_csv_cell(col) for col in ["id", "camera", "split", *chan_names, *features])
+    header = ",".join(_csv_cell(col) for col in [*_FIXED_COLUMNS, *chan_names, *features])
     labels = [
         np.array([_csv_cell(name) for name in ds.channels[c]], dtype=object)[ds.codes[c]]
         for c in chan_names
@@ -306,7 +299,7 @@ def _feature_start(path, header: list[str] | None) -> int:
     id,camera,split,<channels...>,f0..fN (or e0..eN)."""
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header row")
-    if header[:3] != ["id", "camera", "split"]:
+    if tuple(header[:3]) != _FIXED_COLUMNS:
         raise ParseError(f"{path}: header must start with id,camera,split, got {header[:3]}")
     repeated = [col for j, col in enumerate(header) if col in header[:j]]
     if repeated:
@@ -507,7 +500,7 @@ def split_query_gallery(ds: Table, fraction: float, rng: np.random.Generator) ->
     if not (splits == "query").any():
         raise EvaluationError("no valid queries after split (fraction too small or single-camera ids)")
 
-    meta = dict(ds.meta, dropped_queries=len(lonely), eval_fraction=fraction)
+    meta = dict(ds.meta, dropped_queries=len(lonely))
     return replace(ds, splits=splits, meta=meta)
 
 

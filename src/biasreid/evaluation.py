@@ -12,7 +12,9 @@ probability that the item at rank r is a same-bias negative/positive.
 A ranking is exact to a chosen depth (see `RankResult`). Excluded items get
 an infinite distance, and the ranking is the (distance, gallery index)
 order, the one a stable sort of each row gives: the kept items, all finite,
-nearest first, then the excluded ones by index. No row is sorted whole:
+nearest first, then the excluded ones by index. Identical gallery rows get
+the distances of the first of them, bit for bit, so they tie exactly and
+rank by index. No row is sorted whole:
 
 - A positive's 0-based rank is the number of kept items at a smaller
   distance plus those at an equal distance and a lower index; CMC and mAP
@@ -42,6 +44,8 @@ from .errors import ConfigError, EvaluationError
 from .numerics import adam_update, prelu
 
 PROTOCOLS = ("standard", "nobias")
+MAX_RANK = 20  # CMC depth of a report
+CURVE_RANK = 10  # rank-position curve depth of a report, and its nauc window
 
 
 @dataclass
@@ -85,7 +89,10 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     against the whole gallery, so it holds two [block, G] arrays. Not
     bit-exact against a per-pair sum((a - b)^2): the Gram expansion rounds
     differently and needs the clamp, and the BLAS product may round a row
-    differently in another block. It stays beside the bit-exact
+    differently in another block, or two identical rows of `b` differently
+    by their columns' place in its kernel; `rank_gallery` copies each
+    duplicate gallery row's column from its first twin, so twins tie
+    exactly. It stays beside the bit-exact
     `losses.pairwise_sqdist` because the per-pair broadcast would hold a
     [block, G, D] array.
     """
@@ -94,6 +101,14 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.subtract((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1), d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _twins(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(copies, twins): the rows equal to an earlier row, and the first row
+    each one equals."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    copies = np.flatnonzero(first[inverse] != np.arange(len(rows)))
+    return copies, first[inverse[copies]]
 
 
 def _positive_ranks(d2: np.ndarray, pos: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
@@ -158,12 +173,14 @@ def rank_gallery(
     g = len(g_rows)
     depth = g if depth is None else min(depth, g)
     gallery, g_ids, g_cams = es.matrix[g_rows], es.ids[g_rows], es.cameras[g_rows]
+    copies, twins = _twins(gallery)
 
     # per block of queries, those kept: their rows, lengths, n_pos, pos_ranks, order and kept mask
     blocks = []
     for start in range(0, len(q_rows), _BLOCK):
         rows = q_rows[start : start + _BLOCK]
         d2 = _cross_sqdist(es.matrix[rows], gallery)
+        d2[:, copies] = d2[:, twins]  # identical gallery rows tie exactly
         # a row max is inf or NaN once any of its distances overflowed
         overflow = ~np.isfinite(d2.max(axis=1))
         if overflow.any():
@@ -214,7 +231,7 @@ def rank_gallery(
     return RankResult(order, same(es.ids), same_bias, lengths, pos_ranks, n_pos, dropped)
 
 
-def cmc_map(rr: RankResult, max_rank: int = 20) -> tuple[np.ndarray, float]:
+def cmc_map(rr: RankResult, max_rank: int = MAX_RANK) -> tuple[np.ndarray, float]:
     """CMC(k) for k = 1..max_rank and mean average precision, from the
     positives' ranks.
 
@@ -298,7 +315,6 @@ class ProbeParams:
     slope: float
     weights: np.ndarray  # [n_classes, d]
     bias: np.ndarray  # [n_classes]
-    classes: list[str]
 
 
 def _probe_logits(probe: ProbeParams, x: np.ndarray) -> np.ndarray:
@@ -346,7 +362,7 @@ def train_probe(
         gb[...] = dlogits.sum(axis=0)
         adam_update(theta, grads, m, v, step, cfg.rate)
 
-    return ProbeParams(float(theta[0]), w, b, list(classes))
+    return ProbeParams(float(theta[0]), w, b)
 
 
 def probe_accuracy(probe: ProbeParams, features: np.ndarray, codes: np.ndarray) -> float:
@@ -364,7 +380,7 @@ class ProbeReport:
     classes: list[str]
 
 
-def fit_probe(es: Table, channel: str, cfg: ProbeConfig) -> tuple[ProbeReport, ProbeParams]:
+def fit_probe(es: Table, channel: str, cfg: ProbeConfig) -> ProbeReport:
     """Disjoint train/test split of the embedding rows, then train + score."""
     if channel not in es.channels:
         raise ConfigError(f"unknown bias channel {channel!r}")
@@ -379,7 +395,7 @@ def fit_probe(es: Table, channel: str, cfg: ProbeConfig) -> tuple[ProbeReport, P
         raise ConfigError(f"probe train fraction {cfg.train_fraction} leaves an empty side")
     tr, te = perm[:n_train], perm[n_train:]
     probe = train_probe(es.matrix[tr], codes[tr], es.channels[channel], cfg)
-    report = ProbeReport(
+    return ProbeReport(
         channel=channel,
         accuracy=probe_accuracy(probe, es.matrix[te], codes[te]),
         train_accuracy=probe_accuracy(probe, es.matrix[tr], codes[tr]),
@@ -387,7 +403,6 @@ def fit_probe(es: Table, channel: str, cfg: ProbeConfig) -> tuple[ProbeReport, P
         n_test=len(te),
         classes=list(es.channels[channel]),
     )
-    return report, probe
 
 
 # ----------------------------------------------------------------------------
@@ -442,37 +457,30 @@ def evaluate_embeddings(
     protocol: str = "standard",
     channel: str | None = None,
     stat_channels: Iterable[str] | None = None,
-    max_rank: int = 20,
-    curve_rank: int = 10,
     probe_cfg: ProbeConfig | None = None,
     config_echo: dict | None = None,
 ) -> EvalReport:
     """Full report: CMC/mAP plus per-channel curves, nauc, optional probes.
 
-    `max_rank` and `curve_rank` must be >= 1; each is cut to the longest and
-    the shortest retained list, respectively.
+    CMC runs to MAX_RANK and the curves to CURVE_RANK, each cut to the
+    longest and the shortest retained list, respectively.
     """
-    for name, rank in (("max_rank", max_rank), ("curve_rank", curve_rank)):
-        if rank < 1:
-            raise ConfigError(f"{name} must be >= 1, got {rank}")
-    rr = rank_gallery(es, protocol, channel, depth=curve_rank)
-    max_rank = min(max_rank, int(rr.lengths.max()))
-    curve_rank = min(curve_rank, int(rr.lengths.min()))  # each list holds a positive
+    rr = rank_gallery(es, protocol, channel, depth=CURVE_RANK)
+    max_rank = min(MAX_RANK, int(rr.lengths.max()))
+    curve_rank = min(CURVE_RANK, int(rr.lengths.min()))  # each list holds a positive
     cmc, mean_ap = cmc_map(rr, max_rank)
     stats: dict[str, ChannelStats] = {}
     for ch in stat_channels if stat_channels is not None else es.channels:
         p_neg = same_bias_rank_prob(rr, ch, "negative", curve_rank)
         p_pos = same_bias_rank_prob(rr, ch, "positive", curve_rank)
-        k = min(10, curve_rank)
         stats[ch] = ChannelStats(
             p_neg=[float(v) for v in p_neg],
             p_pos=[float(v) for v in p_pos],
-            nauc_neg=nauc(p_neg, k),
-            nauc_pos=nauc(p_pos, k),
+            nauc_neg=nauc(p_neg, curve_rank),
+            nauc_pos=nauc(p_pos, curve_rank),
         )
         if probe_cfg is not None:
-            report, _ = fit_probe(es, ch, probe_cfg)
-            stats[ch].probe_accuracy = report.accuracy
+            stats[ch].probe_accuracy = fit_probe(es, ch, probe_cfg).accuracy
 
     def cmc_at(k: int) -> float:
         return float(cmc[min(k, len(cmc)) - 1])

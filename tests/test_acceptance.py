@@ -430,7 +430,7 @@ def test_criterion_10_nobias_exclusion(criteria):
         ds = make_dataset(preset.generator, seed=0)
         cfg = replace(preset.branch, mode="reduce", seed=0)
         params, _ = train_branch(ds, cfg)
-        es = embed_all(params, ds, branch_name=name)
+        es = embed_all(params, ds)
         channel = preset.branch.bias_channel
 
         standard = rank_gallery(es, "standard")

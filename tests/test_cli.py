@@ -388,15 +388,27 @@ class TestErrors:
         ["sigma = nan", "feature_scale = inf", "channels = pose:3:8:nan,cam:2:8:0.5"],
     )
     def test_non_finite_generator_value_rejected(self, line, small_gen_cfg, tmp_path, capsys):
+        assert self.gen_with(line, small_gen_cfg, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError")
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("name", ["id", "camera", "split", "f0", "e0", "f12"])
+    def test_channel_named_like_a_csv_column_rejected(self, name, small_gen_cfg, tmp_path, capsys):
+        # the CSV could not be read back: a repeated column or a misplaced feature
+        line = f"channels = {name}:3:8:1.0,cam:2:8:0.5"
+        assert self.gen_with(line, small_gen_cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError") and repr(name) in err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    @staticmethod
+    def gen_with(line, small_gen_cfg, tmp_path):
+        """`gen` into tmp_path/o from the small config with `line` replacing its key."""
         key = line.split()[0]
         kept = [ln for ln in small_gen_cfg.read_text().splitlines() if ln.split()[0] != key]
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("\n".join(kept + [line]) + "\n")
-        out = tmp_path / "o"
-        code = run(["gen", "--config", str(cfg), "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ConfigError")
-        assert not (out / "dataset.csv").exists()
+        return run(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize(
         "damage", ["transposed_moment", "no_n_layers", "meta_not_json", "bad_mode", "unknown_key"]

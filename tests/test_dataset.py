@@ -140,7 +140,6 @@ class TestTable:
             ({"codes": {"cam": [0, 2]}}, DataError),
             ({"codes": {}}, DataError),
             ({"splits": ["train", "test"]}, DataError),
-            ({"provenance": [("a", (0, 2))]}, AlignmentError),
         ):
             with pytest.raises(error):
                 Table(**dict(good, **bad))

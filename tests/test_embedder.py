@@ -8,10 +8,11 @@ from biasreid.dataset import (
     ChannelSpec,
     GeneratorConfig,
     generate_synthetic,
+    load_dataset,
     save_dataset,
     split_query_gallery,
 )
-from biasreid.embedder import concat, embed_all, load_embeddings, save_embeddings
+from biasreid.embedder import concat, embed_all, save_embeddings
 from biasreid.errors import AlignmentError
 from biasreid.losses import pairwise_sqdist
 from biasreid.numerics import EncoderParams, encode, init_encoder
@@ -74,25 +75,25 @@ class TestConcat:
     def two_sets(self, ds, dims=(2, 3)):
         rng = np.random.default_rng(3)
         sets = []
-        for j, d in enumerate(dims):
+        for d in dims:
             params = init_encoder(ds.dim, (4,), d, rng)
-            sets.append(embed_all(params, ds, branch_name=f"b{j}"))
+            sets.append(embed_all(params, ds))
         return sets
 
     def test_single_column_concat(self, ds):
         n = len(ds)
         base = embed_all(identity_encoder(ds.dim), ds)
-        a = replace(base, matrix=np.ones((n, 1)), provenance=[("a", (0, 1))])
-        b = replace(base, matrix=np.full((n, 1), 2.0), provenance=[("b", (0, 1))])
+        a = replace(base, matrix=np.ones((n, 1)))
+        b = replace(base, matrix=np.full((n, 1), 2.0))
         joined = concat([a, b])
-        np.testing.assert_array_equal(joined.matrix[0], [1.0, 2.0])
-        assert joined.provenance == [("a", (0, 1)), ("b", (1, 2))]
+        np.testing.assert_array_equal(joined.matrix, np.tile([1.0, 2.0], (n, 1)))
+        np.testing.assert_array_equal(joined.ids, ds.ids)
 
     def test_concat_of_one_is_unchanged(self, ds):
         (a, _) = self.two_sets(ds)
         joined = concat([a])
         np.testing.assert_array_equal(joined.matrix, a.matrix)
-        assert joined.provenance == a.provenance
+        assert joined.channels == a.channels
 
     def test_pythagorean_distance_identity(self, ds):
         a, b = self.two_sets(ds)
@@ -107,9 +108,7 @@ class TestConcat:
         sets = self.two_sets(ds) + self.two_sets(ds)
         joined = concat(sets)
         assert joined.dim == 10
-        assert [span for _, span in joined.provenance] == [
-            (0, 2), (2, 5), (5, 7), (7, 10),
-        ]
+        np.testing.assert_array_equal(joined.matrix, np.hstack([s.matrix for s in sets]))
 
     def test_misaligned_sets_rejected(self, ds):
         a, b = self.two_sets(ds)
@@ -124,7 +123,7 @@ class TestEmbeddingCsv:
         es = embed_all(params, ds)
         path = tmp_path / "emb.csv"
         save_embeddings(es, path)
-        back = load_embeddings(path)
+        back = load_dataset(path)
         np.testing.assert_array_equal(back.matrix, es.matrix)
         np.testing.assert_array_equal(back.ids, es.ids)
         assert back.codes.keys() == es.codes.keys()
@@ -132,9 +131,9 @@ class TestEmbeddingCsv:
     def test_ingest_external_descriptors(self, ds, tmp_path):
         path = tmp_path / "features.csv"
         save_dataset(ds, path)
-        es = load_embeddings(path)
+        es = load_dataset(path)
         np.testing.assert_array_equal(es.matrix, ds.matrix)
-        assert es.provenance == [("features", (0, ds.dim))]
+        assert es.channels == ds.channels
 
 
 class TestGoldenBytes:

@@ -30,6 +30,16 @@ At depth G the head is the whole stable order.
 The queries are ranked one block of `_BLOCK` rows at a time, from the
 block's distances to the whole gallery, so besides its [Q, depth] result a
 ranking holds only [block, G] arrays: its memory is per block, not Q x G.
+The exclusions come from tables built once per ranking, not from [block, G]
+masks: each identity's gallery positions, so a query's same-identity items
+(the only ones the standard protocol can drop) are looked up and set to inf
+one by one, and under nobias one penalty row per bias class, 0.0 at the
+other classes' items and inf at its own, added to the query's distances
+before its positives of that class get theirs back.
+
+The probe step has no data-dependent select: with x_pos = x above 0 (-0.0
+elsewhere) and x_neg = x at and below 0 (0.0 elsewhere), x_pos + slope *
+x_neg equals prelu(x, slope) bit for bit for every x and slope.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import Table
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, TrainingError
 from .numerics import adam_update, prelu
 
 PROTOCOLS = ("standard", "nobias")
@@ -81,12 +91,14 @@ class RankResult:
 _BLOCK = 128
 
 
-def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross_sqdist(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """[len(a), len(b)] squared Euclidean distances via |a|^2 + |b|^2 - 2ab.
 
     Computed as (|a|^2 + |b|^2) - (a @ b.T) * 2, then clamped at 0, into the
-    product's own buffer. `rank_gallery` calls it on one block of query rows
-    against the whole gallery, so it holds two [block, G] arrays. Not
+    product's own buffer; `b_sq` is |b|^2, `(b * b).sum(axis=1)`, which a
+    ranking computes once for its gallery. `rank_gallery` calls it on one
+    block of query rows against the whole gallery, so it holds two
+    [block, G] arrays. Not
     bit-exact against a per-pair sum((a - b)^2): the Gram expansion rounds
     differently and needs the clamp, and the BLAS product may round a row
     differently in another block, or two identical rows of `b` differently
@@ -98,7 +110,7 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     d2 = a @ b.T
     d2 *= 2.0
-    np.subtract((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1), d2, out=d2)
+    np.subtract((a * a).sum(axis=1)[:, None] + b_sq, d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -173,13 +185,26 @@ def rank_gallery(
     g = len(g_rows)
     depth = g if depth is None else min(depth, g)
     gallery, g_ids, g_cams = es.matrix[g_rows], es.ids[g_rows], es.cameras[g_rows]
+    g_sq = (gallery * gallery).sum(axis=1)
     copies, twins = _twins(gallery)
+    # each identity's gallery positions in index order, padded with -1
+    by_id = np.argsort(g_ids, kind="stable")
+    ids, first, counts = np.unique(g_ids[by_id], return_index=True, return_counts=True)
+    members = np.full((len(ids), counts.max()), -1)
+    slot = np.arange(g) - np.repeat(first, counts)
+    members[np.repeat(np.arange(len(ids)), counts), slot] = by_id
+    if protocol == "nobias":
+        # per class, inf at the gallery items of that class and 0.0 elsewhere
+        g_codes = es.codes[channel][g_rows]
+        n_classes = len(es.channels[channel])
+        penalty = np.where(g_codes == np.arange(n_classes)[:, None], np.inf, 0.0)
+        class_sizes = np.bincount(g_codes, minlength=n_classes)
 
     # per block of queries, those kept: their rows, lengths, n_pos, pos_ranks, order and kept mask
     blocks = []
     for start in range(0, len(q_rows), _BLOCK):
         rows = q_rows[start : start + _BLOCK]
-        d2 = _cross_sqdist(es.matrix[rows], gallery)
+        d2 = _cross_sqdist(es.matrix[rows], gallery, g_sq)
         d2[:, copies] = d2[:, twins]  # identical gallery rows tie exactly
         # a row max is inf or NaN once any of its distances overflowed
         overflow = ~np.isfinite(d2.max(axis=1))
@@ -187,26 +212,35 @@ def rank_gallery(
             row = int(rows[np.argmax(overflow)])
             raise EvaluationError(f"query row {row}: squared distances overflow float64")
 
-        same_id = es.ids[rows][:, None] == g_ids
-        excluded = es.cameras[rows][:, None] == g_cams
-        excluded &= same_id
-        if protocol == "nobias":
-            codes = es.codes[channel]
-            same_code = codes[rows][:, None] == codes[g_rows]
-            same_code[same_id] = False
-            excluded |= same_code
-        same_id[excluded] = False
-        d2[excluded] = np.inf  # after the overflow check: every kept distance is finite
-        lengths = g - np.count_nonzero(excluded, axis=1)
+        # the gallery items sharing each query's identity, in index order (-1: none)
+        q_ids = es.ids[rows]
+        at = np.minimum(np.searchsorted(ids, q_ids), len(ids) - 1)
+        cand = np.where((ids[at] == q_ids)[:, None], members[at], -1)
+        mates = cand >= 0
+        same_cam = mates & (g_cams[cand] == es.cameras[rows][:, None])
         # each query's positives, row-major: in gallery-index order within a row
-        pos_q, pos_g = np.nonzero(same_id)
+        pos_q, pos_j = np.nonzero(mates & ~same_cam)
+        pos_g = cand[pos_q, pos_j]
         n_pos = np.bincount(pos_q, minlength=len(rows))
-        keep = np.flatnonzero(n_pos)
-        if len(keep) == 0:
-            continue
         # the positives packed to the left of each row; the slots past n_pos hold 0
         pos = np.zeros((len(rows), n_pos.max()), dtype=np.int64)
         pos[pos_q, np.arange(len(pos_q)) - (np.cumsum(n_pos) - n_pos)[pos_q]] = pos_g
+        # after the overflow check: every kept distance is finite
+        hit = np.nonzero(same_cam)
+        d2[hit[0], cand[hit]] = np.inf
+        lengths = g - np.count_nonzero(same_cam, axis=1)
+        if protocol == "nobias":
+            # other identities of the query's class: d + inf == inf and d + 0.0 == d,
+            # and the positives of that class get their distances back
+            q_codes = es.codes[channel][rows]
+            held = d2[pos_q, pos_g]
+            d2 += penalty[q_codes]
+            d2[pos_q, pos_g] = held
+            same_class = mates & (g_codes[cand] == q_codes[:, None])
+            lengths += np.count_nonzero(same_class, axis=1) - class_sizes[q_codes]
+        keep = np.flatnonzero(n_pos)
+        if len(keep) == 0:
+            continue
         if len(keep) < len(rows):  # copies the block only when it dropped a query
             d2, pos, n_pos, lengths, rows = d2[keep], pos[keep], n_pos[keep], lengths[keep], rows[keep]
         head = _head(d2, depth)
@@ -328,7 +362,8 @@ def train_probe(
     """Softmax cross-entropy with Adam, full batch; the features stay frozen.
 
     `codes` index `classes`, as a table's bias codes index its channel's
-    class names.
+    class names. A fit whose gradients or parameters turn non-finite raises
+    `TrainingError` naming the step.
     """
     y = np.asarray(codes)
     present = np.unique(y)
@@ -347,20 +382,42 @@ def train_probe(
     gw, gb = grads[1 : 1 + c * d].reshape(c, d), grads[1 + c * d :]
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
-    # d prelu(x, slope) / d slope: x where x <= 0, else 0; the features are frozen
-    x_neg = np.where(x > 0, 0.0, x)
+    # prelu(x, slope) == x_pos + slope * x_neg bit for bit, with no select per
+    # step: x + (+-0) == x above 0 and -0.0 + y == y at and below it. x_neg is
+    # also d prelu / d slope; the features are frozen
+    pos = x > 0
+    x_neg = np.where(pos, 0.0, x)
+    x_pos = np.where(pos, x, -0.0)
+    h, back = np.empty((n, d)), np.empty((n, d))
+    logits, top = np.empty((n, c)), np.empty(n)
 
-    for step in range(1, cfg.epochs + 1):
-        h = prelu(x, float(theta[0]))
-        logits = h @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
-        dlogits = (probs - onehot) / n
-        grads[0] = np.sum((dlogits @ w) * x_neg)
-        gw[...] = dlogits.T @ h
-        gb[...] = dlogits.sum(axis=0)
-        adam_update(theta, grads, m, v, step, cfg.rate)
+    # a diverging probe's overflow is not warned of: it raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.epochs + 1):
+            np.multiply(x_neg, theta[0], out=h)
+            h += x_pos
+            np.matmul(h, w.T, out=logits)
+            logits += b
+            # the row max, exact; a tie of +0 and -0 leaves exp(0) == 1 either way
+            np.copyto(top, logits[:, 0])
+            for j in range(1, c):
+                np.maximum(top, logits[:, j], out=top)
+            logits -= top[:, None]
+            np.exp(logits, out=logits)
+            logits /= logits.sum(axis=1, keepdims=True)
+            logits -= onehot
+            logits /= n  # d loss / d logits
+            np.matmul(logits, w, out=back)
+            back *= x_neg
+            grads[0] = np.sum(back)
+            np.matmul(logits.T, h, out=gw)
+            gb[...] = logits.sum(axis=0)
+            try:
+                adam_update(theta, grads, m, v, step, cfg.rate)
+            except TrainingError as exc:
+                raise TrainingError(f"bias probe step {step}: {exc}") from None
+            if not np.isfinite(theta).all():
+                raise TrainingError(f"bias probe step {step}: non-finite parameters")
 
     return ProbeParams(float(theta[0]), w, b)
 

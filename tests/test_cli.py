@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,19 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError") and f"{cfg}: not UTF-8 text" in err
+
+    def test_diverging_probe_names_its_step(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert run(["gen", "--preset", "default", "--seed", "0", "--out", str(gen)]) == 0
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("probe_rate = 1e300\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape as an exception
+            code = run(["probe", "--data", str(gen / "dataset.csv"), "--channel", "pose",
+                        "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: TrainingError: bias probe step 2: non-finite gradients\n"
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = run(["gen", "--preset", "nopreset", "--out", str(tmp_path / "o")])

@@ -13,10 +13,11 @@ from biasreid.dataset import (
     split_query_gallery,
 )
 from biasreid.embedder import embed_all
-from biasreid.errors import ConfigError, EvaluationError
+from biasreid.errors import ConfigError, EvaluationError, TrainingError
 from biasreid.evaluation import (
     PROTOCOLS,
     ProbeConfig,
+    ProbeParams,
     _cross_sqdist,
     cmc_map,
     evaluate_embeddings,
@@ -27,7 +28,7 @@ from biasreid.evaluation import (
     same_bias_rank_prob,
     train_probe,
 )
-from biasreid.numerics import init_encoder
+from biasreid.numerics import adam_update, init_encoder, prelu
 from biasreid.trainer import BranchConfig, train_branch
 
 
@@ -99,11 +100,11 @@ def brute_force_rank(es, protocol="standard", channel=None):
     if len(q_rows) == 0 or len(g_rows) == 0:
         raise EvaluationError("need non-empty query and gallery splits")
     step = evaluation._BLOCK
+    gallery = es.matrix[g_rows]
     d2 = np.concatenate([
-        _cross_sqdist(es.matrix[q_rows[start : start + step]], es.matrix[g_rows])
+        _cross_sqdist(es.matrix[q_rows[start : start + step]], gallery, (gallery * gallery).sum(axis=1))
         for start in range(0, len(q_rows), step)
     ])
-    gallery = es.matrix[g_rows]
     for j in range(len(g_rows)):
         d2[:, j] = d2[:, next((k for k in range(j) if np.array_equal(gallery[k], gallery[j])), j)]
     for qi, row in enumerate(q_rows):
@@ -183,7 +184,7 @@ class TestRankGallery:
         d2 *= 2.0
         d2 = ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)) - d2
         np.maximum(d2, 0.0, out=d2)
-        got = _cross_sqdist(a, b)
+        got = _cross_sqdist(a, b, (b * b).sum(axis=1))
         assert (d2 == 0).any()
         np.testing.assert_array_equal(got.view(np.uint64), d2.view(np.uint64))
 
@@ -222,6 +223,25 @@ class TestRankGallery:
         rr = rank_gallery(es, "nobias", channel="pose")
         assert rr.positive[0, : rr.lengths[0]].all()  # only the positive remains
         assert rr.lengths[0] == 1
+
+    def test_nobias_keeps_same_class_positive_and_drops_same_camera_mate(self):
+        # query 0 (id 1, cam 0, pose a): gallery 0 is a positive of its class,
+        # kept; gallery 1 shares its id and camera in class b, excluded; gallery
+        # 2 is another id of class a, excluded. Query 1 (id 3, pose b) keeps
+        # its positive, gallery 3, and loses both class-b items of id 1.
+        es = make_es(
+            emb=[0.0, 0.1, 1.5, 0.5, 1.0, 2.0, 4.0],
+            ids=[1, 3, 1, 1, 2, 3, 1],
+            cams=[0, 0, 1, 0, 1, 1, 1],
+            splits=["query"] * 2 + ["gallery"] * 5,
+            pose=["a", "b", "a", "b", "a", "b", "b"],
+        )
+        rr = rank_gallery(es, "nobias", channel="pose")
+        np.testing.assert_array_equal(rr.lengths, [3, 3])
+        np.testing.assert_array_equal(rr.n_pos, [2, 1])
+        # query 0: gallery 0 (d 2.25), 3 (4), 4 (16); query 1: 0 (1.96), 2 (0.81), 3 (3.61)
+        np.testing.assert_array_equal(rr.pos_ranks, [[0, 2], [2, 5]])
+        np.testing.assert_array_equal(rr.order[:, :3], [[0, 3, 4], [2, 0, 3]])
 
     def test_query_without_positive_dropped_and_counted(self):
         es = make_es(
@@ -656,7 +676,83 @@ class TestNauc:
             nauc(np.zeros(5), 10)
 
 
+def reference_train_probe(features, codes, classes, cfg):
+    """train_probe as a plain loop: `numerics.prelu` each step and a
+    whole-row `max` before the softmax."""
+    y = np.asarray(codes)
+    x = np.asarray(features, dtype=np.float64)
+    n, d = x.shape
+    c = len(classes)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
+    theta = np.concatenate([[0.25], rng.normal(0.0, 0.01, size=c * d), np.zeros(c)])
+    grads = np.empty_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    w, b = theta[1 : 1 + c * d].reshape(c, d), theta[1 + c * d :]
+    gw, gb = grads[1 : 1 + c * d].reshape(c, d), grads[1 + c * d :]
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y] = 1.0
+    x_neg = np.where(x > 0, 0.0, x)
+    for step in range(1, cfg.epochs + 1):
+        h = prelu(x, float(theta[0]))
+        logits = h @ w.T + b
+        logits -= logits.max(axis=1, keepdims=True)
+        expl = np.exp(logits)
+        probs = expl / expl.sum(axis=1, keepdims=True)
+        dlogits = (probs - onehot) / n
+        grads[0] = np.sum((dlogits @ w) * x_neg)
+        gw[...] = dlogits.T @ h
+        gb[...] = dlogits.sum(axis=0)
+        adam_update(theta, grads, m, v, step, cfg.rate)
+    return ProbeParams(float(theta[0]), w, b)
+
+
+def probe_bits(probe):
+    return (np.float64(probe.slope).view(np.uint64), probe.weights.view(np.uint64).tolist(),
+            probe.bias.view(np.uint64).tolist())
+
+
 class TestProbe:
+    def test_branchless_prelu_identity_bit_for_bit(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e308, -1e308])
+        pos = x > 0
+        x_neg, x_pos = np.where(pos, 0.0, x), np.where(pos, x, -0.0)
+        for slope in (-1.5, -0.0, 0.0, 0.01, 1.0, 3.0):
+            with np.errstate(over="ignore"):
+                got = x_neg * slope + x_pos
+                want = prelu(x, slope)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 9])
+    def test_matches_reference_loop_bit_for_bit(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        n, d = 90, 4
+        y = np.arange(n) % n_classes
+        x = rng.normal(size=(n, d)) + 2.0 * np.eye(n_classes, d)[y]
+        x[rng.random((n, d)) < 0.15] = 0.0
+        x[rng.random((n, d)) < 0.15] = -0.0
+        classes = [str(k) for k in range(n_classes)]
+        slopes = []
+        for rate in (0.05, 3.0):
+            for epochs in range(31):
+                cfg = ProbeConfig(epochs=epochs, rate=rate, seed=n_classes)
+                got = train_probe(x, y, classes, cfg)
+                assert probe_bits(got) == probe_bits(reference_train_probe(x, y, classes, cfg))
+                slopes.append(got.slope)
+        # the slope crosses both ends of the common 0 <= slope <= 1 range
+        assert min(slopes) < 0.0 and max(slopes) > 1.0
+
+    def test_non_finite_slope_is_a_training_error(self):
+        # at rate 1.3e303 the second step overflows the slope alone
+        x = np.array([1.4e-239, 1.9e-77, 5.1e-3, 8.8e-279, -6.1e-161, -4.8e-201, 1.2e-261])[:, None]
+        y = np.arange(7) % 2
+        cfg = ProbeConfig(epochs=2, rate=1.3e303, seed=2)
+        with np.errstate(all="ignore"):
+            ref = reference_train_probe(x, y, ["0", "1"], cfg)
+        assert not np.isfinite(ref.slope)
+        assert np.isfinite(ref.weights).all() and np.isfinite(ref.bias).all()
+        with pytest.raises(TrainingError, match="bias probe step 2: non-finite parameters"):
+            train_probe(x, y, ["0", "1"], cfg)
+
     def test_one_hot_features_nearly_perfect(self):
         rng = np.random.default_rng(3)
         y = rng.integers(0, 3, size=300)

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import comma_list, from_kv, read_kv, spell, to_kv
@@ -102,6 +106,10 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "outputs": [str(p) for p in outputs],
         "toolkit_version": __version__,
         "duration_s": round(time.time() - t0, 3),
+        # the process's memory high-water mark so far (ru_maxrss is in KiB)
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "numpy": np.__version__,
+        "cores": len(os.sched_getaffinity(0)),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -27,9 +27,12 @@ rank by index. No row is sorted whole:
 
 At depth G the head is the whole stable order.
 
-The queries are ranked one block of `_BLOCK` rows at a time, from the
-block's distances to the whole gallery, so besides its [Q, depth] result a
-ranking holds only [block, G] arrays: its memory is per block, not Q x G.
+The queries are ranked one block at a time, from the block's distances to
+the whole gallery. A block holds `max(1, _BLOCK_CELLS // G)` query rows, so
+its [block, G] arrays hold about `_BLOCK_CELLS` cells each (one row of G
+when G exceeds it), whatever Q is. Besides those and its [Q, depth]
+result, a ranking holds only per-gallery tables: the gallery's rows, their
+twins and the identity and class tables below.
 The exclusions come from tables built once per ranking, not from [block, G]
 masks: each identity's gallery positions, so a query's same-identity items
 (the only ones the standard protocol can drop) are looked up and set to inf
@@ -87,8 +90,9 @@ class RankResult:
         return self.order.shape[1]
 
 
-# query rows ranked at a time: bounds every [rows, G] array of a ranking
-_BLOCK = 128
+# cells of a block of the ranking (1 MiB of float64): each block takes
+# max(1, _BLOCK_CELLS // G) query rows, bounding every [rows, G] array
+_BLOCK_CELLS = 1 << 17
 
 
 def _cross_sqdist(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
@@ -98,7 +102,8 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     product's own buffer; `b_sq` is |b|^2, `(b * b).sum(axis=1)`, which a
     ranking computes once for its gallery. `rank_gallery` calls it on one
     block of query rows against the whole gallery, so it holds two
-    [block, G] arrays. Not
+    [block, G] arrays, each of about `_BLOCK_CELLS` cells. Overflow is not
+    warned of: the caller checks the distances. Not
     bit-exact against a per-pair sum((a - b)^2): the Gram expansion rounds
     differently and needs the clamp, and the BLAS product may round a row
     differently in another block, or two identical rows of `b` differently
@@ -108,9 +113,10 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     `losses.pairwise_sqdist` because the per-pair broadcast would hold a
     [block, G, D] array.
     """
-    d2 = a @ b.T
-    d2 *= 2.0
-    np.subtract((a * a).sum(axis=1)[:, None] + b_sq, d2, out=d2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = a @ b.T
+        d2 *= 2.0
+        np.subtract((a * a).sum(axis=1)[:, None] + b_sq, d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -185,7 +191,8 @@ def rank_gallery(
     g = len(g_rows)
     depth = g if depth is None else min(depth, g)
     gallery, g_ids, g_cams = es.matrix[g_rows], es.ids[g_rows], es.cameras[g_rows]
-    g_sq = (gallery * gallery).sum(axis=1)
+    with np.errstate(over="ignore"):  # overflow raises after `_cross_sqdist`
+        g_sq = (gallery * gallery).sum(axis=1)
     copies, twins = _twins(gallery)
     # each identity's gallery positions in index order, padded with -1
     by_id = np.argsort(g_ids, kind="stable")
@@ -202,8 +209,9 @@ def rank_gallery(
 
     # per block of queries, those kept: their rows, lengths, n_pos, pos_ranks, order and kept mask
     blocks = []
-    for start in range(0, len(q_rows), _BLOCK):
-        rows = q_rows[start : start + _BLOCK]
+    block = max(1, _BLOCK_CELLS // g)
+    for start in range(0, len(q_rows), block):
+        rows = q_rows[start : start + block]
         d2 = _cross_sqdist(es.matrix[rows], gallery, g_sq)
         d2[:, copies] = d2[:, twins]  # identical gallery rows tie exactly
         # a row max is inf or NaN once any of its distances overflowed
@@ -388,7 +396,8 @@ def train_probe(
     pos = x > 0
     x_neg = np.where(pos, 0.0, x)
     x_pos = np.where(pos, x, -0.0)
-    h, back = np.empty((n, d)), np.empty((n, d))
+    del pos
+    h = np.empty((n, d))
     logits, top = np.empty((n, c)), np.empty(n)
 
     # a diverging probe's overflow is not warned of: it raises below
@@ -407,10 +416,11 @@ def train_probe(
             logits /= logits.sum(axis=1, keepdims=True)
             logits -= onehot
             logits /= n  # d loss / d logits
-            np.matmul(logits, w, out=back)
-            back *= x_neg
-            grads[0] = np.sum(back)
             np.matmul(logits.T, h, out=gw)
+            # h is spent: it takes d loss / d h, times x_neg for the slope
+            np.matmul(logits, w, out=h)
+            h *= x_neg
+            grads[0] = np.sum(h)
             gb[...] = logits.sum(axis=0)
             try:
                 adam_update(theta, grads, m, v, step, cfg.rate)

@@ -75,12 +75,13 @@ def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
     n = e.shape[0]
     rows, cols = _upper_pairs(n)
     upper = np.empty(len(rows))
-    for start in range(0, len(rows), _PAIR_BLOCK):
-        blk = slice(start, start + _PAIR_BLOCK)
-        diff = np.take(e, rows[blk], axis=0)
-        diff -= np.take(e, cols[blk], axis=0)
-        diff *= diff
-        upper[blk] = diff.sum(axis=-1)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        for start in range(0, len(rows), _PAIR_BLOCK):
+            blk = slice(start, start + _PAIR_BLOCK)
+            diff = np.take(e, rows[blk], axis=0)
+            diff -= np.take(e, cols[blk], axis=0)
+            diff *= diff
+            upper[blk] = diff.sum(axis=-1)
     if not np.isfinite(upper).all():
         raise DataError("squared distance between embeddings overflows float64")
     d2 = np.zeros((n, n))

@@ -107,6 +107,20 @@ class TestPipeline:
             for out_file in manifest["outputs"]:
                 assert (root / sub / out_file.split("/")[-1]).exists()
 
+    def test_every_manifest_records_its_memory_and_host(self, pipeline, small_branch_cfg, tmp_path):
+        root, data, emb_dir, _ = pipeline
+        embeddings = str(emb_dir / "embeddings.csv")
+        for cmd, argv in [("probe", ["--channel", "pose"]), ("stats", ["--channel", "pose"]),
+                          ("sweep", ["--config", str(small_branch_cfg), "--lambdas", "0.05"])]:
+            src = str(data) if cmd == "sweep" else embeddings
+            assert run([cmd, "--data", src, *argv, "--out", str(tmp_path / cmd)]) == 0
+        dirs = [root / sub for sub in ("gen", "train_reduce", "train_enhance", "emb", "eval")]
+        for out in dirs + [tmp_path / cmd for cmd in ("probe", "stats", "sweep")]:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+            assert manifest["numpy"] == np.__version__
+            assert isinstance(manifest["cores"], int) and manifest["cores"] >= 1
+
     def test_embed_concatenates_branches(self, pipeline):
         _, _, emb_dir, _ = pipeline
         header = (emb_dir / "embeddings.csv").read_text().splitlines()[0]
@@ -381,7 +395,9 @@ class TestErrors:
             "2,1,gallery,b,0,0\n"
             "2,0,query,b,0,0\n"
         )
-        code = run(["eval", "--data", str(data), "--out", str(tmp_path / "o")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape as an exception
+            code = run(["eval", "--data", str(data), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: EvaluationError") and "query row 0" in err

@@ -83,9 +83,10 @@ def brute_force_rank(es, protocol="standard", channel=None):
     Each retained query's kept gallery positions are sorted on their own,
     stably, so the lower index wins a tie; its masks and its distances
     (`dists`) are gathered through that order. The distances are those
-    rank_gallery ranks, `_cross_sqdist` of each block of `_BLOCK` query
-    rows: the BLAS product may round a row differently in another block,
-    which moves exact ties. Each gallery column is then replaced by that of
+    rank_gallery ranks, `_cross_sqdist` of each block of
+    `max(1, _BLOCK_CELLS // G)` query rows, G the gallery's size: the BLAS
+    product may round a row differently in another block, which moves exact
+    ties. Each gallery column is then replaced by that of
     the first gallery row equal to its row, so identical rows tie.
     """
     if protocol not in PROTOCOLS:
@@ -99,7 +100,7 @@ def brute_force_rank(es, protocol="standard", channel=None):
     g_rows = np.flatnonzero(es.splits == "gallery")
     if len(q_rows) == 0 or len(g_rows) == 0:
         raise EvaluationError("need non-empty query and gallery splits")
-    step = evaluation._BLOCK
+    step = max(1, evaluation._BLOCK_CELLS // len(g_rows))
     gallery = es.matrix[g_rows]
     d2 = np.concatenate([
         _cross_sqdist(es.matrix[q_rows[start : start + step]], gallery, (gallery * gallery).sum(axis=1))
@@ -163,6 +164,11 @@ def brute_force_curve(positive, same_bias, polarity, max_rank):
                 hits += 1
         curve[r - 1] = hits / have.sum()
     return curve
+
+
+def set_block_rows(monkeypatch, es, rows):
+    """Set the cell budget at which `es` ranks `rows` queries per block."""
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", rows * int(np.sum(es.splits == "gallery")))
 
 
 def outcome(fn, *args):
@@ -320,6 +326,29 @@ class TestRankGallery:
         assert rr.n_queries > n_q // 2
         assert peak < n_q * n_g * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_memory_is_bounded_by_the_block_budget(self):
+        # 64 queries x 40000 gallery items: one [64, G] float64 array is 19.5 MiB,
+        # while a block of the budget's rows holds about 1 MiB
+        rng = np.random.default_rng(1)
+        n_q, n_g = 64, 40_000
+        ids = np.concatenate([np.arange(n_q), np.arange(n_g) % 1000])
+        cams = np.concatenate([np.zeros(n_q, int), np.ones(n_g, int)])
+        splits = np.array(["query"] * n_q + ["gallery"] * n_g)
+        codes = {"pose": rng.integers(0, 3, size=n_q + n_g)}
+        es = Table(rng.normal(size=(n_q + n_g, 4)), ids, cams, splits, codes, {"pose": ["0", "1", "2"]})
+        tracemalloc.start()
+        try:
+            rr = rank_gallery(es, "standard", depth=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(a.nbytes for a in (rr.order, rr.positive, rr.lengths, rr.pos_ranks, rr.n_pos))
+        result += sum(m.nbytes for m in rr.same_bias.values())
+        # the gallery's own tables (its copy and `_twins`' sort) and a few blocks
+        bound = 8 * es.matrix[n_q:].nbytes + 4 * evaluation._BLOCK_CELLS * 8 + result
+        assert rr.n_queries == n_q
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
     def test_empty_query_split_errors(self):
         es = make_es([0.0, 1.0], [1, 1], [0, 1], ["gallery", "gallery"])
         with pytest.raises(EvaluationError):
@@ -387,15 +416,16 @@ class TestCmcMap:
             assert (np.diff(cmc) >= -1e-15).all()  # CMC monotone
 
 
-def random_table(rng, grid, n_queries=None):
+def random_table(rng, grid, n_queries=None, n_gallery=None):
     """A small table with train rows mixed in and two bias channels.
 
     `grid` rows take values in {-2..2} times one step, so many distances
     tie; a few tables carry a row whose squared norm overflows. It holds 0-6
-    queries unless `n_queries` is given.
+    queries and 1-30 gallery items unless `n_queries` or `n_gallery` is given.
     """
     n_q, n_gal, n_train = rng.integers(0, 7), rng.integers(1, 31), rng.integers(0, 4)
     n_q = n_q if n_queries is None else n_queries
+    n_gal = n_gal if n_gallery is None else n_gallery
     n, d = n_q + n_gal + n_train, int(rng.integers(1, 5))
     if grid:
         matrix = rng.integers(-2, 3, size=(n, d)) * rng.choice([1.0, 0.1, 0.37])
@@ -460,11 +490,11 @@ class TestRankingOracle:
     @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
     def test_matches_brute_force_across_blocks(self, grid, monkeypatch):
         # 4-query blocks: 9-20 queries span 3-5 blocks, the last often partial
-        monkeypatch.setattr(evaluation, "_BLOCK", 4)
         rng = np.random.default_rng(21 + grid)
         seen = {"ranked": 0, "dropped": 0, "error": 0}
         for _ in range(150):
             es = random_table(rng, grid, n_queries=int(rng.integers(9, 21)))
+            set_block_rows(monkeypatch, es, 4)
             for ref, ref_err in self.check_table(es):
                 seen["error" if ref_err else "ranked"] += 1
                 seen["dropped"] += not ref_err and ref[3] > 0
@@ -474,8 +504,30 @@ class TestRankingOracle:
     def test_matches_brute_force_across_real_blocks(self, grid):
         rng = np.random.default_rng(31 + grid)
         for _ in range(2):
-            es = random_table(rng, grid, n_queries=2 * evaluation._BLOCK + int(rng.integers(1, 60)))
+            n_gallery = int(rng.integers(200, 301))
+            n_queries = 2 * (evaluation._BLOCK_CELLS // n_gallery) + int(rng.integers(1, 60))
+            es = random_table(rng, grid, n_queries=n_queries, n_gallery=n_gallery)
             assert not any(ref_err for _, ref_err in self.check_table(es))
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
+    def test_matches_brute_force_below_one_row_of_budget(self, grid, monkeypatch):
+        # a budget below G still ranks one query row per block
+        rng = np.random.default_rng(41 + grid)
+        for _ in range(40):
+            es = random_table(rng, grid, n_queries=int(rng.integers(2, 8)))
+            n_gallery = int(np.sum(es.splits == "gallery"))
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", int(rng.integers(0, n_gallery)))
+            self.check_table(es)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
+    def test_matches_brute_force_in_one_block(self, grid, monkeypatch):
+        # the smallest budget that holds every query: Q x G cells
+        rng = np.random.default_rng(51 + grid)
+        for _ in range(40):
+            n_queries = int(rng.integers(9, 21))
+            es = random_table(rng, grid, n_queries=n_queries)
+            set_block_rows(monkeypatch, es, n_queries)
+            self.check_table(es)
 
     @staticmethod
     def seam_table():
@@ -490,8 +542,8 @@ class TestRankingOracle:
         return Table(rng.normal(size=(18, 3)), ids, cams, splits, codes, channels)
 
     def test_block_whose_queries_are_all_dropped(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_BLOCK", 4)
         es = self.seam_table()
+        set_block_rows(monkeypatch, es, 4)
         es.ids[4:8] = 9  # the middle block's queries: no gallery item of id 9
         for ref, ref_err in self.check_table(es):
             assert ref_err is None and ref[3] == 4
@@ -500,8 +552,8 @@ class TestRankingOracle:
 
     @pytest.mark.parametrize("all_dropped", [False, True])
     def test_overflow_in_a_later_block_named(self, monkeypatch, all_dropped):
-        monkeypatch.setattr(evaluation, "_BLOCK", 4)
         es = self.seam_table()
+        set_block_rows(monkeypatch, es, 4)
         if all_dropped:  # the overflow still comes first
             es.ids[:12] = 9
         es.matrix[9] = 1e200  # the third block's second query

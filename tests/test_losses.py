@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +138,8 @@ class TestPairwiseSqdist:
     def test_overflowing_distance_rejected(self):
         # finite rows whose squared distance is inf: a masked +-inf in the
         # hard loss's selection could then tie a real candidate
-        with pytest.raises(DataError):
+        with warnings.catch_warnings(), pytest.raises(DataError):
+            warnings.simplefilter("error")  # an overflow warning would escape as an exception
             pairwise_sqdist(col([-1e200, 1e200]))
 
 

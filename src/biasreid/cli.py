@@ -5,7 +5,8 @@ the run recipes: `run_branch` trains, embeds and scores one branch, and
 
 Every command is a deterministic function of (config, inputs, --seed) and
 writes a RunManifest next to its outputs listing the resolved configuration
-and every artifact file produced.
+and every artifact file produced. Reports hold scores only: a run's
+configuration is recorded in its manifest (and a branch's in its checkpoint).
 """
 
 from __future__ import annotations
@@ -56,32 +57,31 @@ from .trainer import (
 def run_branch(ds: Table, cfg: BranchConfig,
                probe_cfg: ProbeConfig) -> tuple[TrainLog, Table, EvalReport]:
     """Train one branch, embed every row and score it under the standard
-    protocol, probing `cfg.bias_channel`; the report's config echoes `cfg`."""
+    protocol, probing `cfg.bias_channel`."""
     params, log = train_branch(ds, cfg)
     es = embed_all(params, ds)
-    report = evaluate_embeddings(es, stat_channels=[cfg.bias_channel], probe_cfg=probe_cfg,
-                                 config_echo=to_kv(cfg, BRANCH_CONFIG_KEYS))
+    report = evaluate_embeddings(es, stat_channels=[cfg.bias_channel], probe_cfg=probe_cfg)
     return log, es, report
 
 
 def lambda_sweep(ds: Table, base_cfg: BranchConfig, lambdas,
                  probe_cfg: ProbeConfig = ProbeConfig()) -> list[EvalReport]:
-    """One `run_branch` per bias-loss weight, each `base_cfg` with that lam_db."""
+    """One `run_branch` per bias-loss weight, each `base_cfg` with that lam_db;
+    every config is built, and so checked, before the first branch trains."""
     if not lambdas:
         raise ConfigError("lambda sweep needs at least one value")
     cfgs = [replace(base_cfg, lam_db=float(lam)) for lam in lambdas]
-    for cfg in cfgs:
-        cfg.validate()
     return [run_branch(ds, cfg, probe_cfg)[2] for cfg in cfgs]
 
 
-def sweep_to_csv(reports: list[EvalReport]) -> str:
-    """One row per `run_branch` report: its lam_db and its scores."""
+def sweep_to_csv(base_cfg: BranchConfig, lambdas, reports: list[EvalReport]) -> str:
+    """One row per `lambda_sweep` report: its lam_db and its scores on the
+    base config's bias channel."""
     lines = ["lambda_db,rank1,map,probe_acc,nauc10_neg"]
-    for r in reports:
-        st = r.channels[r.config["bias_channel"]]
+    for lam, r in zip(lambdas, reports):
+        st = r.channels[base_cfg.bias_channel]
         lines.append(
-            f"{r.config['lambda_db']:.17g},{r.rank1:.17g},{r.map:.17g},"
+            f"{float(lam):.17g},{r.rank1:.17g},{r.map:.17g},"
             f"{st.probe_accuracy:.17g},{st.nauc_neg:.17g}"
         )
     return "\n".join(lines) + "\n"
@@ -196,12 +196,7 @@ def cmd_eval(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
     es = load_dataset(args.data)
-    report = evaluate_embeddings(
-        es,
-        protocol=args.protocol,
-        channel=args.channel,
-        config_echo={"protocol": args.protocol, "channel": args.channel},
-    )
+    report = evaluate_embeddings(es, protocol=args.protocol, channel=args.channel)
     outputs = []
     report_path = out / "report.json"
     report_path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
@@ -216,7 +211,8 @@ def cmd_eval(args) -> int:
         curve_path = out / f"curves_{ch}.csv"
         curve_path.write_text(curves_to_csv(report, ch))
         outputs.append(curve_path)
-    _write_manifest(out, "eval", args, report.config, [args.data], outputs, t0)
+    resolved = {"protocol": args.protocol, "channel": args.channel}
+    _write_manifest(out, "eval", args, resolved, [args.data], outputs, t0)
     print(
         f"rank1 {report.rank1:.4f} rank5 {report.rank5:.4f} map {report.map:.4f} "
         f"({report.n_queries} queries, {report.dropped_queries} dropped)"
@@ -272,7 +268,7 @@ def cmd_sweep(args) -> int:
         lambdas = comma_list(args.lambdas, float)
     except ValueError as exc:
         raise ConfigError(f"--lambdas expects comma-separated numbers: {exc}") from None
-    table = sweep_to_csv(lambda_sweep(ds, cfg, lambdas))
+    table = sweep_to_csv(cfg, lambdas, lambda_sweep(ds, cfg, lambdas))
     sweep_path = out / "sweep.csv"
     sweep_path.write_text(table)
     resolved = dict(to_kv(cfg, BRANCH_CONFIG_KEYS), lambdas=spell(lambdas))

@@ -5,11 +5,13 @@ One file per run kind; unknown keys are rejected so misspellings never fall
 back to silent defaults. Blank lines and `#` comments are allowed.
 
 Each config is a frozen dataclass whose field defaults are the only defaults.
-Its file keys are declared once, in a table `key -> (field, parser, help)`.
-`from_kv` parses the keys a file gives over a base config (the class
-defaults or a preset) and validates the result; `to_kv` spells a config back
-as the values a manifest or checkpoint records, and `from_kv` reads those
-back to an equal config.
+It checks its values in `__post_init__`, which `dataclasses.replace` runs
+too, so no invalid config exists. Its file keys are declared once, in a
+table `key -> (field, parser, help)`. `from_kv` parses the keys a file gives
+over a base config (the class defaults or a preset); `to_kv` spells a config
+back as the values a manifest or checkpoint records (numbers and names as
+they are, tuples comma-joined), and `from_kv` reads those back to an equal
+config.
 """
 
 from __future__ import annotations
@@ -52,16 +54,6 @@ def check_keys(values: dict[str, str], allowed, *, what: str) -> None:
         )
 
 
-def switch(text: str) -> bool:
-    """on/off (also true/false, 1/0, yes/no)."""
-    raw = text.lower()
-    if raw in ("on", "true", "1", "yes"):
-        return True
-    if raw in ("off", "false", "0", "no"):
-        return False
-    raise ValueError(f"expected on/off, got {text!r}")
-
-
 def comma_list(text: str, kind) -> tuple:
     """Comma-separated values, each read by `kind`; an empty value is the
     empty tuple, and an empty entry is an error."""
@@ -77,7 +69,7 @@ def ints(text: str) -> tuple[int, ...]:
 
 
 def from_kv(base, values: dict[str, str], keys: dict, *, what: str):
-    """`base` with the keys given in `values` parsed into their fields, validated."""
+    """`base` with the keys given in `values` parsed into their fields."""
     check_keys(values, keys, what=what)
     changes = {}
     for key, text in values.items():
@@ -86,16 +78,12 @@ def from_kv(base, values: dict[str, str], keys: dict, *, what: str):
             changes[name] = parse(text)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{what} key {key!r}: cannot read {text!r}: {exc}") from None
-    cfg = replace(base, **changes)
-    cfg.validate()
-    return cfg
+    return replace(base, **changes)
 
 
 def spell(value):
     """A value as a manifest records it: numbers and strings as they are,
-    on/off for bools, tuples joined with commas."""
-    if isinstance(value, bool):
-        return "on" if value else "off"
+    tuples joined with commas."""
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return value

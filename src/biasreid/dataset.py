@@ -173,7 +173,7 @@ class GeneratorConfig:
     feature_scale: float = 0.05
     eval_fraction: float = 0.4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_ids < 2 or self.samples_per_id < 2:
             raise ConfigError("need n_ids >= 2 and samples_per_id >= 2")
         if self.d_in < 1 or self.d_id < 1:
@@ -203,8 +203,8 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:
 
     Mixing matrices come from `cfg.mix_seed`; identity/class latents, class
     assignments, and noise come from `seed`. Pure function of (cfg, seed).
+    Features that overflow float64 raise DataError.
     """
-    cfg.validate()
     mix_rng = np.random.default_rng(cfg.mix_seed)
     mix_id = mix_rng.normal(size=(cfg.d_in, cfg.d_id)) / np.sqrt(cfg.d_id)
     mix_ch = {
@@ -223,11 +223,14 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:
     # A single matrix-matrix product would round differently; this keeps the
     # features bit-identical to one product per row.
     ids = np.repeat(np.arange(cfg.n_ids), cfg.samples_per_id)
-    x = np.stack([mix_id @ u for u in id_latents])[ids]
-    for c in cfg.channels:
-        per_class = np.stack([mix_ch[c.name] @ v for v in class_latents[c.name]])
-        x = x + c.gain * per_class[class_of[c.name]]
-    x = cfg.feature_scale * (x + cfg.sigma * noise)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite feature raises below
+        x = np.stack([mix_id @ u for u in id_latents])[ids]
+        for c in cfg.channels:
+            per_class = np.stack([mix_ch[c.name] @ v for v in class_latents[c.name]])
+            x = x + c.gain * per_class[class_of[c.name]]
+        x = cfg.feature_scale * (x + cfg.sigma * noise)
+    if not np.isfinite(x).all():
+        raise DataError("generated features overflow float64; lower feature_scale, sigma or gains")
 
     channels = {c.name: [str(k) for k in range(c.n_classes)] for c in cfg.channels}
     meta = {"generator": to_kv(cfg, GEN_CONFIG_KEYS)}
@@ -305,8 +308,10 @@ def _feature_start(path, header: list[str] | None) -> int:
     if repeated:
         raise ParseError(f"{path}: header repeats column {repeated[0]!r}")
     feat_start = next(
-        (j for j, col in enumerate(header[3:], start=3) if _FEATURE_COL.match(col)), len(header)
+        (j for j, col in enumerate(header[3:], start=3) if _FEATURE_COL.match(col)), None
     )
+    if feat_start is None:
+        raise ParseError(f"{path}: header names no feature column (f0.. or e0..)")
     prefix = None
     for k, col in enumerate(header[feat_start:]):
         m = _FEATURE_COL.match(col)

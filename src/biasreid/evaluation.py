@@ -47,7 +47,7 @@ x_neg equals prelu(x, slope) bit for bit for every x and slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -339,9 +339,6 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"probe_epochs must be >= 0, got {self.epochs}")
         if not (np.isfinite(self.rate) and self.rate >= 0):
@@ -499,7 +496,6 @@ class EvalReport:
     n_queries: int
     n_gallery: int
     dropped_queries: int
-    config: dict = field(default_factory=dict)
 
     def flat_metrics(self) -> dict:
         flat = {
@@ -525,7 +521,6 @@ def evaluate_embeddings(
     channel: str | None = None,
     stat_channels: Iterable[str] | None = None,
     probe_cfg: ProbeConfig | None = None,
-    config_echo: dict | None = None,
 ) -> EvalReport:
     """Full report: CMC/mAP plus per-channel curves, nauc, optional probes.
 
@@ -564,7 +559,6 @@ def evaluate_embeddings(
         n_queries=rr.n_queries,
         n_gallery=int(np.sum(es.splits == "gallery")),
         dropped_queries=rr.dropped,
-        config=config_echo or {},
     )
 
 

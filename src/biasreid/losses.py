@@ -11,6 +11,8 @@ against the mean over its other-bias pool N_a (every row of another class):
 
     [m + mean_{j in P_a} d2(a, j) - mean_{j in N_a} d2(a, j)]_+
 
+Both branches use this clamped term; the mode only sets its sign.
+
 The paper text in this repo (PAPER.md holds only the abstract) does not fix
 how bias triplets are mined, so the rule is chosen by what each branch must
 do to rankings. An extreme pair does not work here. The nearest same-bias
@@ -192,7 +194,7 @@ def _ordered_sum(values: np.ndarray) -> np.ndarray:
 
 
 def bias_easy_loss(
-    embeddings: np.ndarray, d2: np.ndarray, bias_labels, margin: float, hinge: bool = True
+    embeddings: np.ndarray, d2: np.ndarray, bias_labels, margin: float
 ) -> LossOutput:
     """Pool-mean bias triplet loss: per anchor, mean squared distance to the
     other rows of its bias class (any id) against the mean to the rows of
@@ -200,8 +202,7 @@ def bias_easy_loss(
     is `pairwise_sqdist(embeddings)`.
 
     Anchors lacking either pool are skipped and counted, never fatal unless
-    every anchor is skipped. `hinge=False` drops the [.]_+ clamp on this term
-    so its gradient keeps flowing once the margin saturates.
+    every anchor is skipped.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(bias_labels)
@@ -224,13 +225,12 @@ def bias_easy_loss(
     mean_diff = _ordered_sum(np.where(diff, d2, 0.0)) / n_diff
     args = np.where(skipped, 0.0, margin + mean_same - mean_diff)
     active = ~skipped & (args > 0)
-    used = active if hinge else ~skipped
-    total = float(_ordered_sum(np.where(used, args, 0.0)))
+    total = float(_ordered_sum(np.where(active, args, 0.0)))
 
     # total = sum_{a,j} c[a, j] d2(a, j) + const, with c = 1/|P_a| on the
-    # same pool and -1/|N_a| on the other pool of each used anchor; every
+    # same pool and -1/|N_a| on the other pool of each active anchor; every
     # d2(a, j) pulls on both rows a and j, hence the symmetric coupling s
-    c = (same / n_same[:, None] - diff / n_diff[:, None]) * used[:, None]
+    c = (same / n_same[:, None] - diff / n_diff[:, None]) * active[:, None]
     s = c + c.T
     grads = 2.0 * (s.sum(axis=1)[:, None] * emb - s @ emb)
     sel = PoolSelection(same, diff, args, active, skipped)
@@ -257,7 +257,6 @@ def combined_loss(
     lam_db: float,
     margin_id: float,
     margin_bias: float,
-    bias_hinge: bool = True,
 ) -> CombinedLoss:
     """reduce: lam_dr * L_id - lam_db * L_bias; enhance: plus instead of minus.
 
@@ -277,7 +276,7 @@ def combined_loss(
         n = emb.shape[0]
         bias = LossOutput(0.0, np.zeros_like(emb), PoolSelection.empty(n), n_skipped=n)
         return CombinedLoss(lam_dr * reid.value, lam_dr * reid.grads, mode, reid, bias)
-    bias = bias_easy_loss(emb, d2, bias_labels, margin_bias, hinge=bias_hinge)
+    bias = bias_easy_loss(emb, d2, bias_labels, margin_bias)
     sign = -1.0 if mode == "reduce" else 1.0
     value = lam_dr * reid.value + sign * lam_db * bias.value
     grads = lam_dr * reid.grads + sign * lam_db * bias.grads

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import from_kv, ints, switch, to_kv
+from .config import from_kv, ints, to_kv
 from .dataset import Batch, PKSampler, Table
 from .errors import BatchCompositionError, CheckpointError, ConfigError, TrainingError
 from .losses import MODES, CombinedLoss, combined_loss
@@ -34,7 +34,7 @@ from .numerics import (
     schedule_rate,
 )
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 _STREAM_INIT = 0
 _STREAM_EPOCH = 1
 _MAX_BATCH_RETRIES = 10
@@ -54,7 +54,6 @@ BRANCH_CONFIG_KEYS = {
     "seed": ("seed", int, "master seed for init and batch sampling"),
     "hidden": ("hidden", ints, "comma-separated hidden widths, empty for none"),
     "d_emb": ("d_emb", int, "embedding dimension"),
-    "bias_hinge": ("bias_hinge", switch, "on keeps the [.]_+ clamp on the bias term"),
 }
 
 
@@ -73,9 +72,8 @@ class BranchConfig:
     seed: int = 0
     hidden: tuple[int, ...] = (64, 64)
     d_emb: int = 64
-    bias_hinge: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         values = to_kv(self, BRANCH_CONFIG_KEYS)
@@ -137,7 +135,6 @@ class Trainer:
         adam: AdamState | None = None,
         start_epoch: int = 0,
     ):
-        cfg.validate()
         if cfg.bias_channel not in ds.channels:
             raise ConfigError(
                 f"bias channel {cfg.bias_channel!r} not in dataset channels {sorted(ds.channels)}"
@@ -188,7 +185,6 @@ class Trainer:
             self.cfg.lam_db,
             self.cfg.margin_id,
             self.cfg.margin_bias,
-            bias_hinge=self.cfg.bias_hinge,
         )
         return out, tape
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_trainer import meta_without, rewrite_checkpoint, saved_arrays
 
-from biasreid.cli import build_parser, lambda_sweep, main
+from biasreid.cli import build_parser, lambda_sweep, main, sweep_to_csv
 from biasreid.dataset import (
     GEN_CONFIG_KEYS,
     ChannelSpec,
@@ -269,10 +269,10 @@ class TestSweep:
         base = BranchConfig(
             bias_channel="pose", p=3, k=2, epochs=1, rate=0.01, hidden=(6,), d_emb=3, seed=0,
         )
-        reports = lambda_sweep(
-            small_split_ds, base, [0.005, 0.01, 0.05, 0.1], probe_cfg=ProbeConfig(epochs=30),
-        )
-        assert [r.config["lambda_db"] for r in reports] == [0.005, 0.01, 0.05, 0.1]
+        lambdas = [0.005, 0.01, 0.05, 0.1]
+        reports = lambda_sweep(small_split_ds, base, lambdas, probe_cfg=ProbeConfig(epochs=30))
+        rows = sweep_to_csv(base, lambdas, reports).splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == lambdas
 
 
 class TestErrors:
@@ -421,6 +421,23 @@ class TestErrors:
         assert self.gen_with(line, small_gen_cfg, tmp_path) == 2
         assert capsys.readouterr().err.startswith("error: ConfigError")
         assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    def test_overflowing_features_write_no_dataset(self, small_gen_cfg, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape as an exception
+            assert self.gen_with("feature_scale = 1e308", small_gen_cfg, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: DataError")
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("cmd", ["train", "eval"])
+    def test_featureless_csv_rejected(self, cmd, tmp_path, capsys):
+        # train would divide by a zero input width; eval would rank all-zero distances
+        data = tmp_path / "d.csv"
+        data.write_text("id,camera,split,pose\n0,0,train,a\n0,1,query,b\n0,0,gallery,a\n")
+        code = run([cmd, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and "no feature column" in err
 
     @pytest.mark.parametrize("name", ["id", "camera", "split", "f0", "e0", "f12"])
     def test_channel_named_like_a_csv_column_rejected(self, name, small_gen_cfg, tmp_path, capsys):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from biasreid.config import comma_list, from_kv, spell, to_kv
 from biasreid.dataset import GEN_CONFIG_KEYS, ChannelSpec, GeneratorConfig
+from biasreid.errors import ConfigError
 from biasreid.evaluation import PROBE_CONFIG_KEYS, ProbeConfig
 from biasreid.trainer import BRANCH_CONFIG_KEYS, BranchConfig
 
@@ -9,8 +12,7 @@ from biasreid.trainer import BRANCH_CONFIG_KEYS, BranchConfig
 @pytest.mark.parametrize(
     "cfg,keys",
     [
-        (BranchConfig(mode="enhance", lam_db=0.125, hidden=(8,), bias_hinge=False),
-         BRANCH_CONFIG_KEYS),
+        (BranchConfig(mode="enhance", lam_db=0.125, hidden=(8,)), BRANCH_CONFIG_KEYS),
         (BranchConfig(hidden=()), BRANCH_CONFIG_KEYS),
         (GeneratorConfig(channels=(ChannelSpec("pose", 3, 8, 1.23456789),
                                    ChannelSpec("cam", 2, 4, 0.1)),
@@ -30,3 +32,19 @@ def test_kv_round_trip(cfg, keys):
 def test_comma_list_reads_its_spelling(values):
     assert comma_list(spell(values), float) == values
 
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BranchConfig(p=1),
+        lambda: replace(BranchConfig(), lam_db=-1),
+        lambda: GeneratorConfig(n_ids=1),
+        lambda: ProbeConfig(epochs=-1),
+    ],
+    ids=["branch", "branch_replace", "generator", "probe"],
+)
+def test_no_invalid_config_can_be_built(build):
+    # each config checks itself when built, and `replace` builds a new one
+    with pytest.raises(ConfigError):
+        build()

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ class TestGenerator:
                 freq = np.mean(ds.codes[channel] == code)
                 assert abs(freq - 1.0 / len(classes)) < 0.05
 
+    def test_overflowing_features_rejected(self):
+        # an inf feature would be written, and every later load would refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape as an exception
+            with pytest.raises(DataError, match="overflow"):
+                generate_synthetic(tiny_cfg(feature_scale=1e308), seed=0)
+
     def test_parse_channel_spec(self):
         specs = parse_channel_spec("pose:3:8:1.0, cam:2:4:0.5")
         assert specs == (ChannelSpec("pose", 3, 8, 1.0), ChannelSpec("cam", 2, 4, 0.5))
@@ -167,6 +175,12 @@ class TestCsvRoundTrip:
         path.write_text("id,camera,split,pose,f0\n")
         ds = load_dataset(path)
         assert len(ds) == 0
+
+    def test_header_without_features_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,camera,split,pose\n0,0,train,a\n1,1,query,a\n")
+        with pytest.raises(ParseError, match="no feature column"):
+            load_dataset(path)
 
     def test_ragged_row_names_row(self, tmp_path):
         path = tmp_path / "d.csv"

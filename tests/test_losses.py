@@ -55,7 +55,7 @@ def brute_force_hard_loss(embeddings, id_labels, margin) -> tuple[float, np.ndar
     return total, grads
 
 
-def brute_force_easy_loss(embeddings, bias_labels, margin, hinge: bool = True) -> float:
+def brute_force_easy_loss(embeddings, bias_labels, margin) -> float:
     """Plain per-anchor, per-row loop over both bias pools, summing in index
     order; no shared code with `bias_easy_loss`, and bit-equal to it."""
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -79,7 +79,7 @@ def brute_force_easy_loss(embeddings, bias_labels, margin, hinge: bool = True) -
             continue
         n_valid += 1
         arg = margin + sum_p / count_p - sum_n / count_n
-        if arg > 0 or not hinge:
+        if arg > 0:
             total += arg
     if n_valid == 0 and len(emb) > 0:
         raise BatchCompositionError("no anchor has both bias pools")
@@ -216,18 +216,6 @@ class TestBiasEasyLoss:
         emb = col([0.0, 1.0])
         with pytest.raises(BatchCompositionError):
             bias_easy_loss(emb, pairwise_sqdist(emb), np.array(["P", "P"]), margin=1.0)
-
-    def test_no_hinge_keeps_negative_terms_and_grads(self):
-        emb = col([0.0, 1.0, 3.0, 4.0])
-        clamped = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0, hinge=True)
-        free = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0, hinge=False)
-        assert clamped.value == 0.0 and not clamped.grads.any()
-        # unclamped args: 1 + 1 - (9 + 16) / 2, 1 + 1 - (4 + 9) / 2, and mirrored
-        assert free.value == pytest.approx(-10.5 - 4.5 - 4.5 - 10.5)
-        assert free.value == pytest.approx(
-            brute_force_easy_loss(emb, self.bias, 1.0, hinge=False)
-        )
-        assert free.value < 0 and free.grads.any()
 
     def test_same_id_samples_allowed_in_pools(self):
         # identity is irrelevant to the bias pools by construction: labels

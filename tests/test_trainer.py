@@ -12,6 +12,7 @@ from biasreid.losses import combined_loss
 from biasreid.numerics import encode
 from biasreid.trainer import (
     BRANCH_CONFIG_KEYS,
+    CHECKPOINT_FORMAT_VERSION,
     BranchConfig,
     Trainer,
     checkpoint_load,
@@ -79,7 +80,7 @@ class TestBranchConfig:
     def test_canonical_defaults(self):
         cfg = BranchConfig()
         assert (cfg.p, cfg.k, cfg.epochs, cfg.rate) == (16, 4, 60, 0.0003)
-        assert cfg.hidden == (64, 64) and cfg.d_emb == 64 and cfg.bias_hinge
+        assert cfg.hidden == (64, 64) and cfg.d_emb == 64
 
 
 class TestTrainBranch:
@@ -233,6 +234,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="widths"):
             checkpoint_load(path)
 
+    def test_other_format_version_rejected(self, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        meta = json.loads(str(saved_arrays(path)["meta_json"]))
+        meta["format_version"] = 1
+        rewrite_checkpoint(path, meta_json=np.array(json.dumps(meta, sort_keys=True)))
+        expected = f"format version 1 != {CHECKPOINT_FORMAT_VERSION}"
+        with pytest.raises(CheckpointError, match=expected):
+            checkpoint_load(path)
+
     def test_meta_not_json_rejected(self, tiny_ds, tmp_path):
         path = self.saved(tiny_ds, tmp_path)
         rewrite_checkpoint(path, meta_json=np.array("{not json"))
@@ -279,7 +289,7 @@ class TestGoldenBytes:
             hashlib.sha256(t.log.to_csv().encode()).hexdigest(),
         )
         assert digests == (
-            "6d3ef72aa64033b6811ce74e75d422c21a1d2bb88c19ae6bc2915715f2aa579e",
+            "0de73afbf1fe38db3ff20d88ae95d930933244bd5c9d858fce5f4b874f218ab1",
             "40b869d2f6c0609b6f95c0c3beea2ae2cc14358a0ea69ba8a8aa80ef2e216a08",
         )
 

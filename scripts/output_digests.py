@@ -11,7 +11,10 @@ channel: those of pose2, cam6 and part3 at seed 0, and those of two
 the kind the benchmark's audit-3k workload makes. Prints `<sha256>  <path>`
 for each output file (paths relative to the output directory; manifests
 are skipped, they hold wall times), then the sha256 of that sorted list.
-Two trees that print the same last line wrote the same bytes.
+Two trees that print the same last line wrote the same bytes. The binary
+sidecars `<csv>.npz` written beside each dataset and embeddings CSV are
+output files too and digested with the rest; the script exits 1 if any
+sidecar's `csv_sha256` is not the sha256 of the CSV beside it.
 
     python3 scripts/output_digests.py OUT_DIR
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -31,6 +35,8 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from biasreid.cli import main as cli_main  # noqa: E402
 from biasreid.presets import PRESETS  # noqa: E402
@@ -96,16 +102,25 @@ def main(argv: list[str]) -> int:
     for seed in (0, 1):
         raw_audit_3k(root / f"audit3k_s{seed}", seed)
 
-    lines = []
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {path.relative_to(root).as_posix()}")
+    digests = {
+        path: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+    lines = [f"{digest}  {path.relative_to(root).as_posix()}" for path, digest in digests.items()]
     for line in lines:
         print(line)
     listing = "".join(line + "\n" for line in lines).encode()
     print(f"{hashlib.sha256(listing).hexdigest()}  ({len(lines)} files)")
-    return 0
+    unbound = []
+    for sidecar in root.rglob("*.csv.npz"):
+        with np.load(sidecar, allow_pickle=False) as npz:
+            bound = json.loads(str(npz["meta_json"]))["csv_sha256"]
+        if digests.get(sidecar.with_suffix("")) != bound:
+            unbound.append(sidecar.relative_to(root).as_posix())
+    for name in sorted(unbound):
+        print(f"sidecar {name}: csv_sha256 is not the sha256 of its CSV", file=sys.stderr)
+    return 1 if unbound else 0
 
 
 if __name__ == "__main__":

@@ -153,9 +153,9 @@ def cmd_gen(args) -> int:
     gen_cfg = from_kv(base, _file_config(args), GEN_CONFIG_KEYS, what="generator config")
     ds = make_dataset(gen_cfg, _seed(args))
     data_path = out / "dataset.csv"
-    save_dataset(ds, data_path)
+    written = save_dataset(ds, data_path)
     resolved = dict(ds.meta["generator"], dropped_queries=ds.meta["dropped_queries"])
-    _write_manifest(out, "gen", args, resolved, [], [data_path], t0)
+    _write_manifest(out, "gen", args, resolved, [], written, t0)
     print(f"wrote {data_path} ({len(ds)} samples, {ds.meta['dropped_queries']} dropped queries)")
     return 0
 
@@ -185,9 +185,9 @@ def cmd_embed(args) -> int:
     ds = load_dataset(args.data)
     es = concat([embed_all(checkpoint_load(ckpt)[0], ds) for ckpt in args.checkpoints])
     emb_path = out / "embeddings.csv"
-    save_embeddings(es, emb_path)
+    written = save_embeddings(es, emb_path)
     resolved = {"checkpoints": [str(c) for c in args.checkpoints], "dim": es.dim}
-    _write_manifest(out, "embed", args, resolved, [args.data, *args.checkpoints], [emb_path], t0)
+    _write_manifest(out, "embed", args, resolved, [args.data, *args.checkpoints], written, t0)
     print(f"wrote {emb_path} ({len(es)} rows, dim {es.dim})")
     return 0
 

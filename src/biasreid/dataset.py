@@ -36,15 +36,29 @@ text:
   whole file to the per-cell scan, which reads it through `csv.reader` and
   is the one place that words a row's `ParseError`. Both give the same
   arrays, bit for bit, on any file the blocks accept.
+
+The CSV is the record. Beside each CSV it writes, `save_dataset` also
+writes a sidecar `<csv>.npz`: the very table a parse of that CSV returns
+(class names sorted, unused classes gone), bound to the CSV by the sha256
+of its bytes, which are hashed as they are written. `load_dataset` returns
+the sidecar's table only when the CSV's bytes still hash to that digest and
+the sidecar is whole; otherwise it parses the CSV. A sidecar is never read
+without its CSV, so a missing, edited or malformed CSV loads, or fails, as
+if no sidecar existed.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+import os
 import re
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 
@@ -250,6 +264,10 @@ _INT64_RANGE = range(-(2**63), 2**63)
 # block (about 90 KB of text at 17 significant digits); 16 times larger blocks
 # read no faster and raised the peak RSS of a train, embed and audit run by 11 MB
 _CSV_BLOCK = 1 << 12
+# the sidecar's layout; a sidecar of another format is ignored
+_SIDECAR_FORMAT = 1
+_SIDECAR_COLUMNS = ("matrix", "ids", "cameras", "splits")
+_HASH_CHUNK = 1 << 20  # bytes of the CSV hashed at a time
 
 
 def _csv_cell(text: str) -> str:
@@ -262,24 +280,98 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def save_dataset(ds: Table, path, feature_prefix: str = "f") -> None:
-    """Write the table a block of rows at a time (module docstring)."""
+def _sidecar(path) -> Path:
+    """Where the CSV at `path` keeps its sidecar: `<csv>.npz`."""
+    return Path(f"{os.fspath(path)}.npz")
+
+
+def _csv_blocks(ds: Table, header: list[str]):
+    """The CSV text of the table: the header line, then blocks of rows."""
     chan_names = list(ds.channels)
-    features = [f"{feature_prefix}{j}" for j in range(ds.dim)]
-    header = ",".join(_csv_cell(col) for col in [*_FIXED_COLUMNS, *chan_names, *features])
+    yield ",".join(_csv_cell(col) for col in header) + "\n"
     labels = [
         np.array([_csv_cell(name) for name in ds.channels[c]], dtype=object)[ds.codes[c]]
         for c in chan_names
     ]
     row = "%d,%d,%s" + ",%s" * len(chan_names) + ",%.17g" * ds.dim + "\n"
     step = max(1, _CSV_BLOCK // (3 + len(chan_names) + ds.dim))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(ds), step):
-            rows = slice(start, start + step)
-            head = [ds.ids[rows], ds.cameras[rows], ds.splits[rows], *(lab[rows] for lab in labels)]
-            columns = [col.tolist() for col in head] + ds.matrix[rows].T.tolist()
-            fh.write((row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns))))
+    for start in range(0, len(ds), step):
+        rows = slice(start, start + step)
+        head = [ds.ids[rows], ds.cameras[rows], ds.splits[rows], *(lab[rows] for lab in labels)]
+        columns = [col.tolist() for col in head] + ds.matrix[rows].T.tolist()
+        yield (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def save_dataset(ds: Table, path, feature_prefix: str = "f") -> list[Path]:
+    """Write the table as CSV, the record, a block of rows at a time; then
+    its sidecar `<csv>.npz`, derived from it: the table a parse of that CSV
+    returns, bound to the CSV's bytes by their sha256 (module docstring). A
+    table whose CSV a parse rejects gets no sidecar. Returns the files
+    written."""
+    header = [*_FIXED_COLUMNS, *ds.channels, *(f"{feature_prefix}{j}" for j in range(ds.dim))]
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _csv_blocks(ds, header):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+    # what a parse names each channel's classes: those the rows use, sorted
+    classes, codes = {}, []
+    for c, names in ds.channels.items():
+        used = np.flatnonzero(np.bincount(ds.codes[c], minlength=len(names)))
+        classes[c] = sorted({names[k] for k in used})
+        index = {name: code for code, name in enumerate(classes[c])}
+        codes.append(np.array([index.get(name, -1) for name in names], dtype=np.int64)[ds.codes[c]])
+    try:
+        parses = _feature_start(path, header) == 3 + len(classes)
+    except ParseError:  # a channel named like a fixed or feature column
+        parses = False
+    limit = csv.field_size_limit()
+    cells = chain(header, *classes.values())
+    sidecar = _sidecar(path)
+    if not (parses and all(len(cell) <= limit for cell in cells) and np.isfinite(ds.matrix).all()):
+        sidecar.unlink(missing_ok=True)  # one left by an earlier save
+        return [Path(path)]
+    meta = {"format": _SIDECAR_FORMAT, "csv_sha256": digest.hexdigest(), "channels": classes}
+    np.savez(sidecar, meta_json=np.array(json.dumps(meta)), matrix=ds.matrix, ids=ds.ids,
+             cameras=ds.cameras, splits=ds.splits,
+             **{f"code{k}": arr for k, arr in enumerate(codes)})
+    return [Path(path), sidecar]
+
+
+def _sidecar_table(path) -> Table | None:
+    """The table in the CSV's sidecar, if the sidecar is whole and bound to
+    the CSV's bytes as they are now; None otherwise."""
+    sidecar = _sidecar(path)
+    if not sidecar.is_file():
+        return None
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            chunk = bytearray(_HASH_CHUNK)  # not the whole file in one bytes object
+            while size := fh.readinto(chunk):
+                digest.update(memoryview(chunk)[:size])
+    except OSError:  # the parse raises the ParseError that names the file
+        return None
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            meta = json.loads(str(npz["meta_json"]))
+            if meta["format"] != _SIDECAR_FORMAT or meta["csv_sha256"] != digest.hexdigest():
+                return None
+            channels = meta["channels"]
+            codes = [f"code{k}" for k in range(len(channels))]
+            if sorted(npz.files) != sorted(["meta_json", *_SIDECAR_COLUMNS, *codes]):
+                return None
+            arrays = {name: npz[name] for name in [*_SIDECAR_COLUMNS, *codes]}
+        matrix = arrays["matrix"]
+        if matrix.dtype != np.float64 or not np.isfinite(matrix).all():
+            return None
+        return Table(matrix, arrays["ids"], arrays["cameras"], arrays["splits"],
+                     {c: arrays[name] for c, name in zip(channels, codes)}, channels)
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile,
+            AlignmentError, DataError):  # not whole, or not this format's
+        return None
 
 
 @contextmanager
@@ -391,9 +483,15 @@ def _parse_blocks(lines, width: int, feat_start: int):
 
 
 def load_dataset(path) -> Table:
-    """Parse the dataset CSV a block of lines at a time, or by the per-cell
-    scan where a block cannot be read that way (module docstring); errors name
-    the offending row and column."""
+    """The table in the dataset CSV, the record. Its sidecar `<csv>.npz` is
+    read in place of a parse only when bound by digest to the CSV's bytes as
+    they are now, and never without the CSV. Otherwise the CSV is parsed a
+    block of lines at a time, or by the per-cell scan where a block cannot be
+    read that way (module docstring); errors name the offending row and
+    column."""
+    table = _sidecar_table(path)
+    if table is not None:
+        return table
     with _reading(path) as fh:
         header = next(csv.reader(fh), None)
         feat_start = _feature_start(path, header)

@@ -12,6 +12,7 @@ the codes are only carried along for later auditing.
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +48,10 @@ def concat(sets: list[Table]) -> Table:
     return replace(first, matrix=np.concatenate([s.matrix for s in sets], axis=1))
 
 
-def save_embeddings(es: Table, path) -> None:
-    """CSV `id,camera,split,<channels...>,e0..e{D-1}`; `dataset.load_dataset`
-    reads it back, as it reads any external descriptors to audit."""
-    save_dataset(es, path, feature_prefix="e")
+def save_embeddings(es: Table, path) -> list[Path]:
+    """CSV `id,camera,split,<channels...>,e0..e{D-1}`, the record, and its
+    sidecar `<csv>.npz`, derived from the CSV and bound to its bytes by
+    digest; returns the files written. `dataset.load_dataset` reads the
+    sidecar only beside the very CSV it was written with, and parses the CSV
+    otherwise, as it parses any external descriptors to audit."""
+    return save_dataset(es, path, feature_prefix="e")

@@ -123,10 +123,30 @@ def _cross_sqdist(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
 
 def _twins(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(copies, twins): the rows equal to an earlier row, and the first row
-    each one equals."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    copies = np.flatnonzero(first[inverse] != np.arange(len(rows)))
-    return copies, first[inverse[copies]]
+    each one equals. Rows compare as floats, so -0.0 equals 0.0. A row whose
+    value in some column no other row shares has no twin, so only the rest
+    are sorted; equal rows are neighbours in a stable sort over the columns,
+    lowest index first. This holds a few [n] arrays where
+    `np.unique(axis=0)` held about five copies of the rows."""
+    rest = np.arange(len(rows))
+    for col in rows.T:
+        values = col[rest]
+        order = np.argsort(values, kind="stable")
+        tied = values[order[1:]] == values[order[:-1]]
+        keep = np.zeros(len(rest), dtype=bool)
+        keep[order[1:][tied]] = keep[order[:-1][tied]] = True
+        rest = rest[keep]
+    sub = rows[rest]
+    order = np.lexsort(sub.T) if rows.shape[1] else np.arange(len(rest))  # no column: all equal
+    same = np.ones(max(len(rest) - 1, 0), dtype=bool)  # each sorted row equals the one before
+    for col in sub.T:
+        sorted_col = col[order]
+        same &= sorted_col[1:] == sorted_col[:-1]
+    dup = np.flatnonzero(same) + 1
+    heads = np.flatnonzero(np.append(True, ~same))  # the sorted positions starting a run
+    copies, twins = rest[order[dup]], rest[order[heads[np.searchsorted(heads, dup) - 1]]]
+    by_row = np.argsort(copies)
+    return copies[by_row], twins[by_row]
 
 
 def _positive_ranks(d2: np.ndarray, pos: np.ndarray, n_pos: np.ndarray) -> np.ndarray:

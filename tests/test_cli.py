@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -106,6 +107,14 @@ class TestPipeline:
             assert manifest["toolkit_version"]
             for out_file in manifest["outputs"]:
                 assert (root / sub / out_file.split("/")[-1]).exists()
+        # gen and embed list each CSV's sidecar, bound to the CSV's bytes
+        for sub, name in (("gen", "dataset.csv"), ("emb", "embeddings.csv")):
+            manifest = json.loads((root / sub / "manifest.json").read_text())
+            csv_path, sidecar = root / sub / name, root / sub / f"{name}.npz"
+            assert manifest["outputs"] == [str(csv_path), str(sidecar)]
+            with np.load(sidecar, allow_pickle=False) as npz:
+                meta = json.loads(str(npz["meta_json"]))
+            assert meta["csv_sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
 
     def test_every_manifest_records_its_memory_and_host(self, pipeline, small_branch_cfg, tmp_path):
         root, data, emb_dir, _ = pipeline

@@ -1,6 +1,8 @@
 import csv
 import io
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from biasreid.dataset import (
     save_dataset,
     split_query_gallery,
 )
+from biasreid.embedder import save_embeddings
 from biasreid.errors import AlignmentError, ConfigError, DataError, EvaluationError, ParseError
 from biasreid.presets import PRESETS
 
@@ -253,8 +256,14 @@ def named_table(name, matrix=None):
     )
 
 
+def parse_only(monkeypatch):
+    """Make load_dataset parse every CSV, whatever sidecar lies beside it."""
+    monkeypatch.setattr(dataset, "_sidecar_table", lambda path: None)
+
+
 def force_scan(monkeypatch):
     """Make load_dataset read every file by the per-cell scan."""
+    parse_only(monkeypatch)
     monkeypatch.setattr(dataset, "_parse_blocks", lambda lines, width, feat_start: None)
 
 
@@ -300,8 +309,9 @@ class TestCsvBlocks:
         assert written(["a", "x\ny"], lineterminator="\r") == "a,x\ny\r"
         assert [dataset._csv_cell(c) for c in ["", "x\ny", "c\rr"]] == ["", '"x\ny"', '"c\rr"']
 
-    def test_carriage_return_in_names_round_trips(self, tmp_path):
+    def test_carriage_return_in_names_round_trips(self, monkeypatch, tmp_path):
         # csv.writer left a bare CR, which split the row on reading
+        parse_only(monkeypatch)
         ds = named_table("cr\rx")
         save_dataset(ds, tmp_path / "cr.csv")
         assert_same_bits(load_dataset(tmp_path / "cr.csv"), ds)
@@ -315,24 +325,28 @@ class TestCsvBlocks:
                    {"pose": np.arange(n) % len(names)}, {"pose": names})
         scans = []
         scan = dataset._scan
+        parse_only(monkeypatch)
         monkeypatch.setattr(dataset, "_scan", lambda *args: scans.append(args) or scan(*args))
         save_dataset(ds, tmp_path / "d.csv")
         assert_same_bits(load_dataset(tmp_path / "d.csv"), ds)
         assert len(scans) == (reader == "scan")
 
     def test_generated_files_read_by_blocks_as_by_scan(self, monkeypatch, tmp_path):
+        # and as from the sidecar
         for preset in PRESETS.values():
             ds = make_dataset(preset.generator, seed=1)
             save_dataset(ds, tmp_path / "d.csv")
-            blocks = load_dataset(tmp_path / "d.csv")
-            assert_same_bits(blocks, ds)
-            with monkeypatch.context() as m:
-                force_scan(m)
-                assert_same_bits(blocks, load_dataset(tmp_path / "d.csv"))
+            sidecar = load_dataset(tmp_path / "d.csv")
+            assert_same_bits(sidecar, ds)
+            for reader in (parse_only, force_scan):
+                with monkeypatch.context() as m:
+                    reader(m)
+                    assert_same_bits(sidecar, load_dataset(tmp_path / "d.csv"))
 
     def test_blocks_need_no_scan_on_plain_files(self, monkeypatch, tmp_path):
         monkeypatch.setattr(dataset, "_CSV_BLOCK", 20)
         monkeypatch.setattr(dataset, "_scan", None)  # calling it would fail
+        parse_only(monkeypatch)
         ds = generate_synthetic(tiny_cfg(), seed=2)
         save_dataset(ds, tmp_path / "d.csv")
         assert_same_bits(load_dataset(tmp_path / "d.csv"), ds)
@@ -395,6 +409,141 @@ class TestCsvBlocks:
         path.write_text(f"id,camera,split,pose,f0\n0,0,train,{'a' * (csv.field_size_limit() + 1)},1\n")
         with pytest.raises(ParseError, match="field larger than field limit"):
             load_dataset(path)
+
+
+def sidecar_tables():
+    """Tables whose sidecar must hold exactly what a parse of their CSV returns."""
+    rng = np.random.default_rng(5)
+    unused = Table(rng.normal(size=(4, 2)), [0, 0, 1, 1], [0, 1, 0, 1], ["train"] * 4,
+                   {"pose": [2, 0, 2, 0]}, {"pose": ["c", "b", "a"]})  # 'b' in no row
+    twelve = Table(rng.normal(size=(24, 3)), np.arange(24) // 2, np.arange(24) % 2,
+                   ["train"] * 24, {"pose": np.arange(24) % 12},
+                   {"pose": [str(k) for k in range(12)]})  # '10' sorts before '2'
+    odd_names = Table(rng.normal(size=(5, 1)), np.arange(5), np.zeros(5, int), ["gallery"] * 5,
+                      {"pose": np.arange(5), "a,\"b\"\r": np.zeros(5, int)},
+                      {"pose": ["x,y", 'q"', "cr\rx", "a\x00", "a"], "a,\"b\"\r": ["\x00"]})
+    empty = Table(np.empty((0, 3)), [], [], [], {"pose": [], "cam": []},
+                  {"pose": ["a", "b"], "cam": ["0", "1"]})
+    values = [0.0, -0.0, 5e-324, -2.0**-1074 * 7, 2.2250738585072014e-308, 1 / 3]
+    bits = named_table("b", np.array(values * 2 + [1e300, -1e-300, 7.0]).reshape(5, 3))
+    return {"unused_class": unused, "twelve_classes": twelve, "odd_names": odd_names,
+            "header_only": empty, "signed_zero_subnormal": bits,
+            "embeddings": make_dataset(tiny_cfg(), seed=4)}
+
+
+class TestSidecar:
+    """`<csv>.npz`: the table a parse returns, bound to the CSV's bytes."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "d.csv"
+        assert save_dataset(generate_synthetic(tiny_cfg(), seed=3), path) == [
+            path, tmp_path / "d.csv.npz"]
+        return path
+
+    @staticmethod
+    def parse(path, monkeypatch):
+        with monkeypatch.context() as m:
+            parse_only(m)
+            return load_dataset(path)
+
+    @staticmethod
+    def no_parse(monkeypatch):
+        def fail(*args):
+            raise AssertionError("parsed the CSV")
+        monkeypatch.setattr(dataset, "_parse_blocks", fail)
+        monkeypatch.setattr(dataset, "_scan", fail)
+
+    @pytest.mark.parametrize("name", list(sidecar_tables()))
+    def test_holds_what_a_parse_returns(self, name, monkeypatch, tmp_path):
+        ds = sidecar_tables()[name]
+        path = tmp_path / "t.csv"
+        (save_embeddings if name == "embeddings" else save_dataset)(ds, path)
+        parsed = self.parse(path, monkeypatch)
+        self.no_parse(monkeypatch)
+        loaded = load_dataset(path)
+        assert_same_bits(loaded, parsed)
+        assert list(loaded.channels) == list(parsed.channels) == list(ds.channels)
+        assert loaded.meta == parsed.meta == {}
+        for ch in loaded.channels:
+            assert loaded.codes[ch].dtype == parsed.codes[ch].dtype
+
+    def test_parse_names_only_the_classes_rows_use(self, monkeypatch, tmp_path):
+        tables = sidecar_tables()
+        self.no_parse(monkeypatch)
+        for name in ("unused_class", "twelve_classes", "header_only"):
+            save_dataset(tables[name], tmp_path / "t.csv")
+            back = load_dataset(tmp_path / "t.csv")
+            names = tables[name].channels["pose"]
+            used = sorted({names[k] for k in tables[name].codes["pose"].tolist()})
+            assert back.channels["pose"] == used
+            np.testing.assert_array_equal(
+                np.array(back.channels["pose"], dtype=object)[back.codes["pose"]],
+                np.array(names, dtype=object)[tables[name].codes["pose"]])
+        assert back.channels == {"pose": [], "cam": []}  # the header-only table
+
+    def test_one_digit_edit_loads_the_edited_value(self, saved, monkeypatch):
+        text = saved.read_text()
+        end = text.index("\n", text.index("\n") + 1)  # the end of the first row
+        digit = str((int(text[end - 1]) + 1) % 10)
+        saved.write_text(text[: end - 1] + digit + text[end:])
+        edited = float(text[:end].rsplit(",", 1)[1][:-1] + digit)
+        back = load_dataset(saved)
+        assert back.matrix[0, -1] == edited
+        assert_same_bits(back, self.parse(saved, monkeypatch))
+
+    def test_malformed_edit_raises_the_parse_error(self, saved):
+        lines = saved.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",oops\n"
+        saved.write_text("".join(lines))
+        with pytest.raises(ParseError) as info:
+            load_dataset(saved)
+        assert str(info.value) == f"{saved}: row 4, column f7: not a number: 'oops'"
+
+    def test_sidecar_of_another_csv_ignored(self, saved, monkeypatch, tmp_path):
+        other = tmp_path / "other.csv"
+        save_dataset(generate_synthetic(tiny_cfg(), seed=4), other)
+        Path(f"{other}.npz").replace(f"{saved}.npz")
+        assert_same_bits(load_dataset(saved), self.parse(saved, monkeypatch))
+
+    @pytest.mark.parametrize("keep", [0, 10, 0.5, -1])
+    def test_truncated_sidecar_ignored(self, keep, saved, monkeypatch):
+        sidecar = Path(f"{saved}.npz")
+        blob = sidecar.read_bytes()
+        sidecar.write_bytes(blob[: int(keep * len(blob)) if isinstance(keep, float) else keep])
+        assert_same_bits(load_dataset(saved), self.parse(saved, monkeypatch))
+
+    def test_missing_csv_raises_with_its_sidecar_present(self, saved):
+        saved.unlink()
+        with pytest.raises(ParseError, match=r"cannot read .*d\.csv"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            (named_table("e3"), "feature columns must be f0..fN in order, got 'e3'"),
+            (named_table("id"), "header repeats column 'id'"),
+            (named_table("b", np.full((5, 3), np.inf)), "row 2: non-finite feature value"),
+        ],
+        ids=["channel_named_e3", "channel_named_id", "non_finite"],
+    )
+    def test_table_a_parse_rejects_gets_no_sidecar(self, table, message, tmp_path):
+        path = tmp_path / "d.csv"
+        assert len(save_dataset(named_table("b"), path)) == 2
+        assert save_dataset(table, path) == [path]
+        assert not Path(f"{path}.npz").exists()  # the earlier save's sidecar is gone
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(path)
+
+    def test_name_past_the_field_limit_gets_no_sidecar(self, tmp_path):
+        path = tmp_path / "d.csv"
+        limit = csv.field_size_limit(50)
+        try:
+            assert save_dataset(named_table("n" * 51), path) == [path]
+            with pytest.raises(ParseError, match="field larger than field limit"):
+                load_dataset(path)
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestPKSampler:

@@ -130,7 +130,8 @@ class TestEmbeddingCsv:
 
     def test_ingest_external_descriptors(self, ds, tmp_path):
         path = tmp_path / "features.csv"
-        save_dataset(ds, path)
+        _, sidecar = save_dataset(ds, path)
+        sidecar.unlink()  # another program writes no sidecar: the CSV is parsed
         es = load_dataset(path)
         np.testing.assert_array_equal(es.matrix, ds.matrix)
         assert es.channels == ds.channels

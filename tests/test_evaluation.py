@@ -369,6 +369,68 @@ class TestRankGallery:
             np.testing.assert_array_equal(a, b)
 
 
+def twins_by_loop(rows):
+    """Each row equal, as floats, to an earlier row, and the first such row."""
+    copies, twins = [], []
+    for i in range(len(rows)):
+        for j in range(i):
+            if (rows[j] == rows[i]).all():
+                copies.append(i)
+                twins.append(j)
+                break
+    return copies, twins
+
+
+class TestTwins:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("values", ["grid", "continuous"])
+    def test_matches_a_plain_loop(self, values, seed):
+        rng = np.random.default_rng(seed)
+        if values == "grid":  # many repeats, and signed zeros
+            rows = rng.integers(-1, 2, size=(80, 3)).astype(float)
+            rows[rows == 0] *= rng.choice([-1.0, 1.0], size=int((rows == 0).sum()))
+        else:  # copies of a few rows among rows that share no value
+            rows = rng.normal(size=(80, 3))
+            rows[rng.integers(0, 80, 30)] = rows[rng.integers(0, 80, 30)]
+        rows[rng.integers(0, 80, 10), rng.integers(0, 3, 10)] += 0.5  # one column apart
+        copies, twins = evaluation._twins(rows)
+        expected = twins_by_loop(rows)
+        assert len(expected[0]) > 10
+        np.testing.assert_array_equal(copies, expected[0])
+        np.testing.assert_array_equal(twins, expected[1])
+
+    @pytest.mark.parametrize(
+        "rows,copies,twins",
+        [
+            ([[0.0, 1.0], [-0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [-0.0, 2.0], [1.0, 1.0]],
+             [1, 4, 5], [0, 2, 3]),
+            ([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [0.0, 2.0, 3.0], [1.0, 2.0, 3.0]], [3], [0]),
+            ([[5.0]], [], []),
+            (np.empty((3, 0)), [1, 2], [0, 0]),  # no column: every row equals the first
+        ],
+        ids=["signed_zeros", "one_column_apart", "one_row", "no_columns"],
+    )
+    def test_edges(self, rows, copies, twins):
+        rows = np.array(rows, dtype=float)
+        assert twins_by_loop(rows) == (copies, twins)
+        got = evaluation._twins(rows)
+        np.testing.assert_array_equal(got[0], copies)
+        np.testing.assert_array_equal(got[1], twins)
+
+    def test_memory_is_under_two_galleries(self):
+        # np.unique(axis=0) held about five copies of the rows (4.7 MiB here)
+        rows = np.random.default_rng(3).normal(size=(40_000, 4))
+        rows[1::7] = rows[0]
+        tracemalloc.start()
+        try:
+            copies, _ = evaluation._twins(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(copies) == len(range(1, 40_000, 7))
+        assert peak < 2 * rows.nbytes, f"peak {peak / 2**20:.2f} MiB, rows {rows.nbytes / 2**20:.2f} MiB"
+
+
 class TestCmcMap:
     def test_two_positives_of_two(self):
         es = make_es(

@@ -8,13 +8,20 @@ lambda_db 0.005 and 0.1, which pins `sweep.csv`. It audits raw features
 too, with eval, eval nobias, stats and probe on the preset's audited
 channel: those of pose2, cam6 and part3 at seed 0, and those of two
 3000-id default-preset datasets at seeds 0 and 1, whose large rankings are
-the kind the benchmark's audit-3k workload makes. Prints `<sha256>  <path>`
+the kind the benchmark's audit-3k workload makes. Those audits load each
+table from its sidecar, so the script audits the CSV parse too: it copies
+`audit3k_s1/gen/dataset.csv` and `default_s0/embed/embeddings.csv` without
+their sidecars into `parsed/`, audits each copy the same way, and requires
+every eval, eval nobias, stats and probe output to equal its sidecar-path
+twin byte for byte. Prints `<sha256>  <path>`
 for each output file (paths relative to the output directory; manifests
 are skipped, they hold wall times), then the sha256 of that sorted list.
 Two trees that print the same last line wrote the same bytes. The binary
 sidecars `<csv>.npz` written beside each dataset and embeddings CSV are
-output files too and digested with the rest; the script exits 1 if any
-sidecar's `csv_sha256` is not the sha256 of the CSV beside it.
+output files too and digested with the rest, as are the `parsed/` copies
+and their outputs. The script exits 1 if any sidecar's `csv_sha256` is not
+the sha256 of the CSV beside it, or if any parse-path output differs from
+its twin.
 
     python3 scripts/output_digests.py OUT_DIR
 
@@ -29,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -42,6 +50,7 @@ from biasreid.cli import main as cli_main  # noqa: E402
 from biasreid.presets import PRESETS  # noqa: E402
 
 MODES = ("reduce", "enhance")
+AUDITS = ("eval", "eval_nobias", "stats", "probe")
 
 
 def run(*argv: str) -> None:
@@ -86,6 +95,32 @@ def raw_audit_3k(out: Path, seed: int) -> None:
     audit(out / "raw", out / "gen" / "dataset.csv", "pose", seed)
 
 
+def audit_outputs(out: Path) -> dict[Path, bytes]:
+    return {
+        path.relative_to(out): path.read_bytes()
+        for kind in AUDITS
+        for path in (out / kind).rglob("*")
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+def parse_path_audit(root: Path, data: Path, twin: Path, seed: int) -> list[str]:
+    """Audit a copy of the CSV `root/data` made without its sidecar, so every
+    load parses it; returns the outputs that differ from those of `twin`,
+    the sidecar-path audit of the same CSV."""
+    out = root / "parsed" / data.parts[0]
+    out.mkdir(parents=True)
+    copy = out / data.name
+    shutil.copyfile(root / data, copy)
+    audit(out, copy, "pose", seed)
+    parsed, expected = audit_outputs(out), audit_outputs(root / twin)
+    return sorted(
+        (out / rel).relative_to(root).as_posix()
+        for rel in parsed.keys() | expected.keys()
+        if parsed.get(rel) != expected.get(rel)
+    )
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -101,6 +136,10 @@ def main(argv: list[str]) -> int:
                 "--seed", "0", "--out", str(root / f"{preset}_s0" / "sweep"))
     for seed in (0, 1):
         raw_audit_3k(root / f"audit3k_s{seed}", seed)
+    differing = [
+        *parse_path_audit(root, Path("audit3k_s1/gen/dataset.csv"), Path("audit3k_s1/raw"), 1),
+        *parse_path_audit(root, Path("default_s0/embed/embeddings.csv"), Path("default_s0"), 0),
+    ]
 
     digests = {
         path: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -120,7 +159,9 @@ def main(argv: list[str]) -> int:
             unbound.append(sidecar.relative_to(root).as_posix())
     for name in sorted(unbound):
         print(f"sidecar {name}: csv_sha256 is not the sha256 of its CSV", file=sys.stderr)
-    return 1 if unbound else 0
+    for name in differing:
+        print(f"{name}: differs from its sidecar-path twin", file=sys.stderr)
+    return 1 if unbound or differing else 0
 
 
 if __name__ == "__main__":

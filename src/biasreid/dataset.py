@@ -22,20 +22,17 @@ which is exactly what the training branches then suppress or amplify.
 
 A table is stored as UTF-8 CSV, `id,camera,split,<channels...>,f0..f{d-1}`
 (`e0..` for embeddings), one row per line, each feature in `%.17g` so it
-reads back bit for bit. Both directions work on blocks of rows bounded at
-`_CSV_BLOCK` cells, a whole column at a time, so neither holds the whole
-text:
+reads back bit for bit.
 
-- saving formats a block with one `%` over a repeated row template; class
-  and channel names are quoted as csv.writer quotes a cell amid a row, and
-  also when they hold a CR;
-- loading splits a block of lines on commas and converts each column with
-  Python's own `int` and `float`, then checks split tags, the int64 range,
-  finiteness and row widths on the whole column. A block holding a quote,
-  a CR, a row of another width or a cell that does not convert sends the
-  whole file to the per-cell scan, which reads it through `csv.reader` and
-  is the one place that words a row's `ParseError`. Both give the same
-  arrays, bit for bit, on any file the blocks accept.
+- saving formats blocks of rows bounded at `_CSV_BLOCK` cells, a whole
+  column at a time, with one `%` over a repeated row template, so it never
+  holds the whole text; class and channel names are quoted as csv.writer
+  quotes a cell amid a row, and also when they hold a CR;
+- loading streams the records through `csv.reader` and checks each one cell
+  by cell in file order, with Python's own `int` and `float`, so a
+  `ParseError` names the first bad row and column; the features gather in
+  one flat buffer, reshaped once at the end. Finiteness is checked on the
+  whole matrix after the last row.
 
 The CSV is the record. Beside each CSV it writes, `save_dataset` also
 writes a sidecar `<csv>.npz`: the very table a parse of that CSV returns
@@ -55,9 +52,10 @@ import json
 import os
 import re
 import zipfile
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -260,9 +258,8 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Table:
 _FIXED_COLUMNS = ("id", "camera", "split")
 _FEATURE_COL = re.compile(r"^([ef])(\d+)$")
 _INT64_RANGE = range(-(2**63), 2**63)
-# cells formatted or parsed at a time: bounds the rows, cells and text of one
-# block (about 90 KB of text at 17 significant digits); 16 times larger blocks
-# read no faster and raised the peak RSS of a train, embed and audit run by 11 MB
+# cells the CSV writer formats at a time: bounds the rows, cells and text of one
+# block (about 90 KB of text at 17 significant digits)
 _CSV_BLOCK = 1 << 12
 # the sidecar's layout; a sidecar of another format is ignored
 _SIDECAR_FORMAT = 1
@@ -424,82 +421,56 @@ def _number(path, rownum: int, column: str, text: str, kind):
     return value
 
 
-def _scan(path, header: list[str], rows: list[list[str]], feat_start: int):
-    """The body rows' columns, each row checked cell by cell in file order,
-    so a ParseError names the first bad row and column."""
-    ids, cameras = [], []
-    matrix = np.empty((len(rows), len(header) - feat_start))
-    for r, row in enumerate(rows):
-        rownum = r + 2
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {rownum}: {len(row)} fields, header has {len(header)}")
-        ids.append(_number(path, rownum, "id", row[0], int))
-        cameras.append(_number(path, rownum, "camera", row[1], int))
-        if row[2] not in SPLITS:
-            raise ParseError(f"{path}: row {rownum}, column split: unknown tag {row[2]!r}")
-        try:
-            matrix[r] = [float(v) for v in row[feat_start:]]
-        except ValueError:
-            for col, text in zip(header[feat_start:], row[feat_start:]):
-                _number(path, rownum, col, text, float)
+def _scan(path, header: list[str], records, feat_start: int):
+    """The columns of the body `records`, a csv.reader past the header, each
+    record checked cell by cell in file order, so a ParseError names the
+    first bad row and column."""
+    ids, cameras, splits, labels = [], [], [], [[] for _ in range(3, feat_start)]
+    features = array("d")
+    try:
+        for rownum, row in enumerate(records, start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {rownum}: {len(row)} fields, header has {len(header)}")
+            ids.append(_number(path, rownum, "id", row[0], int))
+            cameras.append(_number(path, rownum, "camera", row[1], int))
+            if row[2] not in SPLITS:
+                raise ParseError(f"{path}: row {rownum}, column split: unknown tag {row[2]!r}")
+            try:
+                features.extend(map(float, row[feat_start:]))
+            except ValueError:
+                for col, text in zip(header[feat_start:], row[feat_start:]):
+                    _number(path, rownum, col, text, float)
+            splits.append(row[2])
+            for column, text in zip(labels, row[3:feat_start]):
+                column.append(text)
+    except ParseError:
+        # undecodable text or a csv fault anywhere in the file is reported
+        # before a bad row, so read the rest of it first
+        for _ in records:
+            pass
+        raise
+    matrix = np.asarray(features).reshape(len(ids), len(header) - feat_start)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}: row {int(np.argmin(finite)) + 2}: non-finite feature value")
-    labels = [[row[j] for row in rows] for j in range(3, feat_start)]
-    return ids, cameras, [row[2] for row in rows], labels, matrix
-
-
-def _parse_blocks(lines, width: int, feat_start: int):
-    """The body rows' columns, read a block of lines at a time and converted
-    column by column; None if a block holds a quote, a CR, an overlong line,
-    a row of another width or a cell the scan would reject."""
-    ids, cameras, splits, labels = [], [], [], [[] for _ in range(3, feat_start)]
-    blocks = [np.empty((0, width - feat_start))]  # a header-only file has no rows
-    limit = csv.field_size_limit()
-    while block := list(islice(lines, max(1, _CSV_BLOCK // width))):
-        text = "".join(block)
-        if ('"' in text or "\r" in text or max(map(len, block)) > limit
-                or any(line.count(",") != width - 1 for line in block)):
-            return None
-        cells = text.replace("\n", ",").split(",")[: len(block) * width]
-        try:
-            block_ids, block_cams = (list(map(int, cells[j::width])) for j in (0, 1))
-            features = [list(map(float, cells[j::width])) for j in range(feat_start, width)]
-        except ValueError:
-            return None
-        matrix = np.array(features).reshape(width - feat_start, len(block)).T
-        tags = cells[2::width]
-        ints = (min(block_ids), max(block_ids), min(block_cams), max(block_cams))
-        if not (all(v in _INT64_RANGE for v in ints) and set(tags) <= set(SPLITS)
-                and np.isfinite(matrix).all()):
-            return None
-        ids += block_ids
-        cameras += block_cams
-        splits += tags
-        for j, column in enumerate(labels, start=3):
-            column += cells[j::width]
-        blocks.append(matrix)
-    return ids, cameras, splits, labels, np.concatenate(blocks)
+    return ids, cameras, splits, labels, matrix
 
 
 def load_dataset(path) -> Table:
     """The table in the dataset CSV, the record. Its sidecar `<csv>.npz` is
     read in place of a parse only when bound by digest to the CSV's bytes as
-    they are now, and never without the CSV. Otherwise the CSV is parsed a
-    block of lines at a time, or by the per-cell scan where a block cannot be
-    read that way (module docstring); errors name the offending row and
-    column."""
+    they are now, and never without the CSV. Otherwise the CSV is parsed in
+    one streamed pass, record by record (module docstring); errors name the
+    offending row and column."""
     table = _sidecar_table(path)
     if table is not None:
         return table
     with _reading(path) as fh:
-        header = next(csv.reader(fh), None)
+        records = csv.reader(fh)
+        header = next(records, None)
         feat_start = _feature_start(path, header)
-        columns = _parse_blocks(fh, len(header), feat_start)
-    if columns is None:
-        with _reading(path) as fh:
-            columns = _scan(path, header, list(csv.reader(fh))[1:], feat_start)
-    ids, cameras, splits, labels, matrix = columns
+        ids, cameras, splits, labels, matrix = _scan(path, header, records, feat_start)
     channels, codes = {}, {}
     for c, column in zip(header[3:feat_start], labels):
         # not np.unique over a str array: it strips trailing NULs, merging 'a' and 'a\0'

@@ -52,6 +52,7 @@ def save_embeddings(es: Table, path) -> list[Path]:
     """CSV `id,camera,split,<channels...>,e0..e{D-1}`, the record, and its
     sidecar `<csv>.npz`, derived from the CSV and bound to its bytes by
     digest; returns the files written. `dataset.load_dataset` reads the
-    sidecar only beside the very CSV it was written with, and parses the CSV
-    otherwise, as it parses any external descriptors to audit."""
+    sidecar only beside the very CSV it was written with; otherwise it
+    parses the CSV in one streamed pass, as it parses any external
+    descriptors to audit."""
     return save_dataset(es, path, feature_prefix="e")

@@ -196,11 +196,10 @@ def rank_gallery(
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if protocol == "nobias":
-        if channel is None:
-            raise ConfigError("nobias protocol needs a bias channel")
-        if channel not in es.channels:
-            raise ConfigError(f"unknown bias channel {channel!r}")
+    if protocol == "nobias" and channel is None:
+        raise ConfigError("nobias protocol needs a bias channel")
+    if channel is not None and channel not in es.channels:
+        raise ConfigError(f"unknown bias channel {channel!r}")
     if depth is not None and depth < 1:
         raise ConfigError(f"ranking depth must be >= 1, got {depth}")
 

@@ -411,6 +411,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: EvaluationError") and "query row 0" in err
 
+    @pytest.mark.parametrize("protocol", ["standard", "nobias"])
+    def test_unknown_channel_rejected(self, protocol, tmp_path, capsys):
+        # the standard protocol excludes no channel, but records the one given
+        data = tmp_path / "d.csv"
+        data.write_text("id,camera,split,pose,f0\n1,0,query,a,0.5\n1,1,gallery,a,1.5\n")
+        code = run(["eval", "--data", str(data), "--protocol", protocol, "--channel", "bogus",
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: ConfigError: unknown bias channel 'bogus'\n"
+        assert not (tmp_path / "o" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "column,row", [("id", "99999999999999999999,0"), ("camera", "1,-99999999999999999999")]
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -261,12 +262,6 @@ def parse_only(monkeypatch):
     monkeypatch.setattr(dataset, "_sidecar_table", lambda path: None)
 
 
-def force_scan(monkeypatch):
-    """Make load_dataset read every file by the per-cell scan."""
-    parse_only(monkeypatch)
-    monkeypatch.setattr(dataset, "_parse_blocks", lambda lines, width, feat_start: None)
-
-
 def assert_same_bits(a, b):
     assert a.matrix.shape == b.matrix.shape
     np.testing.assert_array_equal(a.matrix.view(np.uint64), b.matrix.view(np.uint64))
@@ -279,7 +274,7 @@ def assert_same_bits(a, b):
 
 
 class TestCsvBlocks:
-    """The block writer and reader against the row writer and the scan."""
+    """The block writer against the row writer, and the streamed parse."""
 
     @pytest.mark.parametrize("name", ["", "a,b", 'say "hi"', "two\nlines", "é", " lead"])
     @pytest.mark.parametrize("block", [dataset._CSV_BLOCK, 20])
@@ -316,20 +311,15 @@ class TestCsvBlocks:
         save_dataset(ds, tmp_path / "cr.csv")
         assert_same_bits(load_dataset(tmp_path / "cr.csv"), ds)
 
-    @pytest.mark.parametrize("reader", ["blocks", "scan"])
-    def test_trailing_nul_names_stay_apart(self, reader, monkeypatch, tmp_path):
+    def test_trailing_nul_names_stay_apart(self, monkeypatch, tmp_path):
         # np.unique over a str array strips trailing NULs: it merged these into 'a'
-        names = ["a", "a\x00", "a\x00\x00"] + (['q"'] if reader == "scan" else [])  # a quote: scan
+        names = ["a", "a\x00", "a\x00\x00", 'q"']  # and a quoted name amid them
         n = 2 * len(names)
         ds = Table(np.zeros((n, 1)), np.arange(n), np.zeros(n, int), ["train"] * n,
                    {"pose": np.arange(n) % len(names)}, {"pose": names})
-        scans = []
-        scan = dataset._scan
         parse_only(monkeypatch)
-        monkeypatch.setattr(dataset, "_scan", lambda *args: scans.append(args) or scan(*args))
         save_dataset(ds, tmp_path / "d.csv")
         assert_same_bits(load_dataset(tmp_path / "d.csv"), ds)
-        assert len(scans) == (reader == "scan")
 
     def test_generated_files_read_by_blocks_as_by_scan(self, monkeypatch, tmp_path):
         # and as from the sidecar
@@ -338,42 +328,38 @@ class TestCsvBlocks:
             save_dataset(ds, tmp_path / "d.csv")
             sidecar = load_dataset(tmp_path / "d.csv")
             assert_same_bits(sidecar, ds)
-            for reader in (parse_only, force_scan):
-                with monkeypatch.context() as m:
-                    reader(m)
-                    assert_same_bits(sidecar, load_dataset(tmp_path / "d.csv"))
-
-    def test_blocks_need_no_scan_on_plain_files(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(dataset, "_CSV_BLOCK", 20)
-        monkeypatch.setattr(dataset, "_scan", None)  # calling it would fail
-        parse_only(monkeypatch)
-        ds = generate_synthetic(tiny_cfg(), seed=2)
-        save_dataset(ds, tmp_path / "d.csv")
-        assert_same_bits(load_dataset(tmp_path / "d.csv"), ds)
+            with monkeypatch.context() as m:
+                parse_only(m)
+                assert_same_bits(sidecar, load_dataset(tmp_path / "d.csv"))
 
     HEADER = "id,camera,split,pose,f0,f1\n"
     BODY = ["0,0,train,a,1.5,-2\n", "+7, 8 ,query,b,.5,1_0.5\n", "1_0,1,gallery,a, -0 ,1e-320\n"]
+    # BODY as parsed: id, camera, split, pose code, f0, f1
+    PARSED = [(0, 0, "train", 0, 1.5, -2.0), (7, 8, "query", 1, 0.5, 10.5),
+              (10, 1, "gallery", 0, -0.0, 1e-320)]
 
     @pytest.mark.parametrize(
-        "text",
+        "text,rows,classes",
         [
-            HEADER + "".join(BODY).rstrip("\n"),  # no final newline
-            HEADER,
-            HEADER.rstrip("\n"),  # header only, no newline
-            "".join([HEADER, *BODY]).replace("\n", "\r\n"),
-            HEADER + "".join(BODY).replace(",a,", ',"a",').replace(",b,", ',"b, c",'),
-            HEADER + "".join(BODY * 4) + '3,0,train,"a",0,0\n',  # first quote in the 5th block
+            (HEADER + "".join(BODY).rstrip("\n"), PARSED, ["a", "b"]),  # no final newline
+            (HEADER, [], []),
+            (HEADER.rstrip("\n"), [], []),  # header only, no newline
+            ("".join([HEADER, *BODY]).replace("\n", "\r\n"), PARSED, ["a", "b"]),
+            (HEADER + "".join(BODY).replace(",a,", ',"a",').replace(",b,", ',"b, c",'), PARSED,
+             ["a", "b, c"]),
+            (HEADER + "".join(BODY * 4) + '3,0,train,"a",0,0\n',  # a quote in the last row
+             PARSED * 4 + [(3, 0, "train", 0, 0.0, 0.0)], ["a", "b"]),
         ],
         ids=["no_final_newline", "header_only", "header_no_newline", "crlf", "quoted_labels",
              "late_quote"],
     )
-    def test_edge_files_read_as_by_scan(self, text, monkeypatch, tmp_path):
-        monkeypatch.setattr(dataset, "_CSV_BLOCK", 20)  # 3 rows a block
+    def test_edge_files_read_as_by_scan(self, text, rows, classes, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
-        loaded = load_dataset(path)
-        force_scan(monkeypatch)
-        assert_same_bits(loaded, load_dataset(path))
+        ids, cams, splits, codes, *features = zip(*rows) if rows else [[]] * 6
+        expected = Table(np.array(features).T.reshape(len(rows), 2), ids, cams, splits,
+                         {"pose": codes}, {"pose": classes})
+        assert_same_bits(load_dataset(path), expected)
 
     @pytest.mark.parametrize(
         "row,message",
@@ -389,9 +375,7 @@ class TestCsvBlocks:
             ("5,0,train,a,1.0\n1.0,5,0,train,a,1.0,2\n", "row 6: 5 fields, header has 6"),
         ],
     )
-    def test_bad_row_in_a_later_block_keeps_the_scan_message(self, row, message, monkeypatch,
-                                                             tmp_path):
-        monkeypatch.setattr(dataset, "_CSV_BLOCK", 20)
+    def test_bad_row_in_a_later_block_keeps_the_scan_message(self, row, message, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(self.HEADER + "".join(self.BODY) + "9,1,train,b,0,0\n" + row + self.BODY[0])
         with pytest.raises(ParseError) as info:
@@ -409,6 +393,40 @@ class TestCsvBlocks:
         path.write_text(f"id,camera,split,pose,f0\n0,0,train,{'a' * (csv.field_size_limit() + 1)},1\n")
         with pytest.raises(ParseError, match="field larger than field limit"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [(b"tr\xe9in", "not UTF-8 text"),
+         (b"a" * (csv.field_size_limit() + 1), "field larger than field limit")],
+        ids=["non_utf8", "oversized_field"],
+    )
+    def test_unreadable_text_is_reported_before_an_earlier_bad_row(self, fault, message,
+                                                                   tmp_path):
+        # a fault in the file's text outranks a bad row before it; this one lies
+        # well past the first chunk of text the reader decodes
+        path = tmp_path / "d.csv"
+        body = b"0,0,train,1.0\n" * 2000
+        path.write_bytes(b"id,camera,split,f0\n0,0,test,1.0\n" + body + b"0,0," + fault + b",1\n")
+        with pytest.raises(ParseError, match=message):
+            load_dataset(path)
+
+    def test_parse_memory_stays_near_the_matrix(self, monkeypatch, tmp_path):
+        # a quoted cell must not make the parse hold every row as strings
+        parse_only(monkeypatch)
+        n = 2000
+        for name in ("a", "a,b"):
+            ds = Table(np.random.default_rng(0).normal(size=(n, 16)), np.arange(n) // 4,
+                       np.arange(n) % 2, ["train"] * n, {"pose": np.arange(n) % 2},
+                       {"pose": [name, "x"]})
+            save_dataset(ds, tmp_path / "d.csv")
+            tracemalloc.start()
+            try:
+                back = load_dataset(tmp_path / "d.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert_same_bits(back, ds)
+            assert peak < 5 * ds.matrix.nbytes, f"{name!r}: peak {peak / ds.matrix.nbytes:.1f}x"
 
 
 def sidecar_tables():
@@ -451,7 +469,6 @@ class TestSidecar:
     def no_parse(monkeypatch):
         def fail(*args):
             raise AssertionError("parsed the CSV")
-        monkeypatch.setattr(dataset, "_parse_blocks", fail)
         monkeypatch.setattr(dataset, "_scan", fail)
 
     @pytest.mark.parametrize("name", list(sidecar_tables()))

@@ -106,10 +106,14 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "outputs": [str(p) for p in outputs],
         "toolkit_version": __version__,
         "duration_s": round(time.time() - t0, 3),
-        # the process's memory high-water mark so far (ru_maxrss is in KiB)
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        # the process's memory high-water mark so far (ru_maxrss is in bytes
+        # on macOS, in KiB elsewhere)
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                             / (1 << 20 if sys.platform == "darwin" else 1024), 1),
         "numpy": np.__version__,
-        "cores": len(os.sched_getaffinity(0)),
+        # the cores this process may run on; macOS has no affinity call
+        "cores": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count()),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -485,15 +485,6 @@ def load_dataset(path) -> Table:
 # ----------------------------------------------------------------------------
 
 
-@dataclass
-class Batch:
-    """P*K row indices with the identities and bias codes of those rows."""
-
-    indices: np.ndarray
-    ids: np.ndarray
-    codes: dict[str, np.ndarray]
-
-
 class PKSampler:
     """Draws P-identity / K-instance batches, cycling through all train
     identities before any identity repeats (epoch semantics)."""
@@ -508,13 +499,15 @@ class PKSampler:
         self.by_id = dict(zip(self.identities.tolist(), np.split(train_idx, starts[1:])))
         if len(self.identities) < p:
             raise ConfigError(f"only {len(self.identities)} train identities, need P={p}")
-        self.ds = ds
         self.p = p
         self.k = k
         self.rng = rng
         self._queue: list[int] = []
 
-    def draw(self) -> Batch:
+    def draw(self) -> np.ndarray:
+        """The next batch's P*K table row indices: K rows of each of the
+        next P identities in the queue, in queue order, drawn with
+        replacement only from an identity with fewer than K train rows."""
         if len(self._queue) < self.p:
             pending = set(self._queue)
             fresh = [i for i in self.rng.permutation(self.identities) if i not in pending]
@@ -522,10 +515,9 @@ class PKSampler:
         chosen, self._queue = self._queue[: self.p], self._queue[self.p :]
 
         pools = [self.by_id[ident] for ident in chosen]
-        idx = np.concatenate(
+        return np.concatenate(
             [self.rng.choice(pool, size=self.k, replace=len(pool) < self.k) for pool in pools]
         )
-        return Batch(idx, self.ds.ids[idx], {c: arr[idx] for c, arr in self.ds.codes.items()})
 
 
 # ----------------------------------------------------------------------------

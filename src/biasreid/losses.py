@@ -243,7 +243,6 @@ class CombinedLoss:
 
     value: float
     grads: np.ndarray
-    mode: str
     reid: LossOutput
     bias: LossOutput
 
@@ -275,9 +274,9 @@ def combined_loss(
         # a batch that cannot form bias pairs still trains as a baseline
         n = emb.shape[0]
         bias = LossOutput(0.0, np.zeros_like(emb), PoolSelection.empty(n), n_skipped=n)
-        return CombinedLoss(lam_dr * reid.value, lam_dr * reid.grads, mode, reid, bias)
+        return CombinedLoss(lam_dr * reid.value, lam_dr * reid.grads, reid, bias)
     bias = bias_easy_loss(emb, d2, bias_labels, margin_bias)
     sign = -1.0 if mode == "reduce" else 1.0
     value = lam_dr * reid.value + sign * lam_db * bias.value
     grads = lam_dr * reid.grads + sign * lam_db * bias.grads
-    return CombinedLoss(value, grads, mode, reid, bias)
+    return CombinedLoss(value, grads, reid, bias)

@@ -229,20 +229,3 @@ def adam_step(params: EncoderParams, grads: np.ndarray, state: AdamState, rate: 
     adam_update(params.flat, grads, st.m, st.v, st.step + 1, rate, st.beta1, st.beta2, st.eps)
     st.step += 1
 
-
-@dataclass(frozen=True)
-class Schedule:
-    """Linear decay from `base` at epoch 0 to exactly 0 at `total_epochs`."""
-
-    base: float
-    total_epochs: int
-
-    def __post_init__(self) -> None:
-        if self.base < 0 or self.total_epochs <= 0:
-            raise ConfigError("schedule needs base >= 0 and total_epochs >= 1")
-
-
-def schedule_rate(s: Schedule, epoch: int) -> float:
-    if not 0 <= epoch <= s.total_epochs:
-        raise ConfigError(f"epoch {epoch} outside [0, {s.total_epochs}]")
-    return s.base * (1.0 - epoch / s.total_epochs)

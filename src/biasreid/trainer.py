@@ -20,19 +20,10 @@ import numpy as np
 
 from . import __version__
 from .config import from_kv, ints, to_kv
-from .dataset import Batch, PKSampler, Table
+from .dataset import PKSampler, Table
 from .errors import BatchCompositionError, CheckpointError, ConfigError, TrainingError
 from .losses import MODES, CombinedLoss, combined_loss
-from .numerics import (
-    AdamState,
-    EncoderParams,
-    Schedule,
-    adam_step,
-    backprop,
-    encode,
-    init_encoder,
-    schedule_rate,
-)
+from .numerics import AdamState, EncoderParams, adam_step, backprop, encode, init_encoder
 
 CHECKPOINT_FORMAT_VERSION = 2
 _STREAM_INIT = 0
@@ -122,6 +113,12 @@ class TrainLog:
 class Trainer:
     """Owns one branch's parameters and optimizer state (single writer).
 
+    A batch is the row indices its `PKSampler` draws; the trainer reads
+    those rows' features, identities and bias codes straight from the
+    table. Epoch e trains at `cfg.rate * (1 - e / cfg.epochs)`, a linear
+    decay toward 0, and training stops at `cfg.epochs`, so a start epoch at
+    or past it trains nothing; a negative one is rejected.
+
     The batch sampler is re-seeded per epoch from (seed, epoch), which makes
     epoch boundaries clean resume points: a checkpoint needs only parameters,
     optimizer state, and the epoch counter to continue bit-exactly.
@@ -139,6 +136,8 @@ class Trainer:
             raise ConfigError(
                 f"bias channel {cfg.bias_channel!r} not in dataset channels {sorted(ds.channels)}"
             )
+        if start_epoch < 0:
+            raise ConfigError(f"start epoch must be >= 0, got {start_epoch}")
         self.ds = ds
         self.cfg = cfg
         self.epoch = start_epoch
@@ -148,7 +147,6 @@ class Trainer:
         if n_train == 0:
             raise ConfigError("dataset has no train split")
         self.batches_per_epoch = -(-n_train // (cfg.p * cfg.k))
-        self.schedule = Schedule(cfg.rate, cfg.epochs) if cfg.epochs > 0 else None
         if params is None:
             init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _STREAM_INIT)))
             params = init_encoder(ds.dim, cfg.hidden, cfg.d_emb, init_rng)
@@ -162,23 +160,27 @@ class Trainer:
         rng = np.random.default_rng(np.random.SeedSequence((self.cfg.seed, _STREAM_EPOCH, epoch)))
         return PKSampler(self.ds, self.cfg.p, self.cfg.k, rng)
 
-    def draw_batch(self, sampler: PKSampler) -> tuple[Batch, np.ndarray]:
-        """Draw until the batch can support the bias loss (bounded retries)."""
+    def draw_batch(self, sampler: PKSampler) -> tuple[np.ndarray, np.ndarray]:
+        """A batch's row indices and their bias codes. Redraws (bounded) while
+        the batch holds one bias class and the train split holds two."""
+        codes = self.ds.codes[self.cfg.bias_channel]
         for _ in range(_MAX_BATCH_RETRIES):
-            batch = sampler.draw()
-            labels = batch.codes[self.cfg.bias_channel]
+            idx = sampler.draw()
+            labels = codes[idx]
             if not self._bias_diverse or (labels != labels[0]).any():
-                return batch, labels
+                return idx, labels
         raise BatchCompositionError(
             f"no batch with >= 2 {self.cfg.bias_channel!r} classes after "
             f"{_MAX_BATCH_RETRIES} draws"
         )
 
-    def batch_loss(self, batch: Batch, labels: np.ndarray) -> tuple[CombinedLoss, object]:
-        emb, tape = encode(self.params, self.ds.matrix[batch.indices])
+    def batch_loss(self, idx: np.ndarray, labels: np.ndarray) -> tuple[CombinedLoss, object]:
+        """The combined loss of rows `idx` with bias codes `labels`, and the
+        encoder tape that backpropagates its gradient."""
+        emb, tape = encode(self.params, self.ds.matrix[idx])
         out = combined_loss(
             emb,
-            batch.ids,
+            self.ds.ids[idx],
             labels,
             self.cfg.mode,
             self.cfg.lam_dr,
@@ -199,16 +201,16 @@ class Trainer:
 
     def _one_epoch(self) -> None:
         cfg = self.cfg
-        rate = schedule_rate(self.schedule, self.epoch)
+        rate = cfg.rate * (1.0 - self.epoch / cfg.epochs)
         sampler = self.sampler_for_epoch(self.epoch)
         sum_dr = sum_db = sum_af_dr = sum_af_db = 0.0
         skipped = 0
         for b in range(self.batches_per_epoch):
-            batch, labels = self.draw_batch(sampler)
-            out, tape = self.batch_loss(batch, labels)
+            idx, labels = self.draw_batch(sampler)
+            out, tape = self.batch_loss(idx, labels)
             if not np.isfinite(out.value):
                 raise TrainingError(f"non-finite loss at epoch {self.epoch}, batch {b}")
-            n = len(batch.indices)
+            n = len(idx)
             sum_dr += out.reid.value / n
             sum_db += out.bias.value / n
             sum_af_dr += out.reid.selection.active_fraction
@@ -318,6 +320,8 @@ def checkpoint_load(path) -> tuple[EncoderParams, AdamState, BranchConfig, int]:
         raise CheckpointError(f"{path}: meta_json lacks {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed meta_json entry: {exc}") from exc
+    if epoch < 0 or step < 0:
+        raise CheckpointError(f"{path}: saved epoch {epoch} or adam step {step} is negative")
     try:
         weights = [arrays[f"w{i}"] for i in range(n_layers)]
         biases = [arrays[f"b{i}"] for i in range(n_layers)]

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import resource
+import sys
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,6 +133,23 @@ class TestPipeline:
             assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
             assert manifest["numpy"] == np.__version__
             assert isinstance(manifest["cores"], int) and manifest["cores"] >= 1
+
+    @staticmethod
+    def gen_manifest(small_gen_cfg, out):
+        assert run(["gen", "--config", str(small_gen_cfg), "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_manifest_counts_cores_without_an_affinity_call(self, small_gen_cfg, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS
+        assert self.gen_manifest(small_gen_cfg, tmp_path)["cores"] == os.cpu_count()
+
+    @pytest.mark.parametrize("platform, maxrss", [("darwin", 300 << 20), ("linux", 300 << 10)])
+    def test_manifest_reads_maxrss_in_the_platform_unit(self, platform, maxrss, small_gen_cfg,
+                                                        tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+        assert self.gen_manifest(small_gen_cfg, tmp_path)["peak_rss_mb"] == 300.0
 
     def test_embed_concatenates_branches(self, pipeline):
         _, _, emb_dir, _ = pipeline

@@ -566,24 +566,26 @@ class TestSidecar:
 class TestPKSampler:
     def test_shape(self):
         ds = generate_synthetic(tiny_cfg(n_ids=4), seed=0)
-        batch = pk_sample(ds, p=2, k=2, rng=np.random.default_rng(0))
-        assert len(batch.indices) == 4
-        assert len(np.unique(batch.ids)) == 2
-        for ident in np.unique(batch.ids):
-            assert np.sum(batch.ids == ident) == 2
+        idx = pk_sample(ds, p=2, k=2, rng=np.random.default_rng(0))
+        ids = ds.ids[idx]
+        assert len(idx) == 4
+        assert len(np.unique(ids)) == 2
+        for ident in np.unique(ids):
+            assert np.sum(ids == ident) == 2
 
     def test_single_sample_identity_sampled_with_replacement(self):
         ds = cam_table([np.zeros(2), np.ones(2), np.ones(2) * 2], [0, 1, 1], [0, 0, 1])
-        batch = pk_sample(ds, p=2, k=4, rng=np.random.default_rng(0))
-        assert np.sum(batch.ids == 0) == 4
-        assert len(np.unique(batch.indices[batch.ids == 0])) == 1
+        idx = pk_sample(ds, p=2, k=4, rng=np.random.default_rng(0))
+        ids = ds.ids[idx]
+        assert np.sum(ids == 0) == 4
+        assert len(np.unique(idx[ids == 0])) == 1
 
     def test_epoch_cycling(self):
         ds = generate_synthetic(tiny_cfg(n_ids=16, samples_per_id=4), seed=0)
         sampler = PKSampler(ds, p=4, k=2, rng=np.random.default_rng(1))
         seen = []
         for _ in range(4):  # one full epoch: 16 identities / P=4
-            seen.extend(sampler.draw().ids)
+            seen.extend(ds.ids[sampler.draw()])
         first_epoch_ids = set(int(i) for i in seen)
         assert first_epoch_ids == set(range(16))
         counts = {i: 0 for i in range(16)}
@@ -602,9 +604,9 @@ class TestPKSampler:
         ds = generate_synthetic(tiny_cfg(n_ids=6, samples_per_id=3), seed=11)
         sampler = PKSampler(ds, p=p, k=k, rng=np.random.default_rng(seed))
         for _ in range(5):
-            b = sampler.draw()
-            assert len(b.indices) == p * k
-            ids, counts = np.unique(b.ids, return_counts=True)
+            idx = sampler.draw()
+            assert len(idx) == p * k
+            ids, counts = np.unique(ds.ids[idx], return_counts=True)
             assert len(ids) == p and (counts == k).all()
 
 

@@ -7,13 +7,11 @@ from biasreid.errors import ConfigError, DataError, TrainingError
 from biasreid.numerics import (
     AdamState,
     EncoderParams,
-    Schedule,
     adam_step,
     backprop,
     encode,
     init_encoder,
     prelu,
-    schedule_rate,
 )
 
 
@@ -257,26 +255,6 @@ class TestFlatLayout:
             assert np.array_equal(qa, pa)
         q.flat[:] = -1.0
         assert all((a == -1.0).all() for a in q.weights + q.biases)
-
-
-class TestSchedule:
-    def test_endpoints_and_midpoint(self):
-        s = Schedule(base=0.0003, total_epochs=60)
-        assert schedule_rate(s, 0) == 0.0003
-        assert schedule_rate(s, 60) == 0.0
-        assert schedule_rate(s, 30) == pytest.approx(0.00015)
-
-    def test_out_of_range(self):
-        s = Schedule(base=0.0003, total_epochs=60)
-        with pytest.raises(ConfigError):
-            schedule_rate(s, 61)
-        with pytest.raises(ConfigError):
-            schedule_rate(s, -1)
-
-    def test_non_increasing(self):
-        s = Schedule(base=0.01, total_epochs=17)
-        rates = [schedule_rate(s, e) for e in range(18)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
 class TestPrelu:

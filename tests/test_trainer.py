@@ -128,8 +128,8 @@ class TestTrainBranch:
         outs = {}
         for mode, cfg in cfgs.items():
             t = Trainer(tiny_ds, cfg)
-            batch, labels = t.draw_batch(t.sampler_for_epoch(0))
-            out, _ = t.batch_loss(batch, labels)
+            idx, labels = t.draw_batch(t.sampler_for_epoch(0))
+            out, _ = t.batch_loss(idx, labels)
             outs[mode] = out
         r, e = outs["reduce"], outs["enhance"]
         np.testing.assert_array_equal(r.reid.grads, e.reid.grads)
@@ -148,6 +148,37 @@ class TestTrainBranch:
         # claim is on the optimizer step counter for all-zero-grad batches
         assert np.array_equal(t.params.flat, before.flat)
         assert t.adam.step <= step_before + t.batches_per_epoch
+
+
+class TestSchedule:
+    """The trainer's per-epoch rate: linear decay from cfg.rate toward 0 at
+    cfg.epochs, trained only for epochs in [0, cfg.epochs)."""
+
+    @pytest.fixture(scope="class")
+    def log17(self, tiny_ds):
+        cfg = tiny_cfg(epochs=17, rate=0.01)
+        return cfg, train_branch(tiny_ds, cfg)[1]
+
+    def test_rate_decays_linearly_from_base(self, log17):
+        cfg, log = log17
+        assert [e.epoch for e in log.epochs] == list(range(17))
+        assert log.epochs[0].rate == cfg.rate
+        for e in log.epochs:
+            assert e.rate == cfg.rate * (1.0 - e.epoch / 17)
+
+    def test_non_increasing(self, log17):
+        rates = [e.rate for e in log17[1].epochs]
+        assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+    def test_start_epoch_out_of_range(self, tiny_ds):
+        cfg = tiny_cfg(epochs=3)
+        with pytest.raises(ConfigError, match="start epoch"):
+            Trainer(tiny_ds, cfg, start_epoch=-1)
+        t = Trainer(tiny_ds, cfg, start_epoch=4)
+        before = t.params.copy()
+        t.run()
+        assert t.epoch == 4 and t.log.epochs == []
+        assert np.array_equal(t.params.flat, before.flat)
 
 
 class TestCheckpoint:
@@ -243,6 +274,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=expected):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("key", ["epoch", "adam.step"])
+    def test_negative_epoch_or_step_rejected(self, key, tiny_ds, tmp_path):
+        # a step of -1 would make Adam's next bias correction divide by zero
+        path = self.saved(tiny_ds, tmp_path)
+        meta = json.loads(str(saved_arrays(path)["meta_json"]))
+        if key == "epoch":
+            meta["epoch"] = -1
+        else:
+            meta["adam"]["step"] = -1
+        rewrite_checkpoint(path, meta_json=np.array(json.dumps(meta, sort_keys=True)))
+        with pytest.raises(CheckpointError, match="negative") as err:
+            checkpoint_load(path)
+        assert str(path) in str(err.value)
+
     def test_meta_not_json_rejected(self, tiny_ds, tmp_path):
         path = self.saved(tiny_ds, tmp_path)
         rewrite_checkpoint(path, meta_json=np.array("{not json"))
@@ -313,7 +358,7 @@ class TestBatchRetry:
         cfg = tiny_cfg(p=2, k=2, lam_db=0.05, epochs=1, hidden=(4,), d_emb=3)
         t = Trainer(ds, cfg)
         for _ in range(6):
-            batch, labels = t.draw_batch(t.sampler_for_epoch(0))
+            idx, labels = t.draw_batch(t.sampler_for_epoch(0))
             assert len(np.unique(labels)) >= 2
 
     def test_single_class_train_split_fails_with_bias_weight(self):

@@ -43,6 +43,25 @@ before its positives of that class get theirs back.
 The probe step has no data-dependent select: with x_pos = x above 0 (-0.0
 elsewhere) and x_neg = x at and below 0 (0.0 elsewhere), x_pos + slope *
 x_neg equals prelu(x, slope) bit for bit for every x and slope.
+
+The probe holds its logits and their gradient class-major, [c, n] with each
+class's n values contiguous, so the bias add, column max, shift, exp,
+normalisation, one-hot subtraction and 1/n scale each run along rows of n:
+numpy pays a fixed cost for each row it loops over, and a row-major step
+spent most of its time on rows of c, a handful of classes. Every rounding
+stays that of a row-major step (the tests' plain-loop reference), where the
+order of a reduction or a BLAS kernel would change it:
+
+- the logits are h @ w.T into a row-major [n, c] buffer, transposed by the
+  bias add, since BLAS rounds w @ h.T otherwise at some shapes;
+- each row's class total adds its classes in the order numpy sums a
+  contiguous row: left to right below 8 classes, in 8 lanes combined
+  pairwise from 8 on (`_class_total`);
+- the gradient is written back row-major, and BLAS reads it from there for
+  the weight gradient (rows.T @ h) and d loss / d h (rows @ w), since a
+  class-major operand takes other kernels that round otherwise at 90 x 4;
+- the bias gradient adds each class's values down the rows in order, as
+  `sum(axis=0)` of the row-major gradient does.
 """
 
 from __future__ import annotations
@@ -151,18 +170,28 @@ def _twins(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _positive_ranks(d2: np.ndarray, pos: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
     """Ascending ranks of the positives at gallery positions `pos[:, :n_pos]`
-    in rows `d2`, by counting; the slots past `n_pos` get G."""
+    in rows `d2`, by counting; the slots past `n_pos` get G.
+
+    Each row's hits are summed as int32, exact while G < 2**31 and about
+    twice as fast as `count_nonzero(axis=1)`, which sums into intp. A row
+    with a j-th positive equals that positive's distance at least once (a
+    distance is finite or inf, never NaN), and a row without one compares
+    with NaN, which equals nothing; so a block whose equalities number no
+    more than its j-th positives holds no tie, and one count over the block
+    spares the per-row tie count."""
     g = d2.shape[1]
     ranks = np.full(pos.shape, g)
     for j in range(n_pos.max()):
         has = n_pos > j
         at = np.take_along_axis(d2, pos[:, j : j + 1], axis=1)
-        below = np.count_nonzero(d2 < at, axis=1)
+        at[~has] = np.nan
+        below = np.add.reduce(d2 < at, axis=1, dtype=np.int32)
         # equal distances rank by index; the positive's own equality is no tie
-        tied = np.flatnonzero((np.count_nonzero(d2 == at, axis=1) > 1) & has)
-        if len(tied):
+        same = d2 == at
+        if np.count_nonzero(same) > np.count_nonzero(has):
+            tied = np.flatnonzero(np.add.reduce(same, axis=1, dtype=np.int32) > 1)
             lower = np.arange(g) < pos[tied, j : j + 1]
-            below[tied] += np.count_nonzero((d2[tied] == at[tied]) & lower, axis=1)
+            below[tied] += np.add.reduce(same[tied] & lower, axis=1, dtype=np.int32)
         ranks[has, j] = below[has]
     ranks.sort(axis=1)
     return ranks
@@ -380,22 +409,57 @@ def _probe_logits(probe: ProbeParams, x: np.ndarray) -> np.ndarray:
     return h @ probe.weights.T + probe.bias
 
 
+def _class_total(p: np.ndarray) -> np.ndarray:
+    """Each column's total of the class-major probabilities `p` [c, n],
+    rounded as `p.T.sum(axis=1)` rounds each row of the row-major copy:
+    numpy adds a contiguous run of fewer than 8 items left to right, one of
+    8 to 128 in 8 lanes (item i into lane i % 8, the leftover past the last
+    multiple of 8 added after the lanes are combined pairwise), and a longer
+    one as two halves split at a multiple of 8. numpy starts from 0.0 where
+    this starts from the first row, which only differs for a -0.0 total;
+    exp gives none."""
+    c = len(p)
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_total(p[:half]) + _class_total(p[half:])
+    if c < 8:
+        total = p[0].copy()
+        for row in p[1:]:
+            total += row
+        return total
+    lanes = p[:8].copy()
+    tail = c - c % 8
+    for i in range(8, tail, 8):
+        lanes += p[i : i + 8]
+    total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+    total += (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    for row in p[tail:]:
+        total += row
+    return total
+
+
 def train_probe(
     features: np.ndarray, codes: np.ndarray, classes: list[str], cfg: ProbeConfig
 ) -> ProbeParams:
     """Softmax cross-entropy with Adam, full batch; the features stay frozen.
 
     `codes` index `classes`, as a table's bias codes index its channel's
-    class names. A fit whose gradients or parameters turn non-finite raises
-    `TrainingError` naming the step.
+    class names, one per feature row; a code outside `[0, len(classes))` or
+    a count other than the rows' raises `ConfigError`. A fit whose gradients
+    or parameters turn non-finite raises `TrainingError` naming the step.
     """
     y = np.asarray(codes)
-    present = np.unique(y)
-    if len(present) < 2:
-        raise ConfigError(f"probe needs >= 2 classes present, got {len(present)}")
     x = np.asarray(features, dtype=np.float64)
     n, d = x.shape
     c = len(classes)
+    if len(y) != n:
+        raise ConfigError(f"probe needs one code per feature row, got {len(y)} codes for {n} rows")
+    outside = y[(y < 0) | (y >= c)]
+    if len(outside):
+        raise ConfigError(f"probe codes must lie in [0, {c}), got {outside[0]}")
+    present = np.unique(y)
+    if len(present) < 2:
+        raise ConfigError(f"probe needs >= 2 classes present, got {len(present)}")
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     # slope, weights [c, d] and bias [c] in one vector, updated in place
@@ -404,8 +468,8 @@ def train_probe(
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     w, b = theta[1 : 1 + c * d].reshape(c, d), theta[1 + c * d :]
     gw, gb = grads[1 : 1 + c * d].reshape(c, d), grads[1 + c * d :]
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
+    onehot = np.zeros((c, n))
+    onehot[y, np.arange(n)] = 1.0
     # prelu(x, slope) == x_pos + slope * x_neg bit for bit, with no select per
     # step: x + (+-0) == x above 0 and -0.0 + y == y at and below it. x_neg is
     # also d prelu / d slope; the features are frozen
@@ -414,30 +478,30 @@ def train_probe(
     x_pos = np.where(pos, x, -0.0)
     del pos
     h = np.empty((n, d))
-    logits, top = np.empty((n, c)), np.empty(n)
+    # the logits and their gradient class-major, and row-major where BLAS reads them
+    logits, rows, top = np.empty((c, n)), np.empty((n, c)), np.empty(n)
 
     # a diverging probe's overflow is not warned of: it raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.epochs + 1):
             np.multiply(x_neg, theta[0], out=h)
             h += x_pos
-            np.matmul(h, w.T, out=logits)
-            logits += b
-            # the row max, exact; a tie of +0 and -0 leaves exp(0) == 1 either way
-            np.copyto(top, logits[:, 0])
-            for j in range(1, c):
-                np.maximum(top, logits[:, j], out=top)
-            logits -= top[:, None]
+            np.matmul(h, w.T, out=rows)
+            np.add(rows.T, b[:, None], out=logits)
+            # the column max, exact; a tie of +0 and -0 leaves exp(0) == 1 either way
+            np.max(logits, axis=0, out=top)
+            logits -= top
             np.exp(logits, out=logits)
-            logits /= logits.sum(axis=1, keepdims=True)
+            logits /= _class_total(logits)
             logits -= onehot
-            logits /= n  # d loss / d logits
-            np.matmul(logits.T, h, out=gw)
+            np.divide(logits, n, out=rows.T)  # d loss / d logits, row-major
+            np.matmul(rows.T, h, out=gw)
             # h is spent: it takes d loss / d h, times x_neg for the slope
-            np.matmul(logits, w, out=h)
+            np.matmul(rows, w, out=h)
             h *= x_neg
             grads[0] = np.sum(h)
-            gb[...] = logits.sum(axis=0)
+            # down each class in row order, as rows.sum(axis=0) adds
+            gb[...] = np.add.accumulate(rows.T, axis=1, out=logits)[:, -1]
             try:
                 adam_update(theta, grads, m, v, step, cfg.rate)
             except TrainingError as exc:

@@ -15,13 +15,17 @@ their sidecars into `parsed/`, audits each copy the same way, and requires
 every eval, eval nobias, stats and probe output to equal its sidecar-path
 twin byte for byte. Prints `<sha256>  <path>`
 for each output file (paths relative to the output directory; manifests
-are skipped, they hold wall times), then the sha256 of that sorted list.
-Two trees that print the same last line wrote the same bytes. The binary
-sidecars `<csv>.npz` written beside each dataset and embeddings CSV are
-output files too and digested with the rest, as are the `parsed/` copies
-and their outputs. The script exits 1 if any sidecar's `csv_sha256` is not
-the sha256 of the CSV beside it, or if any parse-path output differs from
-its twin.
+are skipped, they hold wall times). Each `checkpoint.npz` line is followed
+by `<sha256>  <path> contents`, the digest of what `checkpoint_load` reads
+from it: the parameters, both Adam moments, the epoch, the Adam step and
+the config. Then come the sha256 of the listing without the checkpoints'
+byte lines, which two trees share when only the layout of a checkpoint
+file differs, and the sha256 of the whole listing: two trees that print
+the same last line wrote the same bytes. The binary sidecars `<csv>.npz`
+written beside each dataset and embeddings CSV are output files too and
+digested with the rest, as are the `parsed/` copies and their outputs.
+The script exits 1 if any sidecar's `csv_sha256` is not the sha256 of the
+CSV beside it, or if any parse-path output differs from its twin.
 
     python3 scripts/output_digests.py OUT_DIR
 
@@ -47,7 +51,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from biasreid.cli import main as cli_main  # noqa: E402
+from biasreid.config import to_kv  # noqa: E402
 from biasreid.presets import PRESETS  # noqa: E402
+from biasreid.trainer import BRANCH_CONFIG_KEYS, checkpoint_load  # noqa: E402
 
 MODES = ("reduce", "enhance")
 AUDITS = ("eval", "eval_nobias", "stats", "probe")
@@ -121,6 +127,20 @@ def parse_path_audit(root: Path, data: Path, twin: Path, seed: int) -> list[str]
     )
 
 
+def checkpoint_contents(path: Path) -> str:
+    """sha256 of the state a checkpoint restores, whatever its file layout."""
+    params, adam, cfg, epoch = checkpoint_load(path)
+    digest = hashlib.sha256()
+    for vec in (params.flat, adam.m, adam.v):
+        digest.update(vec.tobytes())
+    digest.update(json.dumps([epoch, adam.step, to_kv(cfg, BRANCH_CONFIG_KEYS)]).encode())
+    return digest.hexdigest()
+
+
+def listing_digest(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -146,11 +166,17 @@ def main(argv: list[str]) -> int:
         for path in sorted(root.rglob("*"))
         if path.is_file() and path.name != "manifest.json"
     }
-    lines = [f"{digest}  {path.relative_to(root).as_posix()}" for path, digest in digests.items()]
+    lines, contents = [], []
+    for path, digest in digests.items():
+        name = path.relative_to(root).as_posix()
+        lines.append(f"{digest}  {name}")
+        if path.name == "checkpoint.npz":
+            lines.append(f"{checkpoint_contents(path)}  {name} contents")
+        contents.append(lines[-1])
     for line in lines:
         print(line)
-    listing = "".join(line + "\n" for line in lines).encode()
-    print(f"{hashlib.sha256(listing).hexdigest()}  ({len(lines)} files)")
+    print(f"{listing_digest(contents)}  (contents, checkpoint bytes left out)")
+    print(f"{listing_digest(lines)}  ({len(digests)} files)")
     unbound = []
     for sidecar in root.rglob("*.csv.npz"):
         with np.load(sidecar, allow_pickle=False) as npz:

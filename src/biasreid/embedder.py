@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Table, save_dataset
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, DataError
 from .numerics import EncoderParams, encode
 
 
@@ -25,9 +25,14 @@ def embed_all(params: EncoderParams, ds: Table) -> Table:
     """Encode every row in table order.
 
     Only the feature matrix enters the encoder; the annotation columns are
-    carried over and never read during the computation.
+    carried over and never read during the computation. A row whose
+    embedding overflows float64 raises DataError.
     """
-    emb, _ = encode(params, ds.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite embedding raises below
+        emb, _ = encode(params, ds.matrix)
+    bad = ~np.isfinite(emb).all(axis=1)
+    if bad.any():
+        raise DataError(f"the embedding of row {int(np.argmax(bad))} overflows float64")
     return replace(ds, matrix=emb)
 
 

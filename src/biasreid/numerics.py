@@ -6,9 +6,11 @@ tape from which exact reverse-mode parameter gradients are recovered.
 
 An encoder's parameters, its gradients and its Adam moments share one
 layout: a contiguous vector holding w0, b0, w1, b1, ... in turn, each weight
-row-major. Adam is elementwise, so it updates all of them in one pass, in
-place: the trainer that owns an encoder and its Adam state is their only
-writer, so no step copies them.
+row-major, so the layer widths give every view and a checkpoint stores the
+three vectors as they are. Adam is elementwise, so it updates all of them in
+one pass, in place: the trainer that owns an encoder and its Adam state is
+their only writer, so no step copies them. The hidden slope is a constant,
+and Adam runs at its published defaults (Kingma & Ba 2015, arXiv 1412.6980).
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingError
 
-DEFAULT_HIDDEN_SLOPE = 0.01
+HIDDEN_SLOPE = 0.01
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class EncoderParams:
@@ -29,16 +34,11 @@ class EncoderParams:
     `flat` holds every parameter as w0, b0, w1, b1, ...; weights[i] (shape
     [out_i, in_i]) and biases[i] (shape [out_i]) are views into it, and
     `layers` gives the same views of any vector with that layout. All hidden
-    layers use a leaky rectifier with slope `hidden_slope`; the final layer
+    layers use a leaky rectifier with slope `HIDDEN_SLOPE`; the final layer
     is linear. Construction copies the given arrays into a new `flat`.
     """
 
-    def __init__(
-        self,
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-        hidden_slope: float = DEFAULT_HIDDEN_SLOPE,
-    ):
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases) or not weights:
             raise ConfigError("encoder needs matching, non-empty weight/bias lists")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -56,17 +56,10 @@ class EncoderParams:
             [a.ravel() for pair in zip(weights, biases) for a in pair], dtype=np.float64
         )
         self.weights, self.biases = self.layers(self.flat)
-        self.hidden_slope = hidden_slope
 
     def layers(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (weights, biases) views of a vector laid out like `flat`."""
-        weights, biases, start = [], [], 0
-        for n_out, n_in in self.shapes:
-            stop = start + n_out * n_in
-            weights.append(vec[start:stop].reshape(n_out, n_in))
-            biases.append(vec[stop : stop + n_out])
-            start = stop + n_out
-        return weights, biases
+        return layer_views(self.shapes, vec)
 
     @property
     def d_in(self) -> int:
@@ -84,6 +77,18 @@ class EncoderParams:
         return out
 
 
+def layer_views(shapes: list[tuple[int, int]], vec: np.ndarray) -> tuple[list, list]:
+    """Per-layer (weights, biases) views of a vector holding w0, b0, w1, b1,
+    ... for weights of `shapes` [(out, in), ...]."""
+    weights, biases, start = [], [], 0
+    for n_out, n_in in shapes:
+        stop = start + n_out * n_in
+        weights.append(vec[start:stop].reshape(n_out, n_in))
+        biases.append(vec[stop : stop + n_out])
+        start = stop + n_out
+    return weights, biases
+
+
 @dataclass
 class EncodeTape:
     """Activation record from one forward pass; feeds backprop."""
@@ -94,11 +99,7 @@ class EncodeTape:
 
 
 def init_encoder(
-    d_in: int,
-    hidden: tuple[int, ...],
-    d_emb: int,
-    rng: np.random.Generator,
-    hidden_slope: float = DEFAULT_HIDDEN_SLOPE,
+    d_in: int, hidden: tuple[int, ...], d_emb: int, rng: np.random.Generator
 ) -> EncoderParams:
     """He-style initialization: W ~ N(0, 2/fan_in), zero biases."""
     dims = [d_in, *hidden, d_emb]
@@ -107,7 +108,7 @@ def init_encoder(
         std = np.sqrt(2.0 / fan_in)
         weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return EncoderParams(weights, biases, hidden_slope)
+    return EncoderParams(weights, biases)
 
 
 def prelu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -140,7 +141,7 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, Encod
         z = h @ w.T + b
         preacts.append(z)
         if i < last:
-            h = prelu(z, params.hidden_slope)
+            h = prelu(z, HIDDEN_SLOPE)
         else:
             h = z
     return h, EncodeTape(params, layer_inputs, preacts)
@@ -167,7 +168,7 @@ def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> np.ndarray:
     delta = g
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            delta = np.where(tape.preacts[i] > 0, delta, delta * params.hidden_slope)
+            delta = np.where(tape.preacts[i] > 0, delta, delta * HIDDEN_SLOPE)
         gw[i][...] = delta.T @ tape.layer_inputs[i]
         gb[i][...] = delta.sum(axis=0)
         if i > 0:
@@ -178,14 +179,11 @@ def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> np.ndarray:
 @dataclass
 class AdamState:
     """Adam's first and second moments `m` and `v`, each laid out like the
-    `flat` of the encoder it updates, plus the step count and the rates."""
+    `flat` of the encoder it updates, plus the step count."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, params: EncoderParams) -> "AdamState":
@@ -193,31 +191,24 @@ class AdamState:
 
 
 def adam_update(
-    p: np.ndarray,
-    g: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    step: int,
-    rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, rate: float
 ) -> None:
-    """Adam update number `step` (from 1) with bias correction, in place on
-    parameter vector `p` and moments `m`, `v` given gradient `g`."""
+    """Adam update number `step` (from 1) with bias correction and the
+    default rates, in place on parameter vector `p` and moments `m`, `v`
+    given gradient `g`."""
     if rate < 0:
         raise ConfigError(f"learning rate must be >= 0, got {rate}")
     if not p.shape == g.shape == m.shape == v.shape:
         raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradients")
-    c1 = 1.0 - beta1**step
-    c2 = 1.0 - beta2**step
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    p -= rate * (m / c1) / (np.sqrt(v / c2) + eps)
+    c1 = 1.0 - ADAM_BETA1**step
+    c2 = 1.0 - ADAM_BETA2**step
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    p -= rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def adam_step(params: EncoderParams, grads: np.ndarray, state: AdamState, rate: float) -> None:
@@ -225,7 +216,6 @@ def adam_step(params: EncoderParams, grads: np.ndarray, state: AdamState, rate: 
     `state.m` and `state.v` (and so every view of them) and increments
     `state.step`; an update that raises leaves all of them as they were.
     Callers that need the old values copy them first."""
-    st = state
-    adam_update(params.flat, grads, st.m, st.v, st.step + 1, rate, st.beta1, st.beta2, st.eps)
-    st.step += 1
+    adam_update(params.flat, grads, state.m, state.v, state.step + 1, rate)
+    state.step += 1
 

@@ -23,9 +23,17 @@ from .config import from_kv, ints, to_kv
 from .dataset import PKSampler, Table
 from .errors import BatchCompositionError, CheckpointError, ConfigError, TrainingError
 from .losses import MODES, CombinedLoss, combined_loss
-from .numerics import AdamState, EncoderParams, adam_step, backprop, encode, init_encoder
+from .numerics import (
+    AdamState,
+    EncoderParams,
+    adam_step,
+    backprop,
+    encode,
+    init_encoder,
+    layer_views,
+)
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 _STREAM_INIT = 0
 _STREAM_EPOCH = 1
 _MAX_BATCH_RETRIES = 10
@@ -152,8 +160,12 @@ class Trainer:
             params = init_encoder(ds.dim, cfg.hidden, cfg.d_emb, init_rng)
         if params.d_in != ds.dim:
             raise ConfigError(f"encoder d_in {params.d_in} != dataset d_in {ds.dim}")
+        _check_widths(params, cfg)
+        adam = adam if adam is not None else AdamState.fresh(params)
+        if not adam.m.shape == adam.v.shape == params.flat.shape:
+            raise ConfigError(f"Adam moments {adam.m.shape}, {adam.v.shape} != {params.flat.shape}")
         self.params = params
-        self.adam = adam if adam is not None else AdamState.fresh(params)
+        self.adam = adam
         self._bias_diverse = len(np.unique(ds.codes[cfg.bias_channel][train])) >= 2
 
     def sampler_for_epoch(self, epoch: int) -> PKSampler:
@@ -229,6 +241,12 @@ class Trainer:
         self.epoch += 1
 
 
+def _check_widths(params: EncoderParams, cfg: BranchConfig) -> None:
+    widths, expected = [n_out for n_out, _ in params.shapes], [*cfg.hidden, cfg.d_emb]
+    if widths != expected:
+        raise ConfigError(f"encoder layer widths {widths} contradict the config's {expected}")
+
+
 def train_branch(ds: Table, cfg: BranchConfig) -> tuple[EncoderParams, TrainLog]:
     """Train to cfg.epochs from fresh initialization; deterministic in seed."""
     trainer = Trainer(ds, cfg)
@@ -237,45 +255,36 @@ def train_branch(ds: Table, cfg: BranchConfig) -> tuple[EncoderParams, TrainLog]
 
 
 # ----------------------------------------------------------------------------
-# Checkpoints: an .npz payload (zip of little-endian .npy arrays, including a
-# JSON header entry) followed by sha256(payload) and an 8-byte magic trailer,
-# so any corrupted byte is detected before state is reconstructed. Each
-# layer's w{i}, b{i} and adam_{m,v}{w,b}{i} entries are written from its views
-# of the parameter and moment vectors, and loading packs them back.
+# Checkpoints: an .npz payload (zip of little-endian .npy arrays) followed by
+# sha256(payload) and an 8-byte magic trailer, so any corrupted byte is
+# detected before state is reconstructed. The payload holds exactly a JSON
+# header `meta_json` and three float64 vectors laid out like
+# `EncoderParams.flat`: `params`, `adam_m` and `adam_v`. The header's `d_in`
+# and the config's widths give the layer shapes, so each fact is stored once;
+# loading checks every vector against them.
 # ----------------------------------------------------------------------------
 
 _CHECKPOINT_MAGIC = b"BRCKPT01"
+_CHECKPOINT_VECTORS = ("params", "adam_m", "adam_v")
 
 
 def checkpoint_save(
     path, params: EncoderParams, state: AdamState, cfg: BranchConfig, epoch: int
 ) -> None:
+    """Write `params`, `state`, `cfg` and `epoch`; the widths of `params`
+    must be those of `cfg`, which is all that records them."""
+    _check_widths(params, cfg)
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "toolkit_version": __version__,
         "epoch": epoch,
-        "hidden_slope": params.hidden_slope,
-        "n_layers": len(params.weights),
-        "adam": {
-            "step": state.step,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-        },
+        "adam_step": state.step,
+        "d_in": params.d_in,
         "config": to_kv(cfg, BRANCH_CONFIG_KEYS),
     }
-    arrays = {"meta_json": np.array(json.dumps(meta, sort_keys=True))}
-    mw, mb = params.layers(state.m)
-    vw, vb = params.layers(state.v)
-    for i in range(len(params.weights)):
-        arrays[f"w{i}"] = params.weights[i]
-        arrays[f"b{i}"] = params.biases[i]
-        arrays[f"adam_mw{i}"] = mw[i]
-        arrays[f"adam_mb{i}"] = mb[i]
-        arrays[f"adam_vw{i}"] = vw[i]
-        arrays[f"adam_vb{i}"] = vb[i]
+    meta_json = np.array(json.dumps(meta, sort_keys=True))
     buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    np.savez(buf, meta_json=meta_json, params=params.flat, adam_m=state.m, adam_v=state.v)
     payload = buf.getvalue()
     digest = hashlib.sha256(payload).digest()
     Path(path).write_bytes(payload + digest + _CHECKPOINT_MAGIC)
@@ -299,9 +308,6 @@ def checkpoint_load(path) -> tuple[EncoderParams, AdamState, BranchConfig, int]:
         raise CheckpointError(f"cannot parse checkpoint {path}: {exc}") from exc
     if "meta_json" not in arrays:
         raise CheckpointError(f"{path}: missing meta_json entry")
-    odd = sorted(k for k, a in arrays.items() if k != "meta_json" and a.dtype != np.float64)
-    if odd:
-        raise CheckpointError(f"{path}: arrays {odd} are not float64")
     try:
         meta = json.loads(str(arrays["meta_json"]))
         version = meta.get("format_version")
@@ -309,12 +315,12 @@ def checkpoint_load(path) -> tuple[EncoderParams, AdamState, BranchConfig, int]:
         raise CheckpointError(f"{path}: meta_json is not a JSON object: {exc}") from exc
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version} != {CHECKPOINT_FORMAT_VERSION}")
+    if sorted(arrays) != sorted(("meta_json", *_CHECKPOINT_VECTORS)):
+        raise CheckpointError(f"{path}: entries {sorted(arrays)} are not those of the format")
     try:
-        n_layers = int(meta["n_layers"])
-        hidden_slope = float(meta["hidden_slope"])
         epoch = int(meta["epoch"])
-        step = int(meta["adam"]["step"])
-        hyper = {k: float(meta["adam"][k]) for k in ("beta1", "beta2", "eps")}
+        step = int(meta["adam_step"])
+        d_in = int(meta["d_in"])
         raw_cfg = {k: str(v) for k, v in meta["config"].items()}
     except KeyError as exc:
         raise CheckpointError(f"{path}: meta_json lacks {exc}") from exc
@@ -322,35 +328,26 @@ def checkpoint_load(path) -> tuple[EncoderParams, AdamState, BranchConfig, int]:
         raise CheckpointError(f"{path}: malformed meta_json entry: {exc}") from exc
     if epoch < 0 or step < 0:
         raise CheckpointError(f"{path}: saved epoch {epoch} or adam step {step} is negative")
-    try:
-        weights = [arrays[f"w{i}"] for i in range(n_layers)]
-        biases = [arrays[f"b{i}"] for i in range(n_layers)]
-        params = EncoderParams(weights, biases, hidden_slope)
-        m, v = (_packed(path, arrays, params, prefix) for prefix in ("adam_m", "adam_v"))
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc}") from exc
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: layer arrays do not fit together: {exc}") from exc
+    if d_in < 1:
+        raise CheckpointError(f"{path}: saved d_in {d_in} is not positive")
     try:
         cfg = from_kv(BranchConfig(), raw_cfg, BRANCH_CONFIG_KEYS, what="branch config")
     except ConfigError as exc:
         raise CheckpointError(f"{path}: invalid saved config: {exc}") from exc
-    widths = [n_out for n_out, _ in params.shapes]
-    if widths != [*cfg.hidden, cfg.d_emb]:
-        raise CheckpointError(f"{path}: layer widths {widths} contradict the saved config")
-    return params, AdamState(m, v, step, **hyper), cfg, epoch
-
-
-def _packed(path, arrays: dict, params: EncoderParams, prefix: str) -> np.ndarray:
-    """Saved arrays `{prefix}w{i}`/`{prefix}b{i}` packed into one vector laid
-    out like `params.flat`; each must have its layer's shape."""
-    vec = np.empty_like(params.flat)
-    for kind, views in zip("wb", params.layers(vec)):
-        for i, view in enumerate(views):
-            saved = arrays[f"{prefix}{kind}{i}"]
-            if saved.shape != view.shape:
-                raise CheckpointError(
-                    f"{path}: {prefix}{kind}{i} has shape {saved.shape}, layer has {view.shape}"
-                )
-            view[...] = saved
-    return vec
+    dims = [d_in, *cfg.hidden, cfg.d_emb]
+    shapes = list(zip(dims[1:], dims[:-1]))
+    size = sum(n_out * (n_in + 1) for n_out, n_in in shapes)
+    for name in _CHECKPOINT_VECTORS:
+        vec = arrays[name]
+        if vec.dtype != np.float64 or vec.shape != (size,):
+            raise CheckpointError(
+                f"{path}: {name} is {vec.dtype} of shape {vec.shape}, but layer widths "
+                f"{dims} need float64 of shape {(size,)}"
+            )
+        if not np.isfinite(vec).all():
+            raise CheckpointError(f"{path}: {name} holds non-finite entries")
+    m, v = arrays["adam_m"], arrays["adam_v"]
+    if (v < 0).any():
+        raise CheckpointError(f"{path}: adam_v, Adam's second moment, has entries below 0")
+    params = EncoderParams(*layer_views(shapes, arrays["params"]))
+    return params, AdamState(m, v, step), cfg, epoch

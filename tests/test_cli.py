@@ -499,17 +499,16 @@ class TestErrors:
         return run(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize(
-        "damage", ["transposed_moment", "no_n_layers", "meta_not_json", "bad_mode", "unknown_key"]
+        "damage", ["transposed_moment", "no_d_in", "meta_not_json", "bad_mode", "unknown_key"]
     )
     def test_embed_rejects_malformed_checkpoint(self, damage, pipeline, tmp_path, capsys):
         root, data, _, _ = pipeline
         ckpt = tmp_path / "checkpoint.npz"
         ckpt.write_bytes((root / "train_reduce" / "checkpoint.npz").read_bytes())
         if damage == "transposed_moment":
-            # adam_mw1 is [d_emb, hidden] = [4, 8]; the square w0 would not show a transpose
-            rewrite_checkpoint(ckpt, adam_mw1=saved_arrays(ckpt)["adam_mw1"].T)
-        elif damage == "no_n_layers":
-            rewrite_checkpoint(ckpt, meta_json=meta_without(ckpt, "n_layers"))
+            rewrite_checkpoint(ckpt, adam_v=saved_arrays(ckpt)["adam_v"][None].T)
+        elif damage == "no_d_in":
+            rewrite_checkpoint(ckpt, meta_json=meta_without(ckpt, "d_in"))
         elif damage == "meta_not_json":
             rewrite_checkpoint(ckpt, meta_json=np.array("{not json"))
         else:
@@ -523,6 +522,21 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: CheckpointError") and str(ckpt) in err
+
+    def test_embed_refuses_overflowing_embeddings(self, pipeline, tmp_path, capsys):
+        # finite weights, 1e200 times the trained ones: the second layer's
+        # products reach about 1e400
+        root, data, _, _ = pipeline
+        ckpt = tmp_path / "checkpoint.npz"
+        ckpt.write_bytes((root / "train_reduce" / "checkpoint.npz").read_bytes())
+        rewrite_checkpoint(ckpt, params=saved_arrays(ckpt)["params"] * 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape as an exception
+            code = run(["embed", str(ckpt), "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DataError: the embedding of row ") and "overflows" in err
+        assert list((tmp_path / "o").iterdir()) == []  # nothing written
 
     def test_nobias_without_channel(self, pipeline, tmp_path, capsys):
         _, _, emb_dir, _ = pipeline

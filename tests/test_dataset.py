@@ -208,7 +208,7 @@ class TestCsvRoundTrip:
     def test_unknown_split_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,camera,split,pose,f0\n0,0,test,a,1.0\n")
-        with pytest.raises(ParseError, match="split"):
+        with pytest.raises(ParseError, match="column split: unknown tag 'test'"):
             load_dataset(path)
 
     def test_round_trip_exact(self, tmp_path):

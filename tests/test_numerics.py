@@ -41,8 +41,8 @@ def gradient_relative_error(analytic, reference):
     return float((np.abs(analytic - reference) / denom).max(initial=0.0))
 
 
-def single_layer(w, b, slope=0.01):
-    return EncoderParams([np.asarray(w, float)], [np.asarray(b, float)], slope)
+def single_layer(w, b):
+    return EncoderParams([np.asarray(w, float)], [np.asarray(b, float)])
 
 
 def straight_line_forward(params, x):
@@ -53,7 +53,7 @@ def straight_line_forward(params, x):
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             z = np.array([float(np.dot(w[j], h)) + b[j] for j in range(w.shape[0])])
             if i < len(params.weights) - 1:
-                z = np.array([v if v > 0 else params.hidden_slope * v for v in z])
+                z = np.array([v if v > 0 else 0.01 * v for v in z])
             h = z
         out[r] = h
     return out
@@ -124,16 +124,16 @@ class TestBackprop:
         fd = finite_difference_grads(value, params, h=1e-5)
         assert gradient_relative_error(analytic, fd) < 1e-5
 
-    @pytest.mark.parametrize("slope", [0.25, 0.3, 1.0])
-    def test_hidden_derivative_from_preacts(self, slope):
+    @pytest.mark.parametrize("g", [0.25, 0.3, 1.0])
+    def test_hidden_derivative_from_preacts(self, g):
         # one hidden unit between two unit weights: the hidden bias's gradient
-        # is the rectifier's derivative at the pre-activation, 1 above 0 and
-        # the slope below 0 and at exactly 0
-        p = EncoderParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)], slope)
-        for x, expected in ((2.0, 1.0), (-2.0, slope), (0.0, slope)):
+        # is the embedding gradient g times the rectifier's derivative at the
+        # pre-activation, 1 above 0 and the slope 0.01 below 0 and at exactly 0
+        p = EncoderParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
+        for x, expected in ((2.0, g), (-2.0, g * 0.01), (0.0, g * 0.01)):
             _, tape = encode(p, np.array([[x]]))
             assert tape.preacts[0][0, 0] == x
-            _, gb = p.layers(backprop(tape, np.ones((1, 1))))
+            _, gb = p.layers(backprop(tape, np.full((1, 1), g)))
             assert gb[0][0] == expected
 
     def test_shape_mismatch(self):
@@ -245,10 +245,10 @@ class TestFlatLayout:
         assert p.weights[0][0, 0] == 0.0 and q.weights[0][0, 0] == 99.0
 
     def test_copy_is_bit_equal_with_views_of_its_own_flat(self):
-        p = init_encoder(5, (4, 3), 2, np.random.default_rng(0), hidden_slope=0.2)
+        p = init_encoder(5, (4, 3), 2, np.random.default_rng(0))
         q = p.copy()
         assert np.array_equal(q.flat.view(np.uint64), p.flat.view(np.uint64))
-        assert q.shapes == p.shapes and q.hidden_slope == p.hidden_slope
+        assert q.shapes == p.shapes
         assert not np.shares_memory(q.flat, p.flat)
         for qa, pa in zip(q.weights + q.biases, p.weights + p.biases):
             assert np.shares_memory(qa, q.flat) and not np.shares_memory(qa, p.flat)

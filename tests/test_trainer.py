@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from biasreid.config import from_kv
 from biasreid.dataset import ChannelSpec, GeneratorConfig, Table, generate_synthetic
 from biasreid.errors import BatchCompositionError, CheckpointError, ConfigError
 from biasreid.losses import combined_loss
-from biasreid.numerics import encode
+from biasreid.numerics import AdamState, encode, init_encoder
 from biasreid.trainer import (
     BRANCH_CONFIG_KEYS,
     CHECKPOINT_FORMAT_VERSION,
@@ -149,6 +150,20 @@ class TestTrainBranch:
         assert np.array_equal(t.params.flat, before.flat)
         assert t.adam.step <= step_before + t.batches_per_epoch
 
+    def test_params_contradicting_config_rejected(self, tiny_ds):
+        # a checkpoint saved after training with them would not load
+        params = init_encoder(tiny_ds.dim, (8,), 4, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=r"widths \[8, 4\] contradict the config's \[16, 4\]"):
+            Trainer(tiny_ds, tiny_cfg(hidden=(16,)), params=params)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_adam_state_of_another_size_rejected(self, moment, tiny_ds):
+        params = Trainer(tiny_ds, tiny_cfg()).params
+        adam = AdamState.fresh(params)
+        setattr(adam, moment, adam.m[:-1].copy())
+        with pytest.raises(ConfigError, match=r"Adam moments \(\d+,\), \(\d+,\) != \(\d+,\)"):
+            Trainer(tiny_ds, tiny_cfg(), params=params, adam=adam)
+
 
 class TestSchedule:
     """The trainer's per-epoch rate: linear decay from cfg.rate toward 0 at
@@ -232,29 +247,58 @@ class TestCheckpoint:
             checkpoint_load(path)
 
     def saved(self, tiny_ds, tmp_path):
-        cfg = tiny_cfg(epochs=1, hidden=(6,))  # w0 is [6, 8], so a transpose changes its shape
+        cfg = tiny_cfg(epochs=1, hidden=(6,))
         t = Trainer(tiny_ds, cfg)
         t.run()
         path = tmp_path / "c.npz"
         checkpoint_save(path, t.params, t.adam, cfg, t.epoch)
         return path
 
-    def test_transposed_moment_rejected(self, tiny_ds, tmp_path):
+    def test_holds_exactly_meta_and_three_flat_vectors(self, tiny_ds, tmp_path):
         path = self.saved(tiny_ds, tmp_path)
-        rewrite_checkpoint(path, adam_mw0=saved_arrays(path)["adam_mw0"].T)
-        with pytest.raises(CheckpointError, match="adam_mw0"):
+        arrays = saved_arrays(path)
+        assert sorted(arrays) == ["adam_m", "adam_v", "meta_json", "params"]
+        # w0 [6, 8], b0 [6], w1 [4, 6], b1 [4]
+        assert all(arrays[k].shape == (82,) for k in ("params", "adam_m", "adam_v"))
+        meta = json.loads(str(arrays["meta_json"]))
+        assert sorted(meta) == [
+            "adam_step", "config", "d_in", "epoch", "format_version", "toolkit_version"
+        ]
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 3 and meta["d_in"] == 8
+
+    def test_transposed_moment_rejected(self, tiny_ds, tmp_path):
+        # every entry is there, as a column: the shape, not only the size, must fit
+        path = self.saved(tiny_ds, tmp_path)
+        rewrite_checkpoint(path, adam_m=saved_arrays(path)["adam_m"][None].T)
+        expected = r"adam_m is float64 of shape \(82, 1\), but layer widths \[8, 6, 4\]"
+        with raises_at(path, expected + r" need float64 of shape \(82,\)"):
             checkpoint_load(path)
 
     def test_non_float_array_rejected(self, tiny_ds, tmp_path):
         path = self.saved(tiny_ds, tmp_path)
-        rewrite_checkpoint(path, w0=saved_arrays(path)["w0"].astype(str))
-        with pytest.raises(CheckpointError, match="w0"):
+        rewrite_checkpoint(path, params=saved_arrays(path)["params"].astype(str))
+        with raises_at(path, "params is <U"):
             checkpoint_load(path)
 
-    def test_meta_without_n_layers_rejected(self, tiny_ds, tmp_path):
+    def test_extra_entry_rejected(self, tiny_ds, tmp_path):
         path = self.saved(tiny_ds, tmp_path)
-        rewrite_checkpoint(path, meta_json=meta_without(path, "n_layers"))
-        with pytest.raises(CheckpointError, match="n_layers"):
+        rewrite_checkpoint(path, w0=np.zeros((6, 8)))
+        with raises_at(path, r"entries \[.*'w0'\] are not those of the format"):
+            checkpoint_load(path)
+
+    def test_meta_without_d_in_rejected(self, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        rewrite_checkpoint(path, meta_json=meta_without(path, "d_in"))
+        with raises_at(path, "meta_json lacks 'd_in'"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("d_in", [0, -1])
+    def test_non_positive_d_in_rejected(self, d_in, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        meta = json.loads(str(saved_arrays(path)["meta_json"]))
+        meta["d_in"] = d_in
+        rewrite_checkpoint(path, meta_json=np.array(json.dumps(meta, sort_keys=True)))
+        with raises_at(path, f"saved d_in {d_in} is not positive"):
             checkpoint_load(path)
 
     def test_widths_contradicting_config_rejected(self, tiny_ds, tmp_path):
@@ -262,37 +306,69 @@ class TestCheckpoint:
         meta = json.loads(str(saved_arrays(path)["meta_json"]))
         meta["config"]["hidden"] = "64"
         rewrite_checkpoint(path, meta_json=np.array(json.dumps(meta, sort_keys=True)))
-        with pytest.raises(CheckpointError, match="widths"):
+        with raises_at(path, r"params is float64 of shape \(82,\), but layer widths \[8, 64, 4\]"):
             checkpoint_load(path)
+
+    def test_save_refuses_widths_contradicting_config(self, tmp_path):
+        # widths 2 -> 1 -> 3 and 2 -> 2 -> 1 both hold 9 parameters, so a load
+        # could not tell them apart: the save refuses the contradiction
+        cfg = tiny_cfg(hidden=(2,), d_emb=1)
+        params = init_encoder(2, (1,), 3, np.random.default_rng(0))
+        assert params.flat.size == 9
+        with pytest.raises(ConfigError, match=r"widths \[1, 3\] contradict the config's \[2, 1\]"):
+            checkpoint_save(tmp_path / "c.npz", params, AdamState.fresh(params), cfg, 0)
+        assert not (tmp_path / "c.npz").exists()
 
     def test_other_format_version_rejected(self, tiny_ds, tmp_path):
+        # format 2 kept per-layer arrays; it is refused, not converted
         path = self.saved(tiny_ds, tmp_path)
         meta = json.loads(str(saved_arrays(path)["meta_json"]))
-        meta["format_version"] = 1
+        meta["format_version"] = 2
         rewrite_checkpoint(path, meta_json=np.array(json.dumps(meta, sort_keys=True)))
-        expected = f"format version 1 != {CHECKPOINT_FORMAT_VERSION}"
-        with pytest.raises(CheckpointError, match=expected):
+        with raises_at(path, f"format version 2 != {CHECKPOINT_FORMAT_VERSION}"):
             checkpoint_load(path)
 
-    @pytest.mark.parametrize("key", ["epoch", "adam.step"])
+    @pytest.mark.parametrize("key", ["epoch", "adam_step"])
     def test_negative_epoch_or_step_rejected(self, key, tiny_ds, tmp_path):
         # a step of -1 would make Adam's next bias correction divide by zero
         path = self.saved(tiny_ds, tmp_path)
         meta = json.loads(str(saved_arrays(path)["meta_json"]))
-        if key == "epoch":
-            meta["epoch"] = -1
-        else:
-            meta["adam"]["step"] = -1
+        meta[key] = -1
         rewrite_checkpoint(path, meta_json=np.array(json.dumps(meta, sort_keys=True)))
-        with pytest.raises(CheckpointError, match="negative") as err:
+        expected = f"saved epoch {meta['epoch']} or adam step {meta['adam_step']} is negative"
+        with raises_at(path, expected):
             checkpoint_load(path)
-        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("adam_m", np.nan, "adam_m holds non-finite entries"),
+            ("adam_v", np.inf, "adam_v holds non-finite entries"),
+            ("adam_v", -1e-12, "adam_v, Adam's second moment, has entries below 0"),
+            ("params", -np.inf, "params holds non-finite entries"),
+        ],
+        ids=["nan_m", "inf_v", "negative_v", "inf_params"],
+    )
+    def test_impossible_vector_entry_rejected(self, name, value, message, tiny_ds, tmp_path):
+        path = self.saved(tiny_ds, tmp_path)
+        vec = saved_arrays(path)[name]
+        vec[3] = value
+        rewrite_checkpoint(path, **{name: vec})
+        with raises_at(path, message):
+            checkpoint_load(path)
 
     def test_meta_not_json_rejected(self, tiny_ds, tmp_path):
         path = self.saved(tiny_ds, tmp_path)
         rewrite_checkpoint(path, meta_json=np.array("{not json"))
-        with pytest.raises(CheckpointError, match="meta_json"):
+        with raises_at(path, "meta_json is not a JSON object"):
             checkpoint_load(path)
+
+
+def raises_at(path, pattern):
+    """`pytest.raises` for a CheckpointError about `path` whose message goes
+    on, after the path, as regex `pattern`; a pattern that only matched the
+    path itself would pass on any error."""
+    return pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + pattern)
 
 
 def saved_arrays(path):
@@ -319,9 +395,12 @@ def meta_without(path, key):
 
 
 class TestGoldenBytes:
-    """sha256 of a checkpoint and its trainlog after 2 epochs, pinned before
-    parameters, gradients and Adam moments moved into one flat vector; any
-    change to the bytes written fails here."""
+    """sha256 of a checkpoint and its trainlog after 2 epochs; any change to
+    the bytes written fails here. The trainlog's was pinned before
+    parameters, gradients and Adam moments moved into one flat vector. The
+    checkpoint's was re-pinned when format 3 replaced the per-layer arrays
+    with the three flat vectors; the parameters, moments, step, epoch and
+    config it holds are those the format-2 file held, entry for entry."""
 
     def test_checkpoint_and_trainlog(self, tiny_ds, tmp_path):
         cfg = tiny_cfg(epochs=2, lam_db=0.05, hidden=(6, 5))
@@ -334,7 +413,7 @@ class TestGoldenBytes:
             hashlib.sha256(t.log.to_csv().encode()).hexdigest(),
         )
         assert digests == (
-            "0de73afbf1fe38db3ff20d88ae95d930933244bd5c9d858fce5f4b874f218ab1",
+            "d50a0e290acce701315133a58702dd991fedb5a6fd0061f9933fda5300a16bbe",
             "40b869d2f6c0609b6f95c0c3beea2ae2cc14358a0ea69ba8a8aa80ef2e216a08",
         )
 

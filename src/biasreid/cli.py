@@ -1,12 +1,16 @@
 """Command-line entry point wiring generation, training, embedding,
 evaluation, probing, statistics, and sweeps into reproducible runs. It holds
-the run recipes: `run_branch` trains, embeds and scores one branch, and
-`lambda_sweep` runs one per bias-loss weight.
+the run recipes: `run_branch` trains, embeds, ranks and probes one branch,
+and `lambda_sweep` runs one per bias-loss weight.
 
 Every command is a deterministic function of (config, inputs, --seed) and
-writes a RunManifest next to its outputs listing the resolved configuration
-and every artifact file produced. Reports hold scores only: a run's
-configuration is recorded in its manifest (and a branch's in its checkpoint).
+writes a RunManifest next to its outputs listing the resolved configuration,
+the seed it used and every artifact file produced. Reports hold scores only:
+a run's configuration is recorded in its manifest (and a branch's in its
+checkpoint). Each ranking report comes from one `evaluate_embeddings` call,
+which never probes: `eval` writes it whole, and `stats` writes one
+channel's curves and nauc10 from it. Probing is `fit_probe` alone, through
+`probe` and `run_branch`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .evaluation import (
     PROBE_CONFIG_KEYS,
     EvalReport,
     ProbeConfig,
+    ProbeReport,
     curves_to_csv,
     evaluate_embeddings,
     fit_probe,
@@ -55,34 +60,34 @@ from .trainer import (
 
 
 def run_branch(ds: Table, cfg: BranchConfig,
-               probe_cfg: ProbeConfig) -> tuple[TrainLog, Table, EvalReport]:
-    """Train one branch, embed every row and score it under the standard
-    protocol, probing `cfg.bias_channel`."""
+               probe_cfg: ProbeConfig) -> tuple[TrainLog, Table, EvalReport, ProbeReport]:
+    """Train one branch and embed every row; rank the embeddings under the
+    standard protocol (every channel's curves) and probe `cfg.bias_channel`."""
     params, log = train_branch(ds, cfg)
     es = embed_all(params, ds)
-    report = evaluate_embeddings(es, stat_channels=[cfg.bias_channel], probe_cfg=probe_cfg)
-    return log, es, report
+    return log, es, evaluate_embeddings(es), fit_probe(es, cfg.bias_channel, probe_cfg)
 
 
 def lambda_sweep(ds: Table, base_cfg: BranchConfig, lambdas,
-                 probe_cfg: ProbeConfig = ProbeConfig()) -> list[EvalReport]:
-    """One `run_branch` per bias-loss weight, each `base_cfg` with that lam_db;
-    every config is built, and so checked, before the first branch trains."""
+                 probe_cfg: ProbeConfig = ProbeConfig()) -> list[tuple[EvalReport, ProbeReport]]:
+    """One `run_branch` per bias-loss weight, each `base_cfg` with that lam_db,
+    as its (ranking report, probe report); every config is built, and so
+    checked, before the first branch trains."""
     if not lambdas:
         raise ConfigError("lambda sweep needs at least one value")
     cfgs = [replace(base_cfg, lam_db=float(lam)) for lam in lambdas]
-    return [run_branch(ds, cfg, probe_cfg)[2] for cfg in cfgs]
+    return [run_branch(ds, cfg, probe_cfg)[2:] for cfg in cfgs]
 
 
-def sweep_to_csv(base_cfg: BranchConfig, lambdas, reports: list[EvalReport]) -> str:
-    """One row per `lambda_sweep` report: its lam_db and its scores on the
-    base config's bias channel."""
+def sweep_to_csv(base_cfg: BranchConfig, lambdas,
+                 runs: list[tuple[EvalReport, ProbeReport]]) -> str:
+    """One row per `lambda_sweep` run: its lam_db and its scores on the base
+    config's bias channel."""
     lines = ["lambda_db,rank1,map,probe_acc,nauc10_neg"]
-    for lam, r in zip(lambdas, reports):
-        st = r.channels[base_cfg.bias_channel]
+    for lam, (r, probe) in zip(lambdas, runs):
         lines.append(
             f"{float(lam):.17g},{r.rank1:.17g},{r.map:.17g},"
-            f"{st.probe_accuracy:.17g},{st.nauc_neg:.17g}"
+            f"{probe.accuracy:.17g},{r.channels[base_cfg.bias_channel].nauc_neg:.17g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -95,13 +100,14 @@ def _keys_epilog(title: str, keys: dict, defaults) -> str:
     return "\n".join(lines)
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    resolved: dict, inputs: list, outputs: list, t0: float) -> Path:
+def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, resolved: dict,
+                    inputs: list, outputs: list, t0: float, seed: int | None = None) -> Path:
+    """`seed` is the one the command used; commands that draw nothing give none."""
     manifest = {
         "command": command,
         "config_path": getattr(args, "config", None),
         "resolved_config": resolved,
-        "seed": getattr(args, "seed", None),
+        "seed": seed,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "toolkit_version": __version__,
@@ -155,11 +161,12 @@ def cmd_gen(args) -> int:
     out = _out_dir(args)
     base = get_preset(args.preset).generator if args.preset else GeneratorConfig()
     gen_cfg = from_kv(base, _file_config(args), GEN_CONFIG_KEYS, what="generator config")
-    ds = make_dataset(gen_cfg, _seed(args))
+    seed = _seed(args)
+    ds = make_dataset(gen_cfg, seed)
     data_path = out / "dataset.csv"
     written = save_dataset(ds, data_path)
     resolved = dict(ds.meta["generator"], dropped_queries=ds.meta["dropped_queries"])
-    _write_manifest(out, "gen", args, resolved, [], written, t0)
+    _write_manifest(out, "gen", args, resolved, [], written, t0, seed)
     print(f"wrote {data_path} ({len(ds)} samples, {ds.meta['dropped_queries']} dropped queries)")
     return 0
 
@@ -176,7 +183,7 @@ def cmd_train(args) -> int:
     log_path = out / "trainlog.csv"
     log_path.write_text(trainer.log.to_csv())
     _write_manifest(out, "train", args, to_kv(cfg, BRANCH_CONFIG_KEYS), [args.data],
-                    [ckpt, log_path], t0)
+                    [ckpt, log_path], t0, cfg.seed)
     last = trainer.log.epochs[-1] if trainer.log.epochs else None
     tail = f", final loss_dr {last.loss_dr:.5f}" if last else ""
     print(f"trained {cfg.mode} branch for {trainer.epoch} epochs{tail}; wrote {ckpt}")
@@ -234,7 +241,7 @@ def cmd_probe(args) -> int:
     path = out / "probe.json"
     path.write_text(json.dumps(report.__dict__, indent=2, sort_keys=True) + "\n")
     resolved = dict(to_kv(cfg, PROBE_CONFIG_KEYS), channel=args.channel)
-    _write_manifest(out, "probe", args, resolved, [args.data], [path], t0)
+    _write_manifest(out, "probe", args, resolved, [args.data], [path], t0, cfg.seed)
     print(f"probe accuracy on {args.channel}: {report.accuracy:.4f} "
           f"({report.n_test} held-out rows)")
     return 0
@@ -244,7 +251,7 @@ def cmd_stats(args) -> int:
     t0 = time.time()
     out = _out_dir(args)
     es = load_dataset(args.data)
-    report = evaluate_embeddings(es, protocol="standard", stat_channels=[args.channel])
+    report = evaluate_embeddings(es, channel=args.channel)
     st = report.channels[args.channel]
     curve_path = out / f"curves_{args.channel}.csv"
     curve_path.write_text(curves_to_csv(report, args.channel))
@@ -276,7 +283,7 @@ def cmd_sweep(args) -> int:
     sweep_path = out / "sweep.csv"
     sweep_path.write_text(table)
     resolved = dict(to_kv(cfg, BRANCH_CONFIG_KEYS), lambdas=spell(lambdas))
-    _write_manifest(out, "sweep", args, resolved, [args.data], [sweep_path], t0)
+    _write_manifest(out, "sweep", args, resolved, [args.data], [sweep_path], t0, cfg.seed)
     print(table.strip())
     return 0
 

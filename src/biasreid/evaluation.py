@@ -6,8 +6,11 @@ standard protocol drops gallery items sharing both identity and camera with
 the query; the nobias protocol additionally drops wrong-identity items that
 share the query's bias label, quantifying how much same-bias distractors
 inflate or deflate the scores. Bias retention in a frozen representation is
-measured by a small probe (learnable PReLU then a linear layer) and by the
-probability that the item at rank r is a same-bias negative/positive.
+measured two separate ways. `evaluate_embeddings` ranks once and reports
+CMC/mAP and, for every channel, the probability that the item at rank r is
+a same-bias negative/positive, with its mean over the first ranks (nauc10).
+`fit_probe` trains a small probe (learnable PReLU then a linear layer) on
+one channel; the report never probes.
 
 A ranking is exact to a chosen depth (see `RankResult`). Excluded items get
 an infinite distance, and the ranking is the (distance, gallery index)
@@ -49,14 +52,16 @@ class's n values contiguous, so the bias add, column max, shift, exp,
 normalisation, one-hot subtraction and 1/n scale each run along rows of n:
 numpy pays a fixed cost for each row it loops over, and a row-major step
 spent most of its time on rows of c, a handful of classes. Every rounding
-stays that of a row-major step (the tests' plain-loop reference), where the
-order of a reduction or a BLAS kernel would change it:
+stays that of a row-major step that adds each sample's classes in a plain
+loop (the tests' reference), where the order of a reduction or a BLAS kernel
+would change it:
 
 - the logits are h @ w.T into a row-major [n, c] buffer, transposed by the
   bias add, since BLAS rounds w @ h.T otherwise at some shapes;
-- each row's class total adds its classes in the order numpy sums a
-  contiguous row: left to right below 8 classes, in 8 lanes combined
-  pairwise from 8 on (`_class_total`);
+- each sample's class total adds its classes in class order, class 0 first,
+  as `sum(axis=0)` of the class-major array does (numpy's `sum(axis=1)` of a
+  row-major copy adds them so only below 8 classes, and in 8 lanes from 8
+  on);
 - the gradient is written back row-major, and BLAS reads it from there for
   the weight gradient (rows.T @ h) and d loss / d h (rows @ w), since a
   class-major operand takes other kernels that round otherwise at 90 x 4;
@@ -67,7 +72,6 @@ order of a reduction or a BLAS kernel would change it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -338,14 +342,14 @@ def cmc_map(rr: RankResult, max_rank: int = MAX_RANK) -> tuple[np.ndarray, float
 
 
 def same_bias_rank_prob(
-    rr: RankResult, channel: str, polarity: str, max_rank: int
-) -> np.ndarray:
-    """curve[r-1] = P(item at rank r is a same-bias positive/negative).
+    rr: RankResult, channel: str, max_rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_neg, p_pos): p_neg[r-1] = P(item at rank r is a same-bias negative),
+    p_pos[r-1] the same for a same-bias positive.
 
-    The denominator at rank r counts queries with at least r retained items.
+    The denominator at rank r, shared by both, counts queries with at least
+    r retained items.
     """
-    if polarity not in ("negative", "positive"):
-        raise ConfigError(f"polarity must be negative|positive, got {polarity!r}")
     if channel not in rr.same_bias:
         raise ConfigError(f"unknown bias channel {channel!r}")
     if max_rank > rr.lengths.max():
@@ -354,17 +358,10 @@ def same_bias_rank_prob(
         )
     if max_rank > rr.depth:
         raise EvaluationError(f"max_rank {max_rank} exceeds the ranked depth {rr.depth}")
-    matches = rr.positive[:, :max_rank] == (polarity == "positive")
-    hits = (matches & rr.same_bias[channel][:, :max_rank]).sum(axis=0)
+    positive = rr.positive[:, :max_rank]
+    same = rr.same_bias[channel][:, :max_rank]
     have = (rr.lengths[:, None] > np.arange(max_rank)).sum(axis=0)
-    return hits / have
-
-
-def nauc(curve: np.ndarray, k: int = 10) -> float:
-    """Mean of the first k rank-position probabilities."""
-    if k < 1 or k > len(curve):
-        raise ConfigError(f"k={k} outside curve length {len(curve)}")
-    return float(np.mean(curve[:k]))
+    return (~positive & same).sum(axis=0) / have, (positive & same).sum(axis=0) / have
 
 
 # ----------------------------------------------------------------------------
@@ -407,35 +404,6 @@ class ProbeParams:
 def _probe_logits(probe: ProbeParams, x: np.ndarray) -> np.ndarray:
     h = prelu(x, probe.slope)
     return h @ probe.weights.T + probe.bias
-
-
-def _class_total(p: np.ndarray) -> np.ndarray:
-    """Each column's total of the class-major probabilities `p` [c, n],
-    rounded as `p.T.sum(axis=1)` rounds each row of the row-major copy:
-    numpy adds a contiguous run of fewer than 8 items left to right, one of
-    8 to 128 in 8 lanes (item i into lane i % 8, the leftover past the last
-    multiple of 8 added after the lanes are combined pairwise), and a longer
-    one as two halves split at a multiple of 8. numpy starts from 0.0 where
-    this starts from the first row, which only differs for a -0.0 total;
-    exp gives none."""
-    c = len(p)
-    if c > 128:
-        half = c // 2 - c // 2 % 8
-        return _class_total(p[:half]) + _class_total(p[half:])
-    if c < 8:
-        total = p[0].copy()
-        for row in p[1:]:
-            total += row
-        return total
-    lanes = p[:8].copy()
-    tail = c - c % 8
-    for i in range(8, tail, 8):
-        lanes += p[i : i + 8]
-    total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    total += (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
-    for row in p[tail:]:
-        total += row
-    return total
 
 
 def train_probe(
@@ -492,7 +460,7 @@ def train_probe(
             np.max(logits, axis=0, out=top)
             logits -= top
             np.exp(logits, out=logits)
-            logits /= _class_total(logits)
+            logits /= logits.sum(axis=0)
             logits -= onehot
             np.divide(logits, n, out=rows.T)  # d loss / d logits, row-major
             np.matmul(rows.T, h, out=gw)
@@ -553,7 +521,7 @@ def fit_probe(es: Table, channel: str, cfg: ProbeConfig) -> ProbeReport:
 
 
 # ----------------------------------------------------------------------------
-# Report assembly: CMC/mAP, curves and probes of one table
+# Report assembly: CMC/mAP and every channel's curves of one table
 # ----------------------------------------------------------------------------
 
 
@@ -563,7 +531,6 @@ class ChannelStats:
     p_pos: list[float]
     nauc_neg: float
     nauc_pos: float
-    probe_accuracy: float | None = None
 
 
 @dataclass
@@ -593,19 +560,14 @@ class EvalReport:
         for ch, st in self.channels.items():
             flat[f"nauc10_neg_{ch}"] = st.nauc_neg
             flat[f"nauc10_pos_{ch}"] = st.nauc_pos
-            if st.probe_accuracy is not None:
-                flat[f"probe_acc_{ch}"] = st.probe_accuracy
         return flat
 
 
 def evaluate_embeddings(
-    es: Table,
-    protocol: str = "standard",
-    channel: str | None = None,
-    stat_channels: Iterable[str] | None = None,
-    probe_cfg: ProbeConfig | None = None,
+    es: Table, protocol: str = "standard", channel: str | None = None
 ) -> EvalReport:
-    """Full report: CMC/mAP plus per-channel curves, nauc, optional probes.
+    """Full report of one ranking: CMC/mAP plus every channel's curves and
+    nauc10, the mean of each curve.
 
     CMC runs to MAX_RANK and the curves to CURVE_RANK, each cut to the
     longest and the shortest retained list, respectively.
@@ -615,17 +577,10 @@ def evaluate_embeddings(
     curve_rank = min(CURVE_RANK, int(rr.lengths.min()))  # each list holds a positive
     cmc, mean_ap = cmc_map(rr, max_rank)
     stats: dict[str, ChannelStats] = {}
-    for ch in stat_channels if stat_channels is not None else es.channels:
-        p_neg = same_bias_rank_prob(rr, ch, "negative", curve_rank)
-        p_pos = same_bias_rank_prob(rr, ch, "positive", curve_rank)
-        stats[ch] = ChannelStats(
-            p_neg=[float(v) for v in p_neg],
-            p_pos=[float(v) for v in p_pos],
-            nauc_neg=nauc(p_neg, curve_rank),
-            nauc_pos=nauc(p_pos, curve_rank),
-        )
-        if probe_cfg is not None:
-            stats[ch].probe_accuracy = fit_probe(es, ch, probe_cfg).accuracy
+    for ch in es.channels:
+        p_neg, p_pos = same_bias_rank_prob(rr, ch, curve_rank)
+        stats[ch] = ChannelStats(p_neg.tolist(), p_pos.tolist(),
+                                 float(np.mean(p_neg)), float(np.mean(p_pos)))
 
     def cmc_at(k: int) -> float:
         return float(cmc[min(k, len(cmc)) - 1])

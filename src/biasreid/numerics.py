@@ -15,7 +15,6 @@ and Adam runs at its published defaults (Kingma & Ba 2015, arXiv 1412.6980).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +67,6 @@ class EncoderParams:
     @property
     def d_out(self) -> int:
         return self.shapes[-1][0]
-
-    def copy(self) -> "EncoderParams":
-        """The same parameters in a new `flat`; `self` was validated when built."""
-        out = copy.copy(self)
-        out.flat = self.flat.copy()
-        out.weights, out.biases = out.layers(out.flat)
-        return out
 
 
 def layer_views(shapes: list[tuple[int, int]], vec: np.ndarray) -> tuple[list, list]:

@@ -265,12 +265,12 @@ def test_criterion_3_metric_oracle(criteria):
 
 def branch_scores(ds, cfg):
     """One branch's run, keyed as the criteria read it."""
-    log, es, report = run_branch(ds, cfg, ProbeConfig())
+    log, es, report, probe = run_branch(ds, cfg, ProbeConfig())
     st = report.channels[cfg.bias_channel]
     return {
         "rank1": report.rank1,
         "map": report.map,
-        "probe": st.probe_accuracy,
+        "probe": probe.accuracy,
         "nauc_neg": st.nauc_neg,
         "nauc_pos": st.nauc_pos,
         "active_frac_db": log.epochs[-1].active_frac_db,
@@ -281,7 +281,6 @@ def branch_scores(ds, cfg):
 @pytest.fixture(scope="session")
 def default_runs():
     preset = PRESETS["default"]
-    channel = preset.branch.bias_channel
     t0 = time.monotonic()
     runs = {name: [] for name in ("bas", "R", "E", "E0", "RE")}
     for seed in SEEDS:
@@ -294,7 +293,7 @@ def default_runs():
         }
         out = {name: branch_scores(ds, cfg) for name, cfg in cfgs.items()}
         joined = concat([out["R"]["es"], out["E"]["es"]])
-        report = evaluate_embeddings(joined, stat_channels=[channel])
+        report = evaluate_embeddings(joined)
         out["RE"] = {"rank1": report.rank1, "map": report.map}
         for name in runs:
             runs[name].append(out[name])
@@ -382,9 +381,9 @@ def test_criterion_8_over_suppression(criteria):
     for seed in SEEDS:
         ds = make_dataset(preset.generator, seed)
         cfg = replace(preset.branch, mode="reduce", seed=seed)
-        reports = lambda_sweep(ds, cfg, [0.005, 0.01, 0.05, 0.1])
-        rank1_at[0.005].append(reports[0].rank1)
-        rank1_at[0.1].append(reports[3].rank1)
+        runs = lambda_sweep(ds, cfg, [0.005, 0.01, 0.05, 0.1])
+        rank1_at[0.005].append(runs[0][0].rank1)
+        rank1_at[0.1].append(runs[3][0].rank1)
     lo, hi = median(rank1_at[0.1]), median(rank1_at[0.005])
     detail = f"rank1 at lambda 0.1 = {lo:.3f} < rank1 at 0.005 = {hi:.3f}"
     criteria.check(8, "over-suppression trend", lo < hi, detail)
@@ -438,7 +437,7 @@ def test_criterion_10_nobias_exclusion(criteria):
         cmc_std, _ = cmc_map(standard)
         cmc_nb, _ = cmc_map(nobias)
         max_len = nobias.lengths.max()
-        curve = same_bias_rank_prob(nobias, channel, "negative", max_len)
+        curve = same_bias_rank_prob(nobias, channel, max_len)[0]
         results.append((name, float(curve.sum()), cmc_nb[0] - cmc_std[0]))
     all_zero = all(s == 0.0 for _, s, _ in results)
     never_worse = all(d >= 0 for _, _, d in results)

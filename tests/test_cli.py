@@ -20,7 +20,7 @@ from biasreid.dataset import (
     save_dataset,
 )
 from biasreid.embedder import embed_all
-from biasreid.evaluation import PROBE_CONFIG_KEYS, ProbeConfig, evaluate_embeddings
+from biasreid.evaluation import PROBE_CONFIG_KEYS, ProbeConfig, evaluate_embeddings, fit_probe
 from biasreid.presets import PRESETS
 from biasreid.trainer import BRANCH_CONFIG_KEYS, BranchConfig, train_branch
 
@@ -190,6 +190,40 @@ class TestPipeline:
         lines = (stats_dir / "curves_pose.csv").read_text().splitlines()
         assert lines[0] == "rank,p_neg,p_pos"
 
+    def test_stats_is_a_view_of_the_eval_report(self, pipeline, tmp_path):
+        _, _, emb_dir, eval_dir = pipeline
+        out = tmp_path / "stats"
+        assert run(["stats", "--data", str(emb_dir / "embeddings.csv"), "--channel", "pose",
+                    "--out", str(out)]) == 0
+        assert (out / "curves_pose.csv").read_bytes() == (eval_dir / "curves_pose.csv").read_bytes()
+        pose = json.loads((eval_dir / "report.json").read_text())["channels"]["pose"]
+        assert json.loads((out / "nauc.json").read_text()) == {
+            "channel": "pose", "nauc10_neg": pose["nauc_neg"], "nauc10_pos": pose["nauc_pos"]}
+
+    def test_every_manifest_records_the_seed_it_used(self, pipeline, small_gen_cfg,
+                                                     small_branch_cfg, tmp_path):
+        root, data, emb_dir, _ = pipeline
+        embeddings = str(emb_dir / "embeddings.csv")
+        branch = tmp_path / "branch.cfg"
+        branch.write_text(small_branch_cfg.read_text() + "seed = 5\n")
+        probe = tmp_path / "probe.cfg"
+        probe.write_text("probe_epochs = 5\nprobe_seed = 4\n")
+        runs = {  # no --seed: each takes its seed from its config, or 0
+            "gen": (["gen", "--config", str(small_gen_cfg)], 0),
+            "train": (["train", "--data", str(data), "--config", str(branch)], 5),
+            "sweep": (["sweep", "--data", str(data), "--config", str(branch),
+                       "--lambdas", "0.05"], 5),
+            "probe": (["probe", "--data", embeddings, "--channel", "pose",
+                       "--config", str(probe)], 4),
+            "stats": (["stats", "--data", embeddings, "--channel", "pose"], None),
+        }
+        for name, (argv, seed) in runs.items():
+            assert run([*argv, "--out", str(tmp_path / name)]) == 0
+            assert json.loads((tmp_path / name / "manifest.json").read_text())["seed"] == seed, name
+        # the pipeline's --seed flags; embed and eval draw nothing
+        for sub, seed in (("gen", 7), ("train_reduce", 3), ("emb", None), ("eval", None)):
+            assert json.loads((root / sub / "manifest.json").read_text())["seed"] == seed, sub
+
     def test_replay_is_byte_identical(self, pipeline, small_gen_cfg, tmp_path):
         _, data, _, _ = pipeline
         a, b = tmp_path / "a", tmp_path / "b"
@@ -286,22 +320,20 @@ class TestSweep:
             bias_channel="pose", p=3, k=2, epochs=2, rate=0.01, hidden=(8,), d_emb=4, seed=3,
         )
         probe_cfg = ProbeConfig(epochs=60)
-        (swept,) = lambda_sweep(small_split_ds, base, [0.0], probe_cfg=probe_cfg)
+        ((swept, swept_probe),) = lambda_sweep(small_split_ds, base, [0.0], probe_cfg=probe_cfg)
 
         params, _ = train_branch(small_split_ds, replace(base, lam_db=0.0))
         es = embed_all(params, small_split_ds)
-        report = evaluate_embeddings(es, stat_channels=["pose"], probe_cfg=probe_cfg)
-        assert swept.rank1 == report.rank1
-        assert swept.map == report.map
-        assert swept.channels == report.channels
+        assert swept == evaluate_embeddings(es)
+        assert swept_probe == fit_probe(es, "pose", probe_cfg)
 
     def test_sweep_accepts_canonical_lambda_list(self, small_split_ds):
         base = BranchConfig(
             bias_channel="pose", p=3, k=2, epochs=1, rate=0.01, hidden=(6,), d_emb=3, seed=0,
         )
         lambdas = [0.005, 0.01, 0.05, 0.1]
-        reports = lambda_sweep(small_split_ds, base, lambdas, probe_cfg=ProbeConfig(epochs=30))
-        rows = sweep_to_csv(base, lambdas, reports).splitlines()[1:]
+        runs = lambda_sweep(small_split_ds, base, lambdas, probe_cfg=ProbeConfig(epochs=30))
+        rows = sweep_to_csv(base, lambdas, runs).splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == lambdas
 
 

@@ -22,7 +22,6 @@ from biasreid.evaluation import (
     cmc_map,
     evaluate_embeddings,
     fit_probe,
-    nauc,
     probe_accuracy,
     rank_gallery,
     same_bias_rank_prob,
@@ -147,23 +146,23 @@ def brute_force_cmc_map(positive, max_rank):
     return cmc / len(positive), float(aps.mean())
 
 
-def brute_force_curve(positive, same_bias, polarity, max_rank):
-    """Per rank, the share of queries long enough whose item there matches."""
+def brute_force_curves(positive, same_bias, max_rank):
+    """(negative, positive) curves: per rank, the share of queries long
+    enough whose item there is a same-bias negative, or positive."""
     lengths = np.array([len(p) for p in positive])
     if max_rank > lengths.max():
         raise EvaluationError(
             f"max_rank {max_rank} exceeds every retained list length (max {lengths.max()})"
         )
-    curve = np.zeros(max_rank)
+    curves = np.zeros((2, max_rank))
     for r in range(1, max_rank + 1):
         have = lengths >= r
-        hits = 0
+        hits = [0, 0]
         for qi in np.flatnonzero(have):
-            is_pos = positive[qi][r - 1]
-            if (is_pos if polarity == "positive" else not is_pos) and same_bias[qi][r - 1]:
-                hits += 1
-        curve[r - 1] = hits / have.sum()
-    return curve
+            if same_bias[qi][r - 1]:
+                hits[int(positive[qi][r - 1])] += 1
+        curves[:, r - 1] = [hits[0] / have.sum(), hits[1] / have.sum()]
+    return curves
 
 
 def set_block_rows(monkeypatch, es, rows):
@@ -667,9 +666,8 @@ class TestRankingOracle:
                 k: brute_force_cmc_map(positive, k) for k in {1, 5, max(lengths), n_gallery}
             },
             "curves": {
-                (ch, polarity, k): outcome(brute_force_curve, positive, same_bias[ch], polarity, k)
+                (ch, k): outcome(brute_force_curves, positive, same_bias[ch], k)
                 for ch in same_bias
-                for polarity in ("negative", "positive")
                 for k in {1, min(lengths), max(lengths), max(lengths) + 1}
             },
         }
@@ -688,8 +686,8 @@ class TestRankingOracle:
         for max_rank, (cmc, m) in want["cmc_map"].items():
             got_cmc, got_m = cmc_map(rr, max_rank)
             assert np.array_equal(got_cmc, cmc) and got_m == m
-        for (ch, polarity, max_rank), (curve, err) in want["curves"].items():
-            got, got_err = outcome(same_bias_rank_prob, rr, ch, polarity, max_rank)
+        for (ch, max_rank), (curves, err) in want["curves"].items():
+            got, got_err = outcome(same_bias_rank_prob, rr, ch, max_rank)
             if err:
                 assert got_err == err
             elif max_rank > width:
@@ -697,7 +695,7 @@ class TestRankingOracle:
                     EvaluationError, f"max_rank {max_rank} exceeds the ranked depth {width}"
                 )
             else:
-                assert got_err is None and np.array_equal(got, curve)
+                assert got_err is None and np.array_equal(got, curves)
 
 
 HAND_EMB = [0.0, 10.0, 20.0, 1.0, 11.0, 19.0, 5.0]
@@ -713,11 +711,11 @@ class TestSameBiasRankProb:
         return rank_gallery(es, protocol, channel="pose" if protocol == "nobias" else None)
 
     def test_hand_fixture_negative_curve(self):
-        curve = same_bias_rank_prob(self.hand_rr(), "pose", "negative", 4)
+        curve = same_bias_rank_prob(self.hand_rr(), "pose", 4)[0]
         np.testing.assert_allclose(curve, [0.0, 0.0, 2 / 3, 1 / 3])
 
     def test_hand_fixture_positive_curve(self):
-        curve = same_bias_rank_prob(self.hand_rr(), "pose", "positive", 4)
+        curve = same_bias_rank_prob(self.hand_rr(), "pose", 4)[1]
         np.testing.assert_allclose(curve, [2 / 3, 1 / 3, 0.0, 0.0])
 
     def test_saturated_case(self):
@@ -730,7 +728,7 @@ class TestSameBiasRankProb:
             pose=["x", "x", "x", "y"],
         )
         rr = rank_gallery(es, "standard")
-        curve = same_bias_rank_prob(rr, "pose", "negative", 1)
+        curve = same_bias_rank_prob(rr, "pose", 1)[0]
         assert curve[0] == 1.0
 
     def test_random_labels_factorize(self):
@@ -743,7 +741,7 @@ class TestSameBiasRankProb:
         pose = rng.integers(0, 2, size=n_q + n_gal).astype(str)
         es = make_es(emb, ids, cams, splits, pose)
         rr = rank_gallery(es, "standard")
-        curve = same_bias_rank_prob(rr, "pose", "negative", 10)
+        curve = same_bias_rank_prob(rr, "pose", 10)[0]
         lengths = rr.lengths
         for r in range(1, 11):
             have = lengths >= r
@@ -753,46 +751,28 @@ class TestSameBiasRankProb:
     def test_nobias_negative_curve_identically_zero(self):
         rr = self.hand_rr("nobias")
         max_len = rr.lengths.max()
-        curve = same_bias_rank_prob(rr, "pose", "negative", max_len)
+        curve = same_bias_rank_prob(rr, "pose", max_len)[0]
         assert not curve.any()
 
     def test_rank_beyond_ranked_depth_errors(self):
         es = make_es(HAND_EMB, HAND_IDS, HAND_CAMS, HAND_SPLITS, HAND_POSE)
         rr = rank_gallery(es, "standard", depth=2)
         np.testing.assert_array_equal(
-            same_bias_rank_prob(rr, "pose", "negative", 2),
-            same_bias_rank_prob(self.hand_rr(), "pose", "negative", 2),
+            same_bias_rank_prob(rr, "pose", 2),
+            same_bias_rank_prob(self.hand_rr(), "pose", 2),
         )
         with pytest.raises(EvaluationError, match="ranked depth 2"):
-            same_bias_rank_prob(rr, "pose", "negative", 3)
+            same_bias_rank_prob(rr, "pose", 3)
 
     def test_rank_beyond_every_list_errors(self):
         with pytest.raises(EvaluationError):
-            same_bias_rank_prob(self.hand_rr(), "pose", "negative", 99)
-
-
-class TestNauc:
-    def test_constant_curve(self):
-        assert nauc(np.full(12, 0.5), 10) == pytest.approx(0.5)
-
-    def test_single_spike(self):
-        curve = np.zeros(10)
-        curve[0] = 1.0
-        assert nauc(curve, 10) == pytest.approx(0.1)
-
-    def test_mean_bounded_by_min_max(self):
-        curve = np.linspace(0.2, 0.8, 10)
-        v = nauc(curve, 10)
-        assert curve[:10].min() <= v <= curve[:10].max()
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ConfigError):
-            nauc(np.zeros(5), 10)
+            same_bias_rank_prob(self.hand_rr(), "pose", 99)
 
 
 def reference_train_probe(features, codes, classes, cfg):
-    """train_probe as a plain loop: `numerics.prelu` each step and a
-    whole-row `max` before the softmax."""
+    """train_probe as a plain loop: `numerics.prelu` each step, a whole-row
+    `max` before the softmax, and each row's classes added one by one, class
+    0 first."""
     y = np.asarray(codes)
     x = np.asarray(features, dtype=np.float64)
     n, d = x.shape
@@ -811,7 +791,10 @@ def reference_train_probe(features, codes, classes, cfg):
         logits = h @ w.T + b
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
+        total = expl[:, 0].copy()
+        for k in range(1, c):
+            total += expl[:, k]
+        probs = expl / total[:, None]
         dlogits = (probs - onehot) / n
         grads[0] = np.sum((dlogits @ w) * x_neg)
         gw[...] = dlogits.T @ h
@@ -842,15 +825,16 @@ class TestProbe:
             pytest.param(90, 4, 2, 30, id="2"),
             pytest.param(90, 4, 3, 30, id="3"),
             pytest.param(90, 4, 9, 30, id="9"),
-            # numpy sums 17 classes in 8 lanes and a leftover; BLAS takes
-            # other kernels for the larger products (360 x 128 is the
-            # embedding probe of the default preset, and at 300 x 16 with
-            # 17 classes w @ h.T rounds otherwise than (h @ w.T).T)
+            # from 8 classes on, numpy's row sum would add them in 8 lanes
+            # and a leftover, not in class order; BLAS takes other kernels
+            # for the larger products (360 x 128 is the embedding probe of
+            # the default preset, and at 300 x 16 with 17 classes w @ h.T
+            # rounds otherwise than (h @ w.T).T)
             pytest.param(90, 4, 17, 4, id="90x4-17"),
             pytest.param(2000, 16, 3, 3, id="2000x16-3"),
             pytest.param(360, 128, 3, 3, id="360x128-3"),
             pytest.param(300, 16, 17, 2, id="300x16-17"),
-            # past 128 classes numpy sums two halves of the row
+            # past 128 classes numpy's row sum would split the row in halves
             pytest.param(90, 4, 129, 2, id="90x4-129"),
         ],
     )
@@ -969,12 +953,13 @@ class TestEvaluateAndSweep:
         )
         params, _ = train_branch(small_split_ds, cfg)
         es = embed_all(params, small_split_ds)
-        report = evaluate_embeddings(es, probe_cfg=ProbeConfig(epochs=60))
+        report = evaluate_embeddings(es)
         assert 0.0 <= report.rank1 <= report.rank5 <= report.rank10 <= 1.0
         assert 0.0 <= report.map <= 1.0
         assert set(report.channels) == {"pose", "cam"}
         st = report.channels["pose"]
-        assert st.probe_accuracy is not None
         assert len(st.p_neg) == len(st.p_pos)
+        # nauc10 is the mean of the curve, cut to the shortest retained list
+        assert (st.nauc_neg, st.nauc_pos) == (np.mean(st.p_neg), np.mean(st.p_pos))
         d = asdict(report)
         assert d["rank1"] == report.rank1

@@ -146,7 +146,7 @@ class TestBackprop:
 class TestAdam:
     def test_first_step_is_signed_rate(self):
         p = single_layer([[1.0]], [0.0])
-        start = p.copy()
+        start = EncoderParams(p.weights, p.biases)
         g = np.array([0.5, 0.0])  # w0, b0
         st = AdamState.fresh(p)
         adam_step(p, g, st, rate=0.1)
@@ -157,7 +157,7 @@ class TestAdam:
     def test_zero_grad_fresh_state_no_move(self):
         rng = np.random.default_rng(3)
         p = init_encoder(3, (4,), 2, rng)
-        start = p.copy()
+        start = EncoderParams(p.weights, p.biases)
         g = np.zeros_like(p.flat)
         adam_step(p, g, AdamState.fresh(p), rate=0.05)
         assert np.array_equal(p.flat, start.flat)
@@ -167,7 +167,7 @@ class TestAdam:
         g = np.array([-0.3, 0.0])
         st = AdamState.fresh(p)
         adam_step(p, g, st, rate=0.01)
-        p1 = p.copy()
+        p1 = EncoderParams(p.weights, p.biases)
         adam_step(p, g, st, rate=0.01)
         # moment ratios cancel for constant gradients: step magnitude ~= rate
         assert abs(p.weights[0][0, 0] - p1.weights[0][0, 0]) == pytest.approx(0.01, rel=1e-4)
@@ -184,7 +184,7 @@ class TestAdam:
     def test_matches_straight_line_oracle_bit_for_bit(self):
         rng = np.random.default_rng(4)
         p = init_encoder(3, (4,), 2, rng)
-        start = p.copy()
+        start = EncoderParams(p.weights, p.biases)
         grads = [rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 3) for _ in range(5)]
         st = AdamState.fresh(p)
         for g in grads:
@@ -239,14 +239,15 @@ class TestFlatLayout:
         assert p.flat[9] == -2.0
 
     def test_copy_owns_its_vector(self):
+        # a snapshot is the constructor: it copies into a new `flat`
         p = self.two_layers()
-        q = p.copy()
+        q = EncoderParams(p.weights, p.biases)
         q.flat[0] = 99.0
         assert p.weights[0][0, 0] == 0.0 and q.weights[0][0, 0] == 99.0
 
     def test_copy_is_bit_equal_with_views_of_its_own_flat(self):
         p = init_encoder(5, (4, 3), 2, np.random.default_rng(0))
-        q = p.copy()
+        q = EncoderParams(p.weights, p.biases)
         assert np.array_equal(q.flat.view(np.uint64), p.flat.view(np.uint64))
         assert q.shapes == p.shapes
         assert not np.shares_memory(q.flat, p.flat)

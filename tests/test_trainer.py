@@ -10,7 +10,7 @@ from biasreid.config import from_kv
 from biasreid.dataset import ChannelSpec, GeneratorConfig, Table, generate_synthetic
 from biasreid.errors import BatchCompositionError, CheckpointError, ConfigError
 from biasreid.losses import combined_loss
-from biasreid.numerics import AdamState, encode, init_encoder
+from biasreid.numerics import AdamState, EncoderParams, encode, init_encoder
 from biasreid.trainer import (
     BRANCH_CONFIG_KEYS,
     CHECKPOINT_FORMAT_VERSION,
@@ -93,7 +93,7 @@ class TestTrainBranch:
     def test_zero_epochs_returns_init_unchanged(self, tiny_ds):
         cfg = tiny_cfg(epochs=0)
         t = Trainer(tiny_ds, cfg)
-        init = t.params.copy()
+        init = EncoderParams(t.params.weights, t.params.biases)
         params, log = train_branch(tiny_ds, cfg)
         assert np.array_equal(params.flat, init.flat)
         assert log.epochs == []
@@ -142,7 +142,7 @@ class TestTrainBranch:
         # margin 0 with one spread-out batch: zero active hinges on a trained net
         cfg = tiny_cfg(epochs=1, margin_id=0.0, lam_db=0.0, rate=0.0)
         t = Trainer(tiny_ds, cfg)
-        before = t.params.copy()
+        before = EncoderParams(t.params.weights, t.params.biases)
         step_before = t.adam.step
         t.run()
         # rate 0 means params cannot move even if hinges fire; the stronger
@@ -190,7 +190,7 @@ class TestSchedule:
         with pytest.raises(ConfigError, match="start epoch"):
             Trainer(tiny_ds, cfg, start_epoch=-1)
         t = Trainer(tiny_ds, cfg, start_epoch=4)
-        before = t.params.copy()
+        before = EncoderParams(t.params.weights, t.params.biases)
         t.run()
         assert t.epoch == 4 and t.log.epochs == []
         assert np.array_equal(t.params.flat, before.flat)

@@ -40,6 +40,7 @@ from .embedder import concat, embed_all, save_embeddings
 from .errors import ConfigError, ToolkitError
 from .evaluation import (
     PROBE_CONFIG_KEYS,
+    PROTOCOLS,
     EvalReport,
     ProbeConfig,
     ProbeReport,
@@ -47,6 +48,7 @@ from .evaluation import (
     evaluate_embeddings,
     fit_probe,
 )
+from .losses import MODES
 from .presets import PRESETS, get_preset
 from .trainer import (
     BRANCH_CONFIG_KEYS,
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--config", help="branch key=value file")
     p.add_argument("--preset", help=f"use a bundled preset's branch defaults: {presets}")
-    p.add_argument("--mode", choices=["reduce", "enhance"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--channel", help="bias channel the loss pairs on")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="rank the gallery and report CMC/mAP plus bias curves")
     p.add_argument("--data", required=True, help="embeddings CSV")
-    p.add_argument("--protocol", choices=["standard", "nobias"], default="standard")
+    p.add_argument("--protocol", choices=PROTOCOLS, default=PROTOCOLS[0])
     p.add_argument("--channel", help="bias channel (required for nobias)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", required=True, help="comma-separated bias-loss weights")
     p.add_argument("--config", help="branch key=value file")
     p.add_argument("--preset", help=f"use a bundled preset's branch defaults: {presets}")
-    p.add_argument("--mode", choices=["reduce", "enhance"], default="reduce")
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--channel")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

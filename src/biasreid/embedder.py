@@ -48,6 +48,8 @@ def concat(sets: list[Table]) -> Table:
             np.array_equal(other.ids, first.ids)
             and np.array_equal(other.cameras, first.cameras)
             and np.array_equal(other.splits, first.splits)
+            and other.channels == first.channels
+            and all(np.array_equal(other.codes[ch], first.codes[ch]) for ch in first.channels)
         ):
             raise AlignmentError("embedding sets describe different samples or orders")
     return replace(first, matrix=np.concatenate([s.matrix for s in sets], axis=1))

@@ -30,18 +30,21 @@ rank by index. No row is sorted whole:
 
 At depth G the head is the whole stable order.
 
-The queries are ranked one block at a time, from the block's distances to
-the whole gallery. A block holds `max(1, _BLOCK_CELLS // G)` query rows, so
-its [block, G] arrays hold about `_BLOCK_CELLS` cells each (one row of G
-when G exceeds it), whatever Q is. Besides those and its [Q, depth]
-result, a ranking holds only per-gallery tables: the gallery's rows, their
-twins and the identity and class tables below.
-The exclusions come from tables built once per ranking, not from [block, G]
-masks: each identity's gallery positions, so a query's same-identity items
-(the only ones the standard protocol can drop) are looked up and set to inf
-one by one, and under nobias one penalty row per bias class, 0.0 at the
-other classes' items and inf at its own, added to the query's distances
-before its positives of that class get theirs back.
+A ranking has two phases. The first reads labels alone, once for every
+query: its same-identity gallery items (the only ones the standard protocol
+can drop, found in the gallery's ids sorted once), those sharing its
+camera, its positives and its count of kept items. The second ranks the
+queries a block at a time, from the block's distances to the whole gallery,
+with no [block, G] mask: each same-camera mate is set to inf one by one,
+and under nobias one penalty row per bias class, 0.0 at the other classes'
+items and inf at its own, is added to the query's distances before its
+positives of that class get theirs back. A block holds
+`max(1, _BLOCK_CELLS // G)` query rows, so its [block, G] arrays hold about
+`_BLOCK_CELLS` cells each (one row of G when G exceeds it), whatever Q is.
+Besides those and the [Q, depth] result, a ranking holds the gallery's
+rows, their twins, their ids sorted, the class table, and per-query label
+tables of about Q x (the largest identity's gallery count) entries, freed
+after the blocks.
 
 The probe step has no data-dependent select: with x_pos = x above 0 (-0.0
 elsewhere) and x_neg = x at and below 0 (0.0 elsewhere), x_pos + slope *
@@ -223,9 +226,9 @@ def rank_gallery(
     """Rank the gallery for every query under the chosen exclusion protocol.
 
     Ties in distance break toward the lower gallery index. Queries left
-    without any positive are dropped and counted. `order` and the masks hold
-    the first `depth` items (default and at most: the whole gallery); the
-    positive ranks are exact at any depth.
+    without any positive are ranked with their block, then cut and counted.
+    `order` and the masks hold the first `depth` items (default and at
+    most: the whole gallery); the positive ranks are exact at any depth.
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -246,76 +249,66 @@ def rank_gallery(
     with np.errstate(over="ignore"):  # overflow raises after `_cross_sqdist`
         g_sq = (gallery * gallery).sum(axis=1)
     copies, twins = _twins(gallery)
-    # each identity's gallery positions in index order, padded with -1
-    by_id = np.argsort(g_ids, kind="stable")
-    ids, first, counts = np.unique(g_ids[by_id], return_index=True, return_counts=True)
-    members = np.full((len(ids), counts.max()), -1)
-    slot = np.arange(g) - np.repeat(first, counts)
-    members[np.repeat(np.arange(len(ids)), counts), slot] = by_id
-    if protocol == "nobias":
-        # per class, inf at the gallery items of that class and 0.0 elsewhere
-        g_codes = es.codes[channel][g_rows]
-        n_classes = len(es.channels[channel])
-        penalty = np.where(g_codes == np.arange(n_classes)[:, None], np.inf, 0.0)
-        class_sizes = np.bincount(g_codes, minlength=n_classes)
 
-    # per block of queries, those kept: their rows, lengths, n_pos, pos_ranks, order and kept mask
-    blocks = []
+    # from labels alone, for every query: the gallery items sharing its identity,
+    # in index order (-1: none), those on its camera, its positives and kept count
+    by_id = np.argsort(g_ids, kind="stable")
+    lo, hi = (np.searchsorted(g_ids[by_id], es.ids[q_rows], side) for side in ("left", "right"))
+    at = lo[:, None] + np.arange((hi - lo).max())  # places in the id-sorted gallery
+    mates = at < hi[:, None]
+    cand = np.where(mates, by_id.take(at, mode="clip"), -1)
+    same_cam = mates & (g_cams[cand] == es.cameras[q_rows][:, None])
+    # each query's positives, row-major: in gallery-index order within a row
+    pos_q, pos_j = np.nonzero(mates & ~same_cam)
+    n_pos = np.bincount(pos_q, minlength=len(q_rows))
+    # the positives packed to the left of each row; the slots past n_pos hold 0
+    pos = np.zeros((len(q_rows), n_pos.max()), dtype=np.int64)
+    pos[pos_q, np.arange(len(pos_q)) - (np.cumsum(n_pos) - n_pos)[pos_q]] = cand[pos_q, pos_j]
+    del at, pos_q, pos_j
+    lengths = g - np.count_nonzero(same_cam, axis=1)
+    if protocol == "nobias":
+        g_codes, q_codes = es.codes[channel][g_rows], es.codes[channel][q_rows]
+        n_classes = len(es.channels[channel])
+        # per class, inf at the gallery items of that class and 0.0 elsewhere
+        penalty = np.where(g_codes == np.arange(n_classes)[:, None], np.inf, 0.0)
+        lengths += np.count_nonzero(mates & (g_codes[cand] == q_codes[:, None]), axis=1)
+        lengths -= np.bincount(g_codes, minlength=n_classes)[q_codes]
+
+    # per block of queries, dropped ones too: distances, exclusions and the rankings
+    order = np.empty((len(q_rows), depth), dtype=np.intp)
+    pos_ranks = np.empty_like(pos)
     block = max(1, _BLOCK_CELLS // g)
     for start in range(0, len(q_rows), block):
-        rows = q_rows[start : start + block]
-        d2 = _cross_sqdist(es.matrix[rows], gallery, g_sq)
+        b = slice(start, start + block)
+        d2 = _cross_sqdist(es.matrix[q_rows[b]], gallery, g_sq)
         d2[:, copies] = d2[:, twins]  # identical gallery rows tie exactly
         # a row max is inf or NaN once any of its distances overflowed
         overflow = ~np.isfinite(d2.max(axis=1))
         if overflow.any():
-            row = int(rows[np.argmax(overflow)])
+            row = int(q_rows[start + np.argmax(overflow)])
             raise EvaluationError(f"query row {row}: squared distances overflow float64")
-
-        # the gallery items sharing each query's identity, in index order (-1: none)
-        q_ids = es.ids[rows]
-        at = np.minimum(np.searchsorted(ids, q_ids), len(ids) - 1)
-        cand = np.where((ids[at] == q_ids)[:, None], members[at], -1)
-        mates = cand >= 0
-        same_cam = mates & (g_cams[cand] == es.cameras[rows][:, None])
-        # each query's positives, row-major: in gallery-index order within a row
-        pos_q, pos_j = np.nonzero(mates & ~same_cam)
-        pos_g = cand[pos_q, pos_j]
-        n_pos = np.bincount(pos_q, minlength=len(rows))
-        # the positives packed to the left of each row; the slots past n_pos hold 0
-        pos = np.zeros((len(rows), n_pos.max()), dtype=np.int64)
-        pos[pos_q, np.arange(len(pos_q)) - (np.cumsum(n_pos) - n_pos)[pos_q]] = pos_g
         # after the overflow check: every kept distance is finite
-        hit = np.nonzero(same_cam)
-        d2[hit[0], cand[hit]] = np.inf
-        lengths = g - np.count_nonzero(same_cam, axis=1)
+        hit = np.nonzero(same_cam[b])
+        d2[hit[0], cand[b][hit]] = np.inf
         if protocol == "nobias":
             # other identities of the query's class: d + inf == inf and d + 0.0 == d,
             # and the positives of that class get their distances back
-            q_codes = es.codes[channel][rows]
+            pos_q, pos_j = np.nonzero(np.arange(pos.shape[1]) < n_pos[b, None])
+            pos_g = pos[b][pos_q, pos_j]
             held = d2[pos_q, pos_g]
-            d2 += penalty[q_codes]
+            d2 += penalty[q_codes[b]]
             d2[pos_q, pos_g] = held
-            same_class = mates & (g_codes[cand] == q_codes[:, None])
-            lengths += np.count_nonzero(same_class, axis=1) - class_sizes[q_codes]
-        keep = np.flatnonzero(n_pos)
-        if len(keep) == 0:
-            continue
-        if len(keep) < len(rows):  # copies the block only when it dropped a query
-            d2, pos, n_pos, lengths, rows = d2[keep], pos[keep], n_pos[keep], lengths[keep], rows[keep]
-        head = _head(d2, depth)
-        kept = np.isfinite(np.take_along_axis(d2, head, axis=1))
-        blocks.append((rows, lengths, n_pos, _positive_ranks(d2, pos, n_pos), head, kept))
+        order[b] = _head(d2, depth)
+        pos_ranks[b] = _positive_ranks(d2, pos[b], n_pos[b])
+    del cand, mates, same_cam, pos
 
-    if not blocks:
+    keep = n_pos > 0
+    if not keep.any():
         raise EvaluationError("every query was dropped (no cross-camera positives)")
-    kept_rows, lengths, n_pos, ranks, order, kept = zip(*blocks)
-    # the blocks' empty rank slots hold G: pad each to the widest with G
-    width = max(r.shape[1] for r in ranks)
-    pos_ranks = np.concatenate(
-        [np.pad(r, ((0, 0), (0, width - r.shape[1])), constant_values=g) for r in ranks]
-    )
-    kept_rows, lengths, n_pos, order, kept = map(np.concatenate, (kept_rows, lengths, n_pos, order, kept))
+    kept_rows, order, lengths, pos_ranks, n_pos = (
+        a[keep] for a in (q_rows, order, lengths, pos_ranks, n_pos))
+    # the kept items come first in every ranking
+    kept = np.arange(depth) < lengths[:, None]
 
     def same(labels: np.ndarray) -> np.ndarray:
         return (labels[g_rows][order] == labels[kept_rows][:, None]) & kept

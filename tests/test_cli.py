@@ -290,11 +290,13 @@ class TestSweep:
         assert len(lines) == 5
         assert [float(l.split(",")[0]) for l in lines[1:]] == [0.005, 0.01, 0.05, 0.1]
 
-    def test_sweep_replays_from_its_manifest(self, pipeline, small_branch_cfg, tmp_path):
-        # a weight with more digits than a %g spelling keeps
+    @pytest.mark.parametrize("mode", ["reduce", "enhance"])
+    def test_sweep_replays_from_its_manifest(self, mode, pipeline, small_branch_cfg, tmp_path):
+        # a weight with more digits than a %g spelling keeps, and a mode that
+        # only the first run's flag sets
         _, data, _, _ = pipeline
         first, again = tmp_path / "first", tmp_path / "again"
-        assert run(["sweep", "--data", str(data), "--config", str(small_branch_cfg),
+        assert run(["sweep", "--data", str(data), "--config", str(small_branch_cfg), "--mode", mode,
                     "--lambdas", "0.0123456789,0.05", "--seed", "4", "--out", str(first)]) == 0
         resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
         lambdas = resolved.pop("lambdas")

@@ -110,11 +110,17 @@ class TestConcat:
         assert joined.dim == 10
         np.testing.assert_array_equal(joined.matrix, np.hstack([s.matrix for s in sets]))
 
-    def test_misaligned_sets_rejected(self, ds):
+    @pytest.mark.parametrize("change", ["shuffled_rows", "pose_codes_shifted", "pose_classes_renamed"])
+    def test_misaligned_sets_rejected(self, ds, change):
         a, b = self.two_sets(ds)
-        shuffled = b.rows(np.roll(np.arange(len(b)), 1))
+        if change == "shuffled_rows":
+            b = b.rows(np.roll(np.arange(len(b)), 1))
+        elif change == "pose_codes_shifted":
+            b = replace(b, codes=dict(b.codes, pose=(b.codes["pose"] + 1) % len(b.channels["pose"])))
+        else:
+            b = replace(b, channels=dict(b.channels, pose=[f"{c}_" for c in b.channels["pose"]]))
         with pytest.raises(AlignmentError):
-            concat([a, shuffled])
+            concat([a, b])
 
 
 class TestEmbeddingCsv:

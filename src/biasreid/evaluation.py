@@ -22,13 +22,14 @@ rank by index. No row is sorted whole:
 - A positive's 0-based rank is the number of kept items at a smaller
   distance plus those at an equal distance and a lower index; CMC and mAP
   read nothing else.
-- The first `depth` items, which the same-bias curves read, come from an
-  argpartition to the depth and a sort of those candidates by (distance,
-  index). Where the first item past the cut ties the last one before it (two
-  excluded items always tie), the candidates are not unique, and that row
-  alone is ranked by the stable sort.
+- The first `depth` items, which the same-bias curves read, are those at or
+  below a bound, sorted by (distance, index). The bound is the depth-th
+  smallest of the row's minima over at least `depth` disjoint column groups:
+  each minimum is one item's distance, so at least `depth` items lie at or
+  below it, and every tie at it is a candidate, so the head is exact.
 
-At depth G the head is the whole stable order.
+At depth G the bound is the row's largest distance, and the head is the
+whole stable order.
 
 A ranking has two phases. The first reads labels alone, once for every
 query: its same-identity gallery items (the only ones the standard protocol
@@ -119,6 +120,9 @@ class RankResult:
 # cells of a block of the ranking (1 MiB of float64): each block takes
 # max(1, _BLOCK_CELLS // G) query rows, bounding every [rows, G] array
 _BLOCK_CELLS = 1 << 17
+# column groups whose per-row minima bound a ranking's head (see `_head`); at
+# 64 the minima cost about twice as much for about as many candidates
+_HEAD_GROUPS = 256
 
 
 def _cross_sqdist(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
@@ -206,18 +210,30 @@ def _positive_ranks(d2: np.ndarray, pos: np.ndarray, n_pos: np.ndarray) -> np.nd
 
 def _head(d2: np.ndarray, depth: int) -> np.ndarray:
     """[rows, depth] gallery positions of each row's first `depth` items in
-    (distance, index) order."""
-    g = d2.shape[1]
-    part = np.argpartition(d2, min(depth, g - 1), axis=1)
-    cand = np.sort(part[:, :depth], axis=1)
-    vals = np.take_along_axis(d2, cand, axis=1)
-    head = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    if depth < g:
-        # the first item past the cut ties the last one before it
-        tied = np.take_along_axis(d2, part[:, depth : depth + 1], axis=1)[:, 0] == vals.max(axis=1)
-        if tied.any():
-            head[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :depth]
-    return head
+    (distance, index) order.
+
+    Column c falls in group c % w of w = min(G, max(depth, _HEAD_GROUPS))
+    groups. Each group's minimum is the distance of one of its own items, so
+    a row's depth-th smallest group minimum (w >= depth) is reached by at
+    least `depth` distinct items: every item of the head lies at or below
+    it, and the candidates at or below it, ties included, are ordered by
+    (row, distance) with one stable lexsort, which keeps index order within
+    a tie. A row with fewer than `depth` finite items has an inf bound and
+    all of its items as candidates; at depth G every item is one."""
+    n, g = d2.shape
+    w = min(g, max(depth, _HEAD_GROUPS))
+    k = g // w
+    mins = np.minimum.reduce(d2[:, : k * w].reshape(n, k, w), axis=1)
+    tail = g - k * w  # the last columns, fewer than w, folded into the first groups
+    np.minimum(mins[:, :tail], d2[:, k * w :], out=mins[:, :tail])
+    bound = np.partition(mins, depth - 1, axis=1)[:, depth - 1]
+    # the 1-D flatnonzero split by divmod: a 2-D nonzero of the mask costs ~16x
+    flat = np.flatnonzero(d2 <= bound[:, None])
+    row, col = np.divmod(flat, g)
+    col = col[np.lexsort((d2.ravel()[flat], row))]
+    # each row's candidates, at least `depth` of them, sit together in row order
+    starts = np.searchsorted(row, np.arange(n))
+    return col[starts[:, None] + np.arange(depth)]
 
 
 def rank_gallery(

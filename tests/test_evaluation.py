@@ -380,6 +380,32 @@ def twins_by_loop(rows):
     return copies, twins
 
 
+class TestHead:
+    def test_matches_a_stable_argsort(self):
+        """`_head` against the first `depth` columns of each row's stable
+        argsort, on grid values (many ties) with rows 0-99% inf, in galleries
+        wide enough for several columns per group and a tail."""
+        rng = np.random.default_rng(61)
+        seen = {"grouped": 0, "tail": 0, "finite_cut_tie": 0, "inf_bound": 0}
+        for _ in range(4000):
+            n, g = int(rng.integers(1, 6)), int(rng.integers(1, 3001))
+            depth = int(rng.integers(1, min(40, g) + 1))
+            d2 = np.floor(rng.random((n, g)) * rng.choice([4, 40, 10_000])) * 0.37
+            d2[rng.random((n, g)) < rng.random((n, 1)) * 0.99] = np.inf
+            want = np.argsort(d2, axis=1, kind="stable")[:, :depth]
+            got = evaluation._head(d2, depth)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            w = min(g, max(depth, evaluation._HEAD_GROUPS))
+            seen["grouped"] += g // w >= 2
+            seen["tail"] += g % w > 0
+            cut = np.take_along_axis(d2, want[:, -1:], axis=1)[:, 0]
+            seen["inf_bound"] += np.isinf(cut).sum()  # fewer finite items than the depth
+            seen["finite_cut_tie"] += (
+                np.isfinite(cut) & (np.count_nonzero(d2 == cut[:, None], axis=1) > 1)
+            ).sum()
+        assert min(seen.values()) >= 100, seen
+
+
 class TestTwins:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("values", ["grid", "continuous"])
@@ -506,10 +532,12 @@ DEPTHS = (1, 2, 3, 10, None)  # None ranks the whole gallery
 
 
 def cut_ties(dists, n_gallery, depth):
-    """(finite, excluded): rows whose item at the depth cut ties the next one.
+    """(finite, excluded): rows whose item at the depth cut ties the next one,
+    so more of the head's candidates (the items at or below its bound) share
+    the cut's distance than the head holds, and index order picks among them.
 
     `dists` are each row's kept distances in ranking order; the excluded
-    items follow at inf, so two of them always tie.
+    items follow at inf, so two of them always tie (an inf bound).
     """
     finite = excluded = 0
     for d in dists:
@@ -521,12 +549,24 @@ def cut_ties(dists, n_gallery, depth):
     return finite, excluded
 
 
+def head_groups():
+    """(grid, groups) cases: the module's own group count keeps each test's
+    plain id; 1-3 groups hold more columns each and fold a tail into them."""
+    real = evaluation._HEAD_GROUPS
+    return [
+        pytest.param(grid, groups, id=name if groups == real else f"{name}-{groups}groups")
+        for groups in (real, 1, 2, 3)
+        for grid, name in ((False, "normal"), (True, "grid"))
+    ]
+
+
 class TestRankingOracle:
     """rank_gallery, cmc_map and the curves equal the per-query loops exactly,
     at every ranking depth."""
 
-    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
-    def test_matches_brute_force_on_random_tables(self, grid):
+    @pytest.mark.parametrize("grid, groups", head_groups())
+    def test_matches_brute_force_on_random_tables(self, grid, groups, monkeypatch):
+        monkeypatch.setattr(evaluation, "_HEAD_GROUPS", groups)
         rng = np.random.default_rng(11 + grid)
         seen = {"ranked": 0, "dropped": 0, "error": 0, "finite_cut_tie": 0, "excluded_cut_tie": 0}
         for _ in range(500):
@@ -543,13 +583,14 @@ class TestRankingOracle:
                     seen["finite_cut_tie"] += finite
                     seen["excluded_cut_tie"] += excluded
 
-        # both kinds of tie at the cut send rows to the stable-sort fallback
+        # both kinds of tie at the cut leave candidates tied past the head, picked by index
         if not grid:
             seen.pop("finite_cut_tie")
         assert min(seen.values()) >= 20, seen
 
-    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "grid"])
-    def test_matches_brute_force_across_blocks(self, grid, monkeypatch):
+    @pytest.mark.parametrize("grid, groups", head_groups())
+    def test_matches_brute_force_across_blocks(self, grid, groups, monkeypatch):
+        monkeypatch.setattr(evaluation, "_HEAD_GROUPS", groups)
         # 4-query blocks: 9-20 queries span 3-5 blocks, the last often partial
         rng = np.random.default_rng(21 + grid)
         seen = {"ranked": 0, "dropped": 0, "error": 0}

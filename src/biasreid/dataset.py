@@ -46,6 +46,7 @@ if no sidecar existed.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -487,7 +488,13 @@ def load_dataset(path) -> Table:
 
 class PKSampler:
     """Draws P-identity / K-instance batches, cycling through all train
-    identities before any identity repeats (epoch semantics)."""
+    identities before any identity repeats (epoch semantics).
+
+    Construction builds the identity index, each train identity's rows in
+    row order, once. `restarted(rng)` shares that index and starts a new
+    stream with an empty queue, as a newly built sampler does, so a trainer
+    builds the index once and restarts it on each epoch's stream.
+    """
 
     def __init__(self, ds: Table, p: int, k: int, rng: np.random.Generator):
         if p < 2 or k < 2:
@@ -503,6 +510,14 @@ class PKSampler:
         self.k = k
         self.rng = rng
         self._queue: list[int] = []
+
+    def restarted(self, rng: np.random.Generator) -> "PKSampler":
+        """A sampler over this one's identity index that draws from `rng`,
+        its queue empty: it draws what `PKSampler(ds, p, k, rng)` would."""
+        fresh = copy.copy(self)
+        fresh.rng = rng
+        fresh._queue = []
+        return fresh
 
     def draw(self) -> np.ndarray:
         """The next batch's P*K table row indices: K rows of each of the

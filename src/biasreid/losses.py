@@ -35,7 +35,10 @@ gradient with one weighted `np.bincount` over the flat gradient, which adds
 its weights one by one in input order: element k of row r gets index
 r * d + k, and the rows come as a_0, p_0, q_0, a_1, ... of the active
 anchors, so every element receives the loop's float additions in the loop's
-order. The bias term's sums also run in index order.
+order. The bias term's sums also run in index order. The pairs' squared
+differences are formed in blocks sized by a cell budget, not by a pair
+count, so the buffers stay the same size whatever the embedding width, and
+each pair's sum lies within one block.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ from .errors import BatchCompositionError, ConfigError, DataError
 MODES = ("reduce", "enhance")
 
 
-# pairs handled at a time: bounds the [pairs, d] difference buffer (64 KiB at d = 64)
-_PAIR_BLOCK = 128
+# cells of each [pairs, d] buffer: 64 KiB of float64, 128 pairs at d = 64.
+# From 128 KiB, glibc malloc's mmap threshold, a training run faulted the
+# buffers back in on every call and was slower (ROADMAP item 11)
+_PAIR_CELLS = 1 << 13
 
 
 @lru_cache(maxsize=None)
@@ -67,19 +72,22 @@ def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
     mirrored into (j, i), which is exact since (a - b)^2 == (b - a)^2; the
     diagonal is exactly 0. So it equals a naive per-pair loop, and selection
     ties and the oracles' values reproduce exactly. The pairs are taken
-    `_PAIR_BLOCK` at a time into a small buffer, so no [n, n, d] broadcast
-    is built. Ranking uses `evaluation._cross_sqdist` instead, whose Gram
-    form is not bit-exact but needs only one block x G memory.
+    `max(1, _PAIR_CELLS // d)` at a time into buffers of at most
+    `_PAIR_CELLS` cells, so no [n, n, d] broadcast is built; a pair's sum
+    never spans two blocks, so where the blocks end changes no bit. Ranking
+    uses `evaluation._cross_sqdist` instead, whose Gram form is not
+    bit-exact but needs only one block x G memory.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(e).all():
         raise DataError("non-finite embeddings")
-    n = e.shape[0]
+    n, d = e.shape
     rows, cols = _upper_pairs(n)
     upper = np.empty(len(rows))
+    block = max(1, _PAIR_CELLS // max(d, 1))
     with np.errstate(over="ignore"):  # an overflow raises below
-        for start in range(0, len(rows), _PAIR_BLOCK):
-            blk = slice(start, start + _PAIR_BLOCK)
+        for start in range(0, len(rows), block):
+            blk = slice(start, start + block)
             diff = np.take(e, rows[blk], axis=0)
             diff -= np.take(e, cols[blk], axis=0)
             diff *= diff

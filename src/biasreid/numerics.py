@@ -11,6 +11,17 @@ three vectors as they are. Adam is elementwise, so it updates all of them in
 one pass, in place: the trainer that owns an encoder and its Adam state is
 their only writer, so no step copies them. The hidden slope is a constant,
 and Adam runs at its published defaults (Kingma & Ba 2015, arXiv 1412.6980).
+
+Two hot-path forms are exact rewrites, not approximations. A hidden layer's
+output is `np.maximum(z, HIDDEN_SLOPE * z)`, one pass with no mask: for a
+slope in [0, 1], slope * z rounds to at most z when z > 0 and to at least z
+when z < 0 (from the zero side, so a tiny negative z gives -0.0, as
+`prelu` does), and at +-0, +-inf and NaN both forms give the same bits; so
+it equals `prelu(z, HIDDEN_SLOPE)` on every float. `prelu` keeps its slope
+check for the probe, whose slope is learned and may leave [0, 1]. Adam runs
+the textbook expression's operations in its order, each rounding as
+written, through two temporaries the size of the parameters, so no step
+allocates one array per operation.
 """
 
 from __future__ import annotations
@@ -130,12 +141,11 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, Encod
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         layer_inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         preacts.append(z)
-        if i < last:
-            h = prelu(z, HIDDEN_SLOPE)
-        else:
-            h = z
+        # prelu(z, HIDDEN_SLOPE) bit for bit, since the slope is in [0, 1]
+        h = np.maximum(z, HIDDEN_SLOPE * z) if i < last else z
     return h, EncodeTape(params, layer_inputs, preacts)
 
 
@@ -196,11 +206,22 @@ def adam_update(
         raise TrainingError("non-finite gradients")
     c1 = 1.0 - ADAM_BETA1**step
     c2 = 1.0 - ADAM_BETA2**step
+    # m = m * b1 + (1 - b1) * g; v = v * b2 + (1 - b2) * g * g;
+    # p -= rate * (m / c1) / (sqrt(v / c2) + eps): every rounding as written
+    a = np.multiply(g, 1.0 - ADAM_BETA1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += a
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+    a *= g
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    p -= rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    v += a
+    np.divide(m, c1, out=a)
+    a *= rate
+    b = np.divide(v, c2)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    p -= a
 
 
 def adam_step(params: EncoderParams, grads: np.ndarray, state: AdamState, rate: float) -> None:

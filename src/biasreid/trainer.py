@@ -127,8 +127,9 @@ class Trainer:
     decay toward 0, and training stops at `cfg.epochs`, so a start epoch at
     or past it trains nothing; a negative one is rejected.
 
-    The batch sampler is re-seeded per epoch from (seed, epoch), which makes
-    epoch boundaries clean resume points: a checkpoint needs only parameters,
+    The batch sampler's identity index is built once, here; each epoch
+    restarts it on a stream seeded from (seed, epoch), which makes epoch
+    boundaries clean resume points: a checkpoint needs only parameters,
     optimizer state, and the epoch counter to continue bit-exactly.
     """
 
@@ -167,10 +168,12 @@ class Trainer:
         self.params = params
         self.adam = adam
         self._bias_diverse = len(np.unique(ds.codes[cfg.bias_channel][train])) >= 2
+        self._sampler = PKSampler(ds, cfg.p, cfg.k, _epoch_rng(cfg.seed, start_epoch))
 
     def sampler_for_epoch(self, epoch: int) -> PKSampler:
-        rng = np.random.default_rng(np.random.SeedSequence((self.cfg.seed, _STREAM_EPOCH, epoch)))
-        return PKSampler(self.ds, self.cfg.p, self.cfg.k, rng)
+        """Epoch `epoch`'s sampler: the trainer's identity index on the
+        (seed, epoch) stream, with an empty queue."""
+        return self._sampler.restarted(_epoch_rng(self.cfg.seed, epoch))
 
     def draw_batch(self, sampler: PKSampler) -> tuple[np.ndarray, np.ndarray]:
         """A batch's row indices and their bias codes. Redraws (bounded) while
@@ -239,6 +242,10 @@ class Trainer:
             )
         )
         self.epoch += 1
+
+
+def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, _STREAM_EPOCH, epoch)))
 
 
 def _check_widths(params: EncoderParams, cfg: BranchConfig) -> None:

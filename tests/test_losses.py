@@ -113,8 +113,9 @@ class TestPairwiseSqdist:
         e = np.random.default_rng(0).normal(size=(5, 3))
         np.testing.assert_array_equal(pairwise_sqdist(e), self.naive(e))
 
-    # 0, 1, 136, 528 and 2016 pairs: empty, one pair, and across pair blocks
-    @pytest.mark.parametrize("n", [1, 2, 17, 33, 64])
+    # at d = 64 a block holds 128 pairs: 0 and 1 pair fit in one; 136, 496
+    # (the default 32-row batch), 528 and 2016 straddle block ends
+    @pytest.mark.parametrize("n", [1, 2, 17, 32, 33, 64])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_bit_exact_across_pair_blocks(self, n, scale):
         rng = np.random.default_rng(n)

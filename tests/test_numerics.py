@@ -5,6 +5,7 @@ import pytest
 
 from biasreid.errors import ConfigError, DataError, TrainingError
 from biasreid.numerics import (
+    HIDDEN_SLOPE,
     AdamState,
     EncoderParams,
     adam_step,
@@ -76,6 +77,32 @@ class TestEncode:
         x = rng.normal(size=(4, 5))
         emb, _ = encode(params, x)
         np.testing.assert_allclose(emb, straight_line_forward(params, x), atol=1e-12)
+
+    def test_hidden_outputs_are_prelu_bit_for_bit(self):
+        # encode's max(z, slope * z) equals prelu only for a slope in [0, 1]
+        assert 0.0 <= HIDDEN_SLOPE <= 1.0
+        # 1 -> 7 -> 1: each hidden preactivation is x * w + b, so rows x = +-1
+        # and +-0.5 give 0.0, +-5e-324, +-1e308 and +-inf (1e308 + 1e308). A
+        # GEMM sums from +0.0, so no preactivation is -0.0; -0.0 shows as
+        # an output instead, the slope times -5e-324
+        w0 = np.array([[0.0], [5e-324], [-5e-324], [1e308], [-1e308], [1e308], [-1e308]])
+        b0 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e308, -1e308])
+        extreme = EncoderParams([w0, np.ones((1, 7))], [b0, np.zeros(1)])
+        rng = np.random.default_rng(0)
+        cases = [
+            (extreme, np.array([[1.0], [-1.0], [0.5], [-0.5]])),
+            (init_encoder(5, (7, 6), 4, rng), rng.normal(size=(9, 5))),
+        ]
+        tapes = []
+        for params, x in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                tapes.append(encode(params, x)[1])
+            for z, h in zip(tapes[-1].preacts[:-1], tapes[-1].layer_inputs[1:]):
+                assert h.view(np.uint64).tolist() == prelu(z, HIDDEN_SLOPE).view(np.uint64).tolist()
+        z, h = tapes[0].preacts[0], tapes[0].layer_inputs[1]
+        for value in (0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf):
+            assert (z.view(np.uint64) == np.float64(value).view(np.uint64)).any(), value
+        assert np.signbit(h[h == 0.0]).any() and not np.signbit(h[h == 0.0]).all()
 
     def test_dimension_mismatch(self):
         p = single_layer(np.eye(2), np.zeros(2))

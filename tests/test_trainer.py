@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from biasreid.config import from_kv
-from biasreid.dataset import ChannelSpec, GeneratorConfig, Table, generate_synthetic
+from biasreid.dataset import ChannelSpec, GeneratorConfig, PKSampler, Table, generate_synthetic
 from biasreid.errors import BatchCompositionError, CheckpointError, ConfigError
 from biasreid.losses import combined_loss
 from biasreid.numerics import AdamState, EncoderParams, encode, init_encoder
@@ -139,16 +139,24 @@ class TestTrainBranch:
         np.testing.assert_allclose(e.grads, 1.0 * e.reid.grads + 0.2 * e.bias.grads, atol=1e-15)
 
     def test_no_update_when_gradients_identically_zero(self, tiny_ds):
-        # margin 0 with one spread-out batch: zero active hinges on a trained net
-        cfg = tiny_cfg(epochs=1, margin_id=0.0, lam_db=0.0, rate=0.0)
-        t = Trainer(tiny_ds, cfg)
-        before = EncoderParams(t.params.weights, t.params.biases)
-        step_before = t.adam.step
+        # margin 0 on a net trained for 10 epochs: some batches have no
+        # active hinge, so an all-zero gradient. Rate 0 keeps the parameters,
+        # and so every batch's loss, as they were, so a replay of the same
+        # draws counts the batches that must step Adam
+        trained, _ = train_branch(tiny_ds, tiny_cfg(epochs=10))
+        cfg = tiny_cfg(epochs=3, margin_id=0.0, lam_db=0.0, rate=0.0)
+        replay = Trainer(tiny_ds, cfg, params=EncoderParams(trained.weights, trained.biases))
+        updates = 0
+        for epoch in range(cfg.epochs):
+            sampler = replay.sampler_for_epoch(epoch)
+            for _ in range(replay.batches_per_epoch):
+                out, _ = replay.batch_loss(*replay.draw_batch(sampler))
+                updates += bool(out.grads.any())
+        assert 0 < updates < cfg.epochs * replay.batches_per_epoch  # both paths taken
+        t = Trainer(tiny_ds, cfg, params=EncoderParams(trained.weights, trained.biases))
         t.run()
-        # rate 0 means params cannot move even if hinges fire; the stronger
-        # claim is on the optimizer step counter for all-zero-grad batches
-        assert np.array_equal(t.params.flat, before.flat)
-        assert t.adam.step <= step_before + t.batches_per_epoch
+        assert np.array_equal(t.params.flat, trained.flat)
+        assert t.adam.step == updates
 
     def test_params_contradicting_config_rejected(self, tiny_ds):
         # a checkpoint saved after training with them would not load
@@ -163,6 +171,40 @@ class TestTrainBranch:
         setattr(adam, moment, adam.m[:-1].copy())
         with pytest.raises(ConfigError, match=r"Adam moments \(\d+,\), \(\d+,\) != \(\d+,\)"):
             Trainer(tiny_ds, tiny_cfg(), params=params, adam=adam)
+
+
+class TestSamplerReuse:
+    """The trainer builds one identity index and restarts it each epoch; its
+    draws are those of a sampler built afresh on the epoch's stream."""
+
+    def table(self):
+        # identity 0 has one train row, below K = 3; 22 train rows are not a
+        # multiple of P * K = 9; identity 7's rows are held out
+        counts = [1, 3, 4, 3, 4, 3, 4, 3]
+        ids = np.repeat(np.arange(8), counts)
+        rng = np.random.default_rng(3)
+        return Table(
+            rng.normal(size=(len(ids), 4)),
+            ids,
+            np.arange(len(ids)) % 2,
+            np.where(ids == 7, "gallery", "train"),
+            {"pose": np.arange(len(ids)) % 2},
+            {"pose": ["A", "B"]},
+        )
+
+    def test_draws_equal_a_fresh_sampler_each_epoch(self):
+        ds = self.table()
+        cfg = tiny_cfg(p=3, k=3, seed=4, hidden=(4,), d_emb=3)
+        t = Trainer(ds, cfg)
+        n_draws = t.batches_per_epoch + 2  # past one pass of the identities
+        for epoch in range(4):
+            fresh = PKSampler(
+                ds, 3, 3, np.random.default_rng(np.random.SeedSequence((4, 1, epoch)))
+            )
+            expected = [fresh.draw().tolist() for _ in range(n_draws)]
+            for _ in range(2):  # a second call starts afresh too: no queue leaks
+                sampler = t.sampler_for_epoch(epoch)
+                assert [sampler.draw().tolist() for _ in range(n_draws)] == expected
 
 
 class TestSchedule:

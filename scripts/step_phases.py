@@ -7,6 +7,7 @@ wrapped with `perf_counter_ns`, under the names the trainer and
 `combined_loss` call them by, so the trainer's own loop runs as it ships:
 
     draw              dataset.PKSampler.draw (redraws included)
+    labels            losses.batch_labels (the label phase, once a chunk)
     encode            numerics.encode
     pairwise_sqdist   losses.pairwise_sqdist
     reid_hard_loss    losses.reid_hard_loss
@@ -18,12 +19,12 @@ The phases do not nest. Each run's phase time is divided by its steps (the
 epochs times the batches per epoch), and the script prints, in µs per step,
 the median over runs of each phase, of the whole step (`Trainer.run()`'s
 time) and of `other`: the step minus the phases, which is the loop's own
-work, the rest of `combined_loss`, and the wrappers' two clock reads per
-call. The header names the numpy version, the core count, the preset, the
-seed and the mode; the last line is the sha256 of the trained parameters,
-equal across runs (the script exits 1 otherwise), so two checkouts that
-print the same last line trained the same bits. BLAS and OpenMP run one
-thread, as the benchmark runs them.
+work, each chunk's gathers of rows and labels, the rest of `combined_loss`,
+and the wrappers' two clock reads per call. The header names the numpy
+version, the core count, the preset, the seed and the mode; the last line
+is the sha256 of the trained parameters, equal across runs (the script
+exits 1 otherwise), so two checkouts that print the same last line trained
+the same bits. BLAS and OpenMP run one thread, as the benchmark runs them.
 
     python3 scripts/step_phases.py [--preset default] [--mode reduce] [--seed 0] [--runs 5]
 
@@ -56,6 +57,7 @@ from biasreid.presets import PRESETS  # noqa: E402
 # phase -> (object whose attribute the step calls, attribute)
 PHASES = {
     "draw": (dataset.PKSampler, "draw"),
+    "labels": (trainer, "batch_labels"),
     "encode": (trainer, "encode"),
     "pairwise_sqdist": (losses, "pairwise_sqdist"),
     "reid_hard_loss": (losses, "reid_hard_loss"),

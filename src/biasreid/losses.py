@@ -25,6 +25,16 @@ the batch, so the hinge stays live in both branches while identity training
 shapes the embedding, and its gradient reaches the near neighbours that
 decide ranks.
 
+A loss has two phases. The first reads labels alone: `batch_labels` takes
+a stack of batches' identity and bias labels and, for every batch at once,
+builds the identity same/diff masks, the bias pools (the rows of an anchor
+lacking either pool cleared), the skipped anchors, each pool's size and the
+bias coupling base P_a/|P_a| - N_a/|N_a|, and it rejects an anchor lacking
+an identity positive or negative. The second takes one batch's embeddings
+and its label phase (`phase[b]`) and only selects and weighs distances; the
+bias term still rejects a batch whose every anchor is skipped, so a lam_db 0
+baseline trains on a one-class batch.
+
 All gradients are exact subgradients with respect to the embeddings.
 `combined_loss` builds the batch's distance matrix once for both terms, from
 the i < j pairs only, and each term equals a plain per-anchor loop bit for
@@ -60,9 +70,11 @@ _PAIR_CELLS = 1 << 13
 
 
 @lru_cache(maxsize=None)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the i < j pairs of an n x n matrix."""
-    return np.triu_indices(n, 1)
+def _upper_pairs(n: int) -> tuple[np.ndarray, ...]:
+    """Row and column indices of the i < j pairs of an n x n matrix, and the
+    flat indices of (i, j) and of (j, i)."""
+    rows, cols = np.triu_indices(n, 1)
+    return rows, cols, rows * n + cols, cols * n + rows
 
 
 def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
@@ -82,22 +94,22 @@ def pairwise_sqdist(embeddings: np.ndarray) -> np.ndarray:
     if not np.isfinite(e).all():
         raise DataError("non-finite embeddings")
     n, d = e.shape
-    rows, cols = _upper_pairs(n)
+    rows, cols, upper_at, lower_at = _upper_pairs(n)
     upper = np.empty(len(rows))
     block = max(1, _PAIR_CELLS // max(d, 1))
     with np.errstate(over="ignore"):  # an overflow raises below
         for start in range(0, len(rows), block):
             blk = slice(start, start + block)
-            diff = np.take(e, rows[blk], axis=0)
-            diff -= np.take(e, cols[blk], axis=0)
+            diff = e.take(rows[blk], axis=0)
+            diff -= e.take(cols[blk], axis=0)
             diff *= diff
-            upper[blk] = diff.sum(axis=-1)
+            np.add.reduce(diff, axis=-1, out=upper[blk])
     if not np.isfinite(upper).all():
         raise DataError("squared distance between embeddings overflows float64")
-    d2 = np.zeros((n, n))
-    d2[rows, cols] = upper
-    d2[cols, rows] = upper
-    return d2
+    d2 = np.zeros(n * n)
+    d2[upper_at] = upper
+    d2[lower_at] = upper
+    return d2.reshape(n, n)
 
 
 class _HingeStats:
@@ -147,49 +159,105 @@ class LossOutput:
     n_skipped: int = 0
 
 
+@dataclass
+class BatchLabels:
+    """The label phase of a stack of batches ([m, n] labels), or of one
+    batch when indexed (`phase[b]`): all that the two terms select from
+    labels alone. Masks are [..., n, n], row a for anchor a."""
+
+    same_id: np.ndarray  # same identity, diagonal off
+    diff_id: np.ndarray  # another identity
+    pos_pool: np.ndarray  # same bias class, diagonal off; empty for a skipped anchor
+    neg_pool: np.ndarray  # another bias class; empty for a skipped anchor
+    skipped: np.ndarray  # [..., n] anchors lacking either bias pool
+    n_pos: np.ndarray  # [..., n] |P_a|, 1 for a skipped anchor so its zero sums stay finite
+    n_neg: np.ndarray  # [..., n] |N_a|, likewise
+    coupling: np.ndarray  # pos_pool / |P_a| - neg_pool / |N_a|
+
+    def __getitem__(self, b) -> "BatchLabels":
+        return BatchLabels(*[field[b] for field in vars(self).values()])
+
+
+def batch_labels(id_labels, bias_labels) -> BatchLabels:
+    """The label phase of m batches of n rows from their [m, n] identity and
+    bias labels. Raises `BatchCompositionError` for the first anchor, in
+    batch order, that lacks an identity positive or negative; an anchor
+    lacking a bias pool is only marked skipped."""
+    ids = np.asarray(id_labels)
+    bias = np.asarray(bias_labels)
+    if ids.ndim != 2 or bias.shape != ids.shape:
+        raise ConfigError(
+            f"need [batches, rows] id and bias labels of one shape, got {ids.shape}, {bias.shape}"
+        )
+    n = ids.shape[1]
+    if n == 0:
+        raise BatchCompositionError("empty batch")
+    off_diagonal = ~np.eye(n, dtype=bool)
+    same_id = ids[:, :, None] == ids[:, None, :]
+    id_count = same_id.sum(axis=2)  # the anchor's own row included
+    lacking = (id_count == 1) | (id_count == n)
+    if lacking.any():
+        b, a = np.argwhere(lacking)[0]
+        missing = "positive" if id_count[b, a] == 1 else "negative"
+        raise BatchCompositionError(f"anchor {a} has no {missing} (id {ids[b, a]!r})")
+    diff_id = ~same_id
+    same_id &= off_diagonal
+    pos_pool = bias[:, :, None] == bias[:, None, :]
+    n_pos = pos_pool.sum(axis=2) - 1
+    n_neg = (n - 1) - n_pos
+    skipped = (n_pos == 0) | (n_neg == 0)
+    neg_pool = ~pos_pool
+    pos_pool &= off_diagonal
+    pos_pool[skipped] = False
+    neg_pool[skipped] = False
+    n_pos[skipped] = n_neg[skipped] = 1
+    coupling = pos_pool / n_pos[..., None]
+    coupling -= neg_pool / n_neg[..., None]
+    return BatchLabels(same_id, diff_id, pos_pool, neg_pool, skipped, n_pos, n_neg, coupling)
+
+
 def reid_hard_loss(
-    embeddings: np.ndarray, d2: np.ndarray, id_labels, margin: float
+    embeddings: np.ndarray, d2: np.ndarray, labels: BatchLabels, margin: float
 ) -> LossOutput:
     """Batch-hard identity triplet loss with exact subgradients.
 
-    `d2` is `pairwise_sqdist(embeddings)`. Per anchor: hardest positive =
-    max squared distance over same-id others, hardest negative = min over
-    different-id samples. Every anchor must have at least one of each.
+    `d2` is `pairwise_sqdist(embeddings)` and `labels` the batch's label
+    phase. Per anchor: hardest positive = max squared distance over same-id
+    others, hardest negative = min over different-id samples.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(id_labels)
-    n = emb.shape[0]
-    if labels.shape[0] != n:
+    n, d = emb.shape
+    if labels.same_id.shape != (n, n):
         raise ConfigError("id labels misaligned with embeddings")
-    if n == 0:
-        raise BatchCompositionError("empty batch")
-    same = labels[:, None] == labels[None, :]
-    diff = ~same
-    np.fill_diagonal(same, False)
-    lacking = ~same.any(axis=1) | ~diff.any(axis=1)
-    if lacking.any():
-        a = int(np.argmax(lacking))
-        missing = "negative" if same[a].any() else "positive"
-        raise BatchCompositionError(f"anchor {a} has no {missing} (id {labels[a]!r})")
-
-    pos_idx = np.where(same, d2, -np.inf).argmax(axis=1)
-    neg_idx = np.where(diff, d2, np.inf).argmin(axis=1)
+    pos_idx = np.where(labels.same_id, d2, -np.inf).argmax(axis=1)
+    neg_idx = np.where(labels.diff_id, d2, np.inf).argmin(axis=1)
     rows = np.arange(n)
     args = margin + d2[rows, pos_idx] - d2[rows, neg_idx]
     active = args > 0
     a, p, q = rows[active], pos_idx[active], neg_idx[active]
-    # d/de of [m + d2(a,p) - d2(a,q)]: through the selected pair only
-    ap = emb[a] - emb[p]
-    an = emb[a] - emb[q]
-    rows_hit = np.array([a, p, q]).T.ravel()
-    terms = np.array([2.0 * (ap - an), -2.0 * ap, 2.0 * an]).transpose(1, 0, 2)
+    # d/de of [m + d2(a,p) - d2(a,q)]: through the selected pair only; the
+    # terms of row a_i, p_i, q_i go to terms[i, 0], [i, 1], [i, 2]
+    anchors = emb[a]
+    ap = anchors - emb[p]
+    an = anchors - emb[q]
+    terms = np.empty((len(a), 3, d))
+    np.subtract(ap, an, out=terms[:, 0])
+    terms[:, 0] *= 2.0
+    np.multiply(ap, -2.0, out=terms[:, 1])
+    np.multiply(an, 2.0, out=terms[:, 2])
+    rows_hit = np.stack([a, p, q], axis=1).ravel()
     # one sequential 1-D scatter over the flat elements, in rows_hit's order
-    d = emb.shape[1]
-    flat_idx = (rows_hit[:, None] * d + np.arange(d)).ravel()
+    flat_idx = _flat_rows(n, d)[rows_hit].ravel()
     grads = np.bincount(flat_idx, terms.ravel(), minlength=n * d).reshape(n, d)
     total = float(_ordered_sum(args[active]))
     sel = TripletSelection(pos_idx, neg_idx, args, active, np.zeros(n, dtype=bool))
     return LossOutput(total, grads, sel)
+
+
+@lru_cache(maxsize=None)
+def _flat_rows(n: int, d: int) -> np.ndarray:
+    """Row r holds the flat indices r * d, ..., r * d + d - 1 of an [n, d] array."""
+    return np.arange(n * d).reshape(n, d)
 
 
 def _ordered_sum(values: np.ndarray) -> np.ndarray:
@@ -201,36 +269,37 @@ def _ordered_sum(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=-1)[..., -1]
 
 
+def _pool_sums(pool: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Per anchor a, the sum of d2(a, j) over the j of row a of `pool`, in
+    index order, as a loop adds them. d2 is symmetric, so column a of
+    pool.T * d2 holds those terms (and +0.0 elsewhere), and reducing a
+    C-ordered array over axis 0 adds its rows one by one: numpy sums
+    pairwise only along the contiguous axis."""
+    terms = np.empty(d2.shape)
+    np.multiply(pool.T, d2, out=terms)
+    return np.add.reduce(terms, axis=0)
+
+
 def bias_easy_loss(
-    embeddings: np.ndarray, d2: np.ndarray, bias_labels, margin: float
+    embeddings: np.ndarray, d2: np.ndarray, labels: BatchLabels, margin: float
 ) -> LossOutput:
     """Pool-mean bias triplet loss: per anchor, mean squared distance to the
     other rows of its bias class (any id) against the mean to the rows of
     every other class; see the module docstring for the rule and why. `d2`
-    is `pairwise_sqdist(embeddings)`.
+    is `pairwise_sqdist(embeddings)` and `labels` the batch's label phase.
 
     Anchors lacking either pool are skipped and counted, never fatal unless
     every anchor is skipped.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(bias_labels)
     n = emb.shape[0]
-    if labels.shape[0] != n:
+    if labels.pos_pool.shape != (n, n):
         raise ConfigError("bias labels misaligned with embeddings")
-    same = labels[:, None] == labels[None, :]
-    diff = ~same
-    np.fill_diagonal(same, False)
-    skipped = ~same.any(axis=1) | ~diff.any(axis=1)
-    if skipped.all() and n > 0:
+    skipped = labels.skipped
+    if skipped.all():
         raise BatchCompositionError("every anchor lacks a same-bias or different-bias partner")
-    if skipped.any():
-        same[skipped] = False
-        diff[skipped] = False
-    # a skipped anchor has empty pools; a count of 1 keeps its zero sums finite
-    n_same = np.maximum(same.sum(axis=1), 1)
-    n_diff = np.maximum(diff.sum(axis=1), 1)
-    mean_same = _ordered_sum(np.where(same, d2, 0.0)) / n_same
-    mean_diff = _ordered_sum(np.where(diff, d2, 0.0)) / n_diff
+    mean_same = _pool_sums(labels.pos_pool, d2) / labels.n_pos
+    mean_diff = _pool_sums(labels.neg_pool, d2) / labels.n_neg
     args = np.where(skipped, 0.0, margin + mean_same - mean_diff)
     active = ~skipped & (args > 0)
     total = float(_ordered_sum(np.where(active, args, 0.0)))
@@ -238,10 +307,13 @@ def bias_easy_loss(
     # total = sum_{a,j} c[a, j] d2(a, j) + const, with c = 1/|P_a| on the
     # same pool and -1/|N_a| on the other pool of each active anchor; every
     # d2(a, j) pulls on both rows a and j, hence the symmetric coupling s
-    c = (same / n_same[:, None] - diff / n_diff[:, None]) * active[:, None]
+    c = labels.coupling * active[:, None]
     s = c + c.T
-    grads = 2.0 * (s.sum(axis=1)[:, None] * emb - s @ emb)
-    sel = PoolSelection(same, diff, args, active, skipped)
+    # 2 * (s.sum(axis=1)[:, None] * emb - s @ emb), rounded as written
+    grads = s @ emb
+    np.subtract(s.sum(axis=1)[:, None] * emb, grads, out=grads)
+    grads *= 2.0
+    sel = PoolSelection(labels.pos_pool, labels.neg_pool, args, active, skipped)
     return LossOutput(total, grads, sel, n_skipped=int(skipped.sum()))
 
 
@@ -257,8 +329,7 @@ class CombinedLoss:
 
 def combined_loss(
     embeddings: np.ndarray,
-    id_labels,
-    bias_labels,
+    labels: BatchLabels,
     mode: str,
     lam_dr: float,
     lam_db: float,
@@ -267,8 +338,9 @@ def combined_loss(
 ) -> CombinedLoss:
     """reduce: lam_dr * L_id - lam_db * L_bias; enhance: plus instead of minus.
 
-    Both weights are stored unsigned; the branch mode carries the sign. The
-    gradient is the matching signed combination of the component gradients.
+    `labels` is the batch's label phase. Both weights are stored unsigned;
+    the branch mode carries the sign. The gradient is the matching signed
+    combination of the component gradients.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -276,15 +348,16 @@ def combined_loss(
         raise ConfigError("loss weights must be >= 0")
     emb = np.asarray(embeddings, dtype=np.float64)
     d2 = pairwise_sqdist(emb)
-    reid = reid_hard_loss(emb, d2, id_labels, margin_id)
+    reid = reid_hard_loss(emb, d2, labels, margin_id)
     if lam_db == 0.0:
         # exactly the identity loss; the bias term is not even evaluated, so
         # a batch that cannot form bias pairs still trains as a baseline
         n = emb.shape[0]
         bias = LossOutput(0.0, np.zeros_like(emb), PoolSelection.empty(n), n_skipped=n)
         return CombinedLoss(lam_dr * reid.value, lam_dr * reid.grads, reid, bias)
-    bias = bias_easy_loss(emb, d2, bias_labels, margin_bias)
+    bias = bias_easy_loss(emb, d2, labels, margin_bias)
     sign = -1.0 if mode == "reduce" else 1.0
     value = lam_dr * reid.value + sign * lam_db * bias.value
-    grads = lam_dr * reid.grads + sign * lam_db * bias.grads
+    grads = lam_dr * reid.grads
+    grads += sign * lam_db * bias.grads
     return CombinedLoss(value, grads, reid, bias)

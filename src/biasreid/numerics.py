@@ -171,8 +171,8 @@ def backprop(tape: EncodeTape, embedding_grads: np.ndarray) -> np.ndarray:
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             delta = np.where(tape.preacts[i] > 0, delta, delta * HIDDEN_SLOPE)
-        gw[i][...] = delta.T @ tape.layer_inputs[i]
-        gb[i][...] = delta.sum(axis=0)
+        np.matmul(delta.T, tape.layer_inputs[i], out=gw[i])
+        np.add.reduce(delta, axis=0, out=gb[i])
         if i > 0:
             delta = delta @ params.weights[i]
     return grads

@@ -22,9 +22,10 @@ from . import __version__
 from .config import from_kv, ints, to_kv
 from .dataset import PKSampler, Table
 from .errors import BatchCompositionError, CheckpointError, ConfigError, TrainingError
-from .losses import MODES, CombinedLoss, combined_loss
+from .losses import MODES, BatchLabels, CombinedLoss, batch_labels, combined_loss
 from .numerics import (
     AdamState,
+    EncodeTape,
     EncoderParams,
     adam_step,
     backprop,
@@ -37,6 +38,10 @@ CHECKPOINT_FORMAT_VERSION = 3
 _STREAM_INIT = 0
 _STREAM_EPOCH = 1
 _MAX_BATCH_RETRIES = 10
+# cells of a chunk's [batches, n, max(n, d_in)] arrays, its label masks and
+# gathered rows: 32 batches of the default 32 rows, more than the default
+# preset's 14 an epoch
+_CHUNK_CELLS = 1 << 15
 
 BRANCH_CONFIG_KEYS = {
     "mode": ("mode", str, "reduce | enhance"),
@@ -127,6 +132,19 @@ class Trainer:
     decay toward 0, and training stops at `cfg.epochs`, so a start epoch at
     or past it trains nothing; a negative one is rejected.
 
+    An epoch runs a chunk of batches at a time in two phases, as a ranking
+    runs a block of queries. The label phase (`draw_chunk`) draws the
+    chunk, one `draw_batch` per batch, gathers its rows, ids and bias codes
+    once and builds their `losses.batch_labels` once. The numeric phase then
+    runs each batch's `batch_loss` (encode, distances, selection), backprop
+    and Adam step. The sampler's stream feeds only the draws, so drawing
+    ahead yields the batches that drawing one at a time did, and every step
+    is as before bit for bit. A chunk holds `max(1, _CHUNK_CELLS // (n *
+    max(n, d_in)))` batches of n rows, so its memory does not grow with the
+    table. So the "no batch with >= 2 classes" error fires when its chunk
+    is drawn, before the chunk's first step, not after the batches drawn
+    before it have trained.
+
     The batch sampler's identity index is built once, here; each epoch
     restarts it on a stream seeded from (seed, epoch), which makes epoch
     boundaries clean resume points: a checkpoint needs only parameters,
@@ -175,27 +193,34 @@ class Trainer:
         (seed, epoch) stream, with an empty queue."""
         return self._sampler.restarted(_epoch_rng(self.cfg.seed, epoch))
 
-    def draw_batch(self, sampler: PKSampler) -> tuple[np.ndarray, np.ndarray]:
-        """A batch's row indices and their bias codes. Redraws (bounded) while
-        the batch holds one bias class and the train split holds two."""
+    def draw_batch(self, sampler: PKSampler) -> np.ndarray:
+        """A batch's row indices. Redraws (bounded) while the batch holds one
+        bias class and the train split holds two."""
         codes = self.ds.codes[self.cfg.bias_channel]
         for _ in range(_MAX_BATCH_RETRIES):
             idx = sampler.draw()
             labels = codes[idx]
             if not self._bias_diverse or (labels != labels[0]).any():
-                return idx, labels
+                return idx
         raise BatchCompositionError(
             f"no batch with >= 2 {self.cfg.bias_channel!r} classes after "
             f"{_MAX_BATCH_RETRIES} draws"
         )
 
-    def batch_loss(self, idx: np.ndarray, labels: np.ndarray) -> tuple[CombinedLoss, object]:
-        """The combined loss of rows `idx` with bias codes `labels`, and the
-        encoder tape that backpropagates its gradient."""
-        emb, tape = encode(self.params, self.ds.matrix[idx])
+    def draw_chunk(self, sampler: PKSampler, m: int) -> tuple[np.ndarray, BatchLabels]:
+        """Draw the next `m` batches, one `draw_batch` each, and gather them
+        once: their [m, n, d_in] feature rows and their `batch_labels`."""
+        idx = np.stack([self.draw_batch(sampler) for _ in range(m)])
+        codes = self.ds.codes[self.cfg.bias_channel]
+        return self.ds.matrix[idx], batch_labels(self.ds.ids[idx], codes[idx])
+
+    def batch_loss(self, rows: np.ndarray, labels: BatchLabels) -> tuple[CombinedLoss, EncodeTape]:
+        """The combined loss of a batch's feature rows with its label phase
+        (`draw_chunk`'s `labels[b]`), and the encoder tape that
+        backpropagates its gradient."""
+        emb, tape = encode(self.params, rows)
         out = combined_loss(
             emb,
-            self.ds.ids[idx],
             labels,
             self.cfg.mode,
             self.cfg.lam_dr,
@@ -220,22 +245,26 @@ class Trainer:
         sampler = self.sampler_for_epoch(self.epoch)
         sum_dr = sum_db = sum_af_dr = sum_af_db = 0.0
         skipped = 0
-        for b in range(self.batches_per_epoch):
-            idx, labels = self.draw_batch(sampler)
-            out, tape = self.batch_loss(idx, labels)
-            if not np.isfinite(out.value):
-                raise TrainingError(f"non-finite loss at epoch {self.epoch}, batch {b}")
-            n = len(idx)
-            sum_dr += out.reid.value / n
-            sum_db += out.bias.value / n
-            sum_af_dr += out.reid.selection.active_fraction
-            sum_af_db += out.bias.selection.active_fraction
-            skipped += out.bias.n_skipped
-            if not out.grads.any():
-                continue  # nothing to update, keep optimizer state untouched
-            grads = backprop(tape, out.grads)
-            adam_step(self.params, grads, self.adam, rate)
         nb = self.batches_per_epoch
+        n = cfg.p * cfg.k
+        chunk = max(1, _CHUNK_CELLS // (n * max(n, self.ds.dim)))
+        for start in range(0, nb, chunk):
+            rows, labels = self.draw_chunk(sampler, min(chunk, nb - start))
+            for j in range(len(rows)):
+                out, tape = self.batch_loss(rows[j], labels[j])
+                if not np.isfinite(out.value):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {self.epoch}, batch {start + j}"
+                    )
+                sum_dr += out.reid.value / n
+                sum_db += out.bias.value / n
+                sum_af_dr += out.reid.selection.active_fraction
+                sum_af_db += out.bias.selection.active_fraction
+                skipped += out.bias.n_skipped
+                if not out.grads.any():
+                    continue  # nothing to update, keep optimizer state untouched
+                grads = backprop(tape, out.grads)
+                adam_step(self.params, grads, self.adam, rate)
         self.log.epochs.append(
             EpochStats(
                 self.epoch, sum_dr / nb, sum_db / nb, sum_af_dr / nb, sum_af_db / nb, rate, skipped

@@ -22,7 +22,13 @@ from biasreid.evaluation import (
     rank_gallery,
     same_bias_rank_prob,
 )
-from biasreid.losses import bias_easy_loss, combined_loss, pairwise_sqdist, reid_hard_loss
+from biasreid.losses import (
+    batch_labels,
+    bias_easy_loss,
+    combined_loss,
+    pairwise_sqdist,
+    reid_hard_loss,
+)
 from biasreid.numerics import backprop, encode, init_encoder
 from biasreid.presets import PRESETS
 from biasreid.trainer import Trainer, checkpoint_load, checkpoint_save, train_branch
@@ -33,6 +39,11 @@ SEEDS = (0, 1, 2)
 
 def median(values):
     return float(np.median(np.asarray(values, dtype=float)))
+
+
+def one_batch_labels(ids, bias):
+    """The label phase of one batch."""
+    return batch_labels(np.asarray(ids)[None], np.asarray(bias)[None])[0]
 
 
 # ----------------------------------------------------------------------------
@@ -46,8 +57,9 @@ def _instance_is_tie_free(emb, ids, bias, margins, arg_gap=1e-3, dist_gap=1e-6):
     vals = np.sort(d2[iu])
     if len(vals) > 1 and np.diff(vals).min() < dist_gap:
         return False
-    reid = reid_hard_loss(emb, pairwise_sqdist(emb), ids, margins[0])
-    bias_out = bias_easy_loss(emb, pairwise_sqdist(emb), bias, margins[1])
+    labels = one_batch_labels(ids, bias)
+    reid = reid_hard_loss(emb, pairwise_sqdist(emb), labels, margins[0])
+    bias_out = bias_easy_loss(emb, pairwise_sqdist(emb), labels, margins[1])
     for out in (reid, bias_out):
         considered = out.selection.hinge_arg[~out.selection.skipped]
         if len(considered) and np.abs(considered).min() < arg_gap:
@@ -75,11 +87,12 @@ def test_criterion_1_gradient_correctness(criteria):
         if not _instance_is_tie_free(emb, ids, bias, margins):
             continue
 
+        labels = one_batch_labels(ids, bias)
         losses = {
-            "reid": lambda e: reid_hard_loss(e, pairwise_sqdist(e), ids, margins[0]),
-            "bias": lambda e: bias_easy_loss(e, pairwise_sqdist(e), bias, margins[1]),
-            "reduce": lambda e: combined_loss(e, ids, bias, "reduce", 1.0, 0.2, *margins),
-            "enhance": lambda e: combined_loss(e, ids, bias, "enhance", 1.0, 0.2, *margins),
+            "reid": lambda e: reid_hard_loss(e, pairwise_sqdist(e), labels, margins[0]),
+            "bias": lambda e: bias_easy_loss(e, pairwise_sqdist(e), labels, margins[1]),
+            "reduce": lambda e: combined_loss(e, labels, "reduce", 1.0, 0.2, *margins),
+            "enhance": lambda e: combined_loss(e, labels, "enhance", 1.0, 0.2, *margins),
         }
         for fn in losses.values():
             out = fn(emb)
@@ -154,7 +167,8 @@ def test_criterion_2_selection_oracle(criteria):
         bias = rng.integers(0, 2, size=n).astype(str)
         m = float(rng.uniform(0.1, 2.0))
 
-        out = reid_hard_loss(emb, pairwise_sqdist(emb), ids, m)
+        labels = one_batch_labels(ids, bias)
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), labels, m)
         pos, neg = _exhaustive_selection(emb, ids)
         value = 0.0
         for a in range(n):
@@ -166,7 +180,7 @@ def test_criterion_2_selection_oracle(criteria):
         exact &= out.value == value
 
         if len(np.unique(bias)) >= 2:
-            out_b = bias_easy_loss(emb, pairwise_sqdist(emb), bias, m)
+            out_b = bias_easy_loss(emb, pairwise_sqdist(emb), labels, m)
             pos_b, neg_b = _exhaustive_pools(bias)
             value_b = 0.0
             for a in range(n):

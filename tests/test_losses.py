@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from biasreid.errors import BatchCompositionError, ConfigError, DataError
 from biasreid.losses import (
     PoolSelection,
+    batch_labels,
     bias_easy_loss,
     combined_loss,
     pairwise_sqdist,
@@ -91,6 +92,13 @@ def col(values):
     return np.asarray(values, dtype=float)[:, None]
 
 
+def labels_of(ids, bias=None):
+    """One batch's label phase; without bias labels, every row has one class."""
+    ids = np.asarray(ids)
+    bias = np.zeros(len(ids), dtype=int) if bias is None else np.asarray(bias)
+    return batch_labels(ids[None], bias[None])[0]
+
+
 class TestPairwiseSqdist:
     def test_hand_computation(self):
         d2 = pairwise_sqdist(col([0.0, 3.0]))
@@ -144,93 +152,212 @@ class TestPairwiseSqdist:
             pairwise_sqdist(col([-1e200, 1e200]))
 
 
+def loop_batch_labels(ids, bias) -> dict:
+    """What `batch_labels` builds, from a plain per-batch, per-anchor loop
+    with no shared code; raises the identity error for the first anchor, in
+    batch order, that lacks a positive or a negative."""
+    m, n = ids.shape
+    out = {
+        "same_id": np.zeros((m, n, n), dtype=bool),
+        "diff_id": np.zeros((m, n, n), dtype=bool),
+        "pos_pool": np.zeros((m, n, n), dtype=bool),
+        "neg_pool": np.zeros((m, n, n), dtype=bool),
+        "skipped": np.zeros((m, n), dtype=bool),
+        "n_pos": np.ones((m, n), dtype=np.int64),
+        "n_neg": np.ones((m, n), dtype=np.int64),
+        "coupling": np.zeros((m, n, n)),
+    }
+    for b in range(m):
+        for a in range(n):
+            positives = [j for j in range(n) if j != a and ids[b, j] == ids[b, a]]
+            negatives = [j for j in range(n) if ids[b, j] != ids[b, a]]
+            if not positives or not negatives:
+                missing = "positive" if not positives else "negative"
+                raise BatchCompositionError(f"anchor {a} has no {missing} (id {ids[b, a]!r})")
+            out["same_id"][b, a, positives] = True
+            out["diff_id"][b, a, negatives] = True
+            pool = [j for j in range(n) if j != a and bias[b, j] == bias[b, a]]
+            other = [j for j in range(n) if bias[b, j] != bias[b, a]]
+            if not pool or not other:
+                out["skipped"][b, a] = True
+                continue
+            out["pos_pool"][b, a, pool] = True
+            out["neg_pool"][b, a, other] = True
+            out["n_pos"][b, a] = len(pool)
+            out["n_neg"][b, a] = len(other)
+            for j in pool:
+                out["coupling"][b, a, j] = 1.0 / len(pool)
+            for j in other:
+                out["coupling"][b, a, j] = -1.0 / len(other)
+    return out
+
+
+def assert_phase_matches_loop(ids, bias):
+    phase = batch_labels(ids, bias)
+    for name, expected in loop_batch_labels(ids, bias).items():
+        got = getattr(phase, name)
+        assert got.shape == expected.shape, name
+        assert np.array_equal(got, expected), name
+        if name == "coupling":  # the bits, so a -0.0 against a 0.0 shows too
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    for b in range(len(ids)):
+        one = phase[b]
+        for name in vars(phase):
+            assert np.array_equal(getattr(one, name), getattr(phase, name)[b]), name
+
+
+class TestBatchLabels:
+    def test_matches_loop_on_random_stacks(self):
+        rng = np.random.default_rng(46)
+        kinds = set()
+        for _ in range(200):
+            m = int(rng.integers(1, 6))
+            p, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            ids = np.stack([rng.permutation(np.repeat(rng.choice(50, p, replace=False), k))
+                            for _ in range(m)])
+            bias = rng.integers(0, int(rng.integers(1, 4)), size=ids.shape)
+            if m > 1 and rng.random() < 0.3:
+                bias[int(rng.integers(0, m))] = 7  # a batch of one bias class
+            assert_phase_matches_loop(ids, bias)
+            n_skipped = batch_labels(ids, bias).skipped.sum(axis=1)
+            kinds.update(np.select([n_skipped == 0, n_skipped == ids.shape[1]],
+                                   ["none", "all"], "some").tolist())
+        assert kinds == {"none", "some", "all"}  # skipped anchors per batch
+
+    def test_one_bias_class_and_string_labels(self):
+        ids = np.array([["A", "A", "B", "B"], ["C", "D", "C", "D"]])
+        bias = np.array([["P", "P", "P", "P"], ["P", "Q", "Q", "Q"]])
+        assert_phase_matches_loop(ids, bias)
+        phase = batch_labels(ids, bias)
+        assert phase.skipped[0].all() and not phase.pos_pool[0].any()
+        assert phase.skipped[1].tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([["A", "A", "B", "B"], ["A", "A", "B", "C"]],
+             "anchor 2 has no positive (id np.str_('B'))"),
+            ([["A", "A", "B", "B"], ["A", "A", "A", "A"]],
+             "anchor 0 has no negative (id np.str_('A'))"),
+            ([[3, 3, 4, 5]], "anchor 2 has no positive (id np.int64(4))"),
+        ],
+    )
+    def test_identity_error_wording(self, ids, message):
+        ids = np.array(ids)
+        bias = np.zeros(ids.shape, dtype=int)
+        with pytest.raises(BatchCompositionError) as loop:
+            loop_batch_labels(ids, bias)
+        with pytest.raises(BatchCompositionError) as stacked:
+            batch_labels(ids, bias)
+        assert str(stacked.value) == str(loop.value) == message
+
+    def test_misshapen_labels_rejected(self):
+        with pytest.raises(ConfigError, match="one shape"):
+            batch_labels(np.array([[0, 0, 1, 1]]), np.array([[0, 1, 0]]))
+        with pytest.raises(ConfigError, match="one shape"):
+            batch_labels(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+
+
 class TestReidHardLoss:
     ids = np.array(["A", "A", "B", "B"])
 
     def test_spec_value_16(self):
         emb = col([0.0, 2.0, 1.0, 3.0])
-        out = reid_hard_loss(emb, pairwise_sqdist(emb), self.ids, margin=1.0)
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(self.ids), margin=1.0)
         assert out.value == pytest.approx(16.0)
         np.testing.assert_allclose(out.selection.hinge_arg, [4.0, 4.0, 4.0, 4.0])
         assert out.value == pytest.approx(brute_force_hard_loss(emb, self.ids, 1.0)[0])
 
     def test_all_hinges_inactive(self):
         emb = col([0.0, 1.0, 3.0, 4.0])
-        out = reid_hard_loss(emb, pairwise_sqdist(emb), self.ids, margin=1.0)
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(self.ids), margin=1.0)
         assert out.value == 0.0
         assert not out.grads.any()
         assert not out.selection.active.any()
 
     def test_degenerate_geometry(self):
         emb = np.zeros((4, 2))
-        out = reid_hard_loss(emb, pairwise_sqdist(emb), self.ids, margin=0.7)
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(self.ids), margin=0.7)
         assert out.value == pytest.approx(4 * 0.7)
 
     def test_anchor_without_positive(self):
-        emb = col([0.0, 1.0, 2.0])
         with pytest.raises(BatchCompositionError):
-            reid_hard_loss(emb, pairwise_sqdist(emb), np.array(["A", "B", "B"]), 1.0)
+            labels_of(np.array(["A", "B", "B"]))
 
     def test_empty_batch_rejected(self):
-        emb = np.zeros((0, 2))
-        with pytest.raises(BatchCompositionError):
-            reid_hard_loss(emb, pairwise_sqdist(emb), np.array([], dtype=str), 1.0)
+        with pytest.raises(BatchCompositionError, match="empty batch"):
+            labels_of(np.array([], dtype=str))
+
+    def test_labels_of_another_batch_size_rejected(self):
+        emb = col([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(ConfigError, match="id labels misaligned"):
+            reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(self.ids), 1.0)
 
     def test_tie_break_lowest_index(self):
         # two equidistant negatives for anchor 0
         emb = col([0.0, 0.5, 1.0, -1.0])
-        out = reid_hard_loss(emb, pairwise_sqdist(emb), np.array(["A", "A", "B", "B"]), margin=10.0)
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(self.ids), margin=10.0)
         assert out.selection.neg_idx[0] == 2
 
 
 class TestBiasEasyLoss:
+    ids = np.array(["A", "A", "B", "B"])
     bias = np.array(["P", "P", "Q", "Q"])
+    labels = labels_of(ids, bias)
 
     def test_spec_value_12(self):
         # anchor 0: same-bias pool {1} mean 9, other pool {2, 3} mean (1 + 4) / 2,
         # so 1 + 9 - 2.5 = 7.5; anchor 2: 1 + 1 - (1 + 4) / 2 = -0.5; by symmetry
         # anchors 1 and 3 match, and the two active hinges sum to 15
         emb = col([0.0, 3.0, 1.0, 2.0])
-        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0)
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.labels, margin=1.0)
         assert out.value == pytest.approx(15.0)
         np.testing.assert_allclose(out.selection.hinge_arg, [7.5, 7.5, -0.5, -0.5])
         assert out.value == pytest.approx(brute_force_easy_loss(emb, self.bias, 1.0))
 
     def test_all_inactive(self):
         emb = col([0.0, 1.0, 3.0, 4.0])
-        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=1.0)
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.labels, margin=1.0)
         assert out.value == 0.0
         assert not out.grads.any()
 
     def test_degenerate_geometry(self):
         emb = np.zeros((4, 2))
-        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.bias, margin=0.25)
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.labels, margin=0.25)
         assert out.value == pytest.approx(4 * 0.25)
 
+    # the label phase needs a positive and a negative identity for every
+    # anchor, so each batch below has four rows, two per identity
     def test_skipped_anchor_counted_not_fatal(self):
-        emb = col([0.0, 1.0, 2.0])
-        out = bias_easy_loss(emb, pairwise_sqdist(emb), np.array(["P", "Q", "Q"]), margin=1.0)
+        emb = col([0.0, 1.0, 2.0, 3.0])
+        labels = labels_of(self.ids, np.array(["P", "Q", "Q", "Q"]))
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), labels, margin=1.0)
         assert out.n_skipped == 1  # anchor 0 has no same-bias partner
         assert out.selection.skipped[0]
 
     def test_all_skipped_is_fatal(self):
-        emb = col([0.0, 1.0])
-        with pytest.raises(BatchCompositionError):
-            bias_easy_loss(emb, pairwise_sqdist(emb), np.array(["P", "P"]), margin=1.0)
+        emb = col([0.0, 1.0, 2.0, 3.0])
+        labels = labels_of(self.ids, np.array(["P", "P", "P", "P"]))
+        with pytest.raises(
+            BatchCompositionError,
+            match="^every anchor lacks a same-bias or different-bias partner$",
+        ):
+            bias_easy_loss(emb, pairwise_sqdist(emb), labels, margin=1.0)
 
     def test_same_id_samples_allowed_in_pools(self):
-        # identity is irrelevant to the bias pools by construction: labels
-        # here are bias classes, ids never enter
-        emb = col([0.0, 0.1, 5.0])
-        out = bias_easy_loss(emb, pairwise_sqdist(emb), np.array(["P", "P", "Q"]), margin=1.0)
-        np.testing.assert_array_equal(out.selection.pos_pool[0], [False, True, False])
-        np.testing.assert_array_equal(out.selection.neg_pool[0], [False, False, True])
+        # identity is irrelevant to the bias pools by construction: rows 0
+        # and 1 share an identity and a bias class, and 1 is in 0's pool
+        emb = col([0.0, 0.1, 5.0, 5.1])
+        out = bias_easy_loss(emb, pairwise_sqdist(emb), self.labels, margin=1.0)
+        np.testing.assert_array_equal(out.selection.pos_pool[0], [False, True, False, False])
+        np.testing.assert_array_equal(out.selection.neg_pool[0], [False, False, True, True])
 
 
 class TestCombinedLoss:
     emb = col([0.0, 2.0, 1.0, 3.0])
     ids = np.array(["A", "A", "B", "B"])
     bias = np.array(["P", "Q", "Q", "P"])
+    labels = labels_of(ids, bias)
 
     def test_component_values(self):
         # frozen from the exhaustive-search oracles below; bias by hand:
@@ -240,30 +367,30 @@ class TestCombinedLoss:
         assert brute_force_easy_loss(self.emb, self.bias, 1.0) == pytest.approx(15.0)
 
     def test_reduce_combination(self):
-        out = combined_loss(self.emb, self.ids, self.bias, "reduce", 1.0, 0.01, 1.0, 1.0)
+        out = combined_loss(self.emb, self.labels, "reduce", 1.0, 0.01, 1.0, 1.0)
         assert out.value == pytest.approx(16.0 - 0.01 * 15.0)
         assert out.value == pytest.approx(15.85)
 
     def test_enhance_combination(self):
-        out = combined_loss(self.emb, self.ids, self.bias, "enhance", 1.0, 0.01, 1.0, 1.0)
+        out = combined_loss(self.emb, self.labels, "enhance", 1.0, 0.01, 1.0, 1.0)
         assert out.value == pytest.approx(16.0 + 0.01 * 15.0)
 
     def test_zero_bias_weight_reduces_to_reid(self):
         for mode in ("reduce", "enhance"):
-            out = combined_loss(self.emb, self.ids, self.bias, mode, 1.0, 0.0, 1.0, 1.0)
-            ref = reid_hard_loss(self.emb, pairwise_sqdist(self.emb), self.ids, 1.0)
+            out = combined_loss(self.emb, self.labels, mode, 1.0, 0.0, 1.0, 1.0)
+            ref = reid_hard_loss(self.emb, pairwise_sqdist(self.emb), labels_of(self.ids), 1.0)
             assert out.value == ref.value
             np.testing.assert_array_equal(out.grads, ref.grads)
 
     def test_zero_reid_weight_enhance_is_scaled_bias_loss(self):
-        out = combined_loss(self.emb, self.ids, self.bias, "enhance", 0.0, 0.05, 1.0, 1.0)
-        ref = bias_easy_loss(self.emb, pairwise_sqdist(self.emb), self.bias, 1.0)
+        out = combined_loss(self.emb, self.labels, "enhance", 0.0, 0.05, 1.0, 1.0)
+        ref = bias_easy_loss(self.emb, pairwise_sqdist(self.emb), self.labels, 1.0)
         assert out.value == pytest.approx(0.05 * ref.value)
         np.testing.assert_allclose(out.grads, 0.05 * ref.grads)
 
     def test_grad_is_signed_combination(self):
-        r = combined_loss(self.emb, self.ids, self.bias, "reduce", 1.0, 0.3, 1.0, 1.0)
-        e = combined_loss(self.emb, self.ids, self.bias, "enhance", 1.0, 0.3, 1.0, 1.0)
+        r = combined_loss(self.emb, self.labels, "reduce", 1.0, 0.3, 1.0, 1.0)
+        e = combined_loss(self.emb, self.labels, "enhance", 1.0, 0.3, 1.0, 1.0)
         np.testing.assert_allclose(
             r.grads, 1.0 * r.reid.grads - 0.3 * r.bias.grads, atol=1e-14
         )
@@ -275,9 +402,9 @@ class TestCombinedLoss:
 
     def test_bad_mode_and_weights(self):
         with pytest.raises(ConfigError):
-            combined_loss(self.emb, self.ids, self.bias, "boost", 1.0, 0.1, 1.0, 1.0)
+            combined_loss(self.emb, self.labels, "boost", 1.0, 0.1, 1.0, 1.0)
         with pytest.raises(ConfigError):
-            combined_loss(self.emb, self.ids, self.bias, "reduce", -1.0, 0.1, 1.0, 1.0)
+            combined_loss(self.emb, self.labels, "reduce", -1.0, 0.1, 1.0, 1.0)
 
 
 def random_batch(rng, n_ids=4, k=3, d=4, n_bias=2):
@@ -288,7 +415,7 @@ def random_batch(rng, n_ids=4, k=3, d=4, n_bias=2):
 
 
 def assert_hard_loss_matches_oracle(emb, ids, m):
-    out = reid_hard_loss(emb, pairwise_sqdist(emb), ids, m)
+    out = reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(ids), m)
     value, grads = brute_force_hard_loss(emb, ids, m)
     assert out.value == value
     # the bits, so a -0.0 against a 0.0 shows too
@@ -305,12 +432,12 @@ class TestSelectionOracle:
             m = float(rng.uniform(0.1, 2.0))
             assert_hard_loss_matches_oracle(emb, ids, m)
             try:
-                ours = bias_easy_loss(emb, pairwise_sqdist(emb), bias, m).value
+                ours = bias_easy_loss(emb, pairwise_sqdist(emb), labels_of(ids, bias), m).value
             except BatchCompositionError:
                 with pytest.raises(BatchCompositionError):
                     brute_force_easy_loss(emb, bias, m)
                 continue
-            assert ours == pytest.approx(brute_force_easy_loss(emb, bias, m), abs=1e-12)
+            assert ours == brute_force_easy_loss(emb, bias, m)
 
     def test_hard_loss_bit_exact_on_tie_heavy_batches(self):
         # rows on a coarse grid, so many candidates sit at equal distances
@@ -347,10 +474,10 @@ class TestActiveFraction:
             emb, ids, bias = random_batch(rng, n_ids, k, d=2, n_bias=int(rng.integers(2, 5)))
             m = float(rng.uniform(0.0, 3.0))
             d2 = pairwise_sqdist(emb)
-            sel = reid_hard_loss(emb, d2, ids, m).selection
+            sel = reid_hard_loss(emb, d2, labels_of(ids), m).selection
             assert sel.active_fraction == mask_mean_active_fraction(sel)
             try:
-                sel = bias_easy_loss(emb, d2, bias, m).selection
+                sel = bias_easy_loss(emb, d2, labels_of(ids, bias), m).selection
             except BatchCompositionError:
                 continue
             partly_skipped += bool(sel.skipped.any())
@@ -376,10 +503,8 @@ def embedding_fd_grads(value_fn, emb, h=1e-6):
 def far_from_ties(emb, ids, bias, margins, tol=1e-3):
     """Reject configurations where a hinge or a selection is near a tie."""
     d2 = pairwise_sqdist(emb)
-    for fn, labels, m in (
-        (reid_hard_loss, ids, margins[0]),
-        (bias_easy_loss, bias, margins[1]),
-    ):
+    labels = labels_of(ids, bias)
+    for fn, m in ((reid_hard_loss, margins[0]), (bias_easy_loss, margins[1])):
         out = fn(emb, d2, labels, m)
         if np.abs(out.selection.hinge_arg[~out.selection.skipped]).min() < tol:
             return False
@@ -399,9 +524,10 @@ class TestGradients:
             emb, ids, bias = random_batch(rng, n_ids=3, k=2, d=3)
             if not far_from_ties(emb, ids, bias, (0.5, 0.5)):
                 continue
-            out = combined_loss(emb, ids, bias, mode, 1.0, 0.2, 0.5, 0.5)
+            labels = labels_of(ids, bias)
+            out = combined_loss(emb, labels, mode, 1.0, 0.2, 0.5, 0.5)
             fd = embedding_fd_grads(
-                lambda e: combined_loss(e, ids, bias, mode, 1.0, 0.2, 0.5, 0.5).value, emb
+                lambda e: combined_loss(e, labels, mode, 1.0, 0.2, 0.5, 0.5).value, emb
             )
             np.testing.assert_allclose(out.grads, fd, rtol=1e-5, atol=1e-7)
             checked += 1
@@ -409,7 +535,8 @@ class TestGradients:
     def test_inactive_hinge_grads_exactly_zero(self):
         # spread ids so far apart every reid hinge is slack
         emb = col([0.0, 0.1, 100.0, 100.1])
-        out = reid_hard_loss(emb, pairwise_sqdist(emb), np.array(["A", "A", "B", "B"]), margin=0.3)
+        ids = np.array(["A", "A", "B", "B"])
+        out = reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(ids), margin=0.3)
         assert not out.selection.active.any()
         assert np.count_nonzero(out.grads) == 0
 
@@ -423,8 +550,9 @@ class TestGradients:
         if not far_from_ties(emb, ids, bias, (0.4, 0.4)):
             return
         perm = rng.permutation(len(emb))
-        base = combined_loss(emb, ids, bias, "reduce", 1.0, 0.5, 0.4, 0.4)
-        shuf = combined_loss(emb[perm], ids[perm], bias[perm], "reduce", 1.0, 0.5, 0.4, 0.4)
+        base = combined_loss(emb, labels_of(ids, bias), "reduce", 1.0, 0.5, 0.4, 0.4)
+        shuf_labels = labels_of(ids[perm], bias[perm])
+        shuf = combined_loss(emb[perm], shuf_labels, "reduce", 1.0, 0.5, 0.4, 0.4)
         assert shuf.value == pytest.approx(base.value, rel=1e-12)
         np.testing.assert_allclose(shuf.grads, base.grads[perm], atol=1e-12)
 
@@ -436,8 +564,8 @@ class TestZeroBiasWeightRobustness:
         emb = col([0.0, 2.0, 1.0, 3.0])
         ids = np.array(["A", "A", "B", "B"])
         single = np.array(["P", "P", "P", "P"])
-        out = combined_loss(emb, ids, single, "reduce", 1.0, 0.0, 1.0, 1.0)
-        ref = reid_hard_loss(emb, pairwise_sqdist(emb), ids, 1.0)
+        out = combined_loss(emb, labels_of(ids, single), "reduce", 1.0, 0.0, 1.0, 1.0)
+        ref = reid_hard_loss(emb, pairwise_sqdist(emb), labels_of(ids), 1.0)
         assert out.value == ref.value
         np.testing.assert_array_equal(out.grads, ref.grads)
         assert out.bias.n_skipped == 4
@@ -447,4 +575,4 @@ class TestZeroBiasWeightRobustness:
         ids = np.array(["A", "A", "B", "B"])
         single = np.array(["P", "P", "P", "P"])
         with pytest.raises(BatchCompositionError):
-            combined_loss(emb, ids, single, "reduce", 1.0, 0.01, 1.0, 1.0)
+            combined_loss(emb, labels_of(ids, single), "reduce", 1.0, 0.01, 1.0, 1.0)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from biasreid import trainer as trainer_module
 from biasreid.config import from_kv
 from biasreid.dataset import ChannelSpec, GeneratorConfig, PKSampler, Table, generate_synthetic
 from biasreid.errors import BatchCompositionError, CheckpointError, ConfigError
@@ -129,8 +130,8 @@ class TestTrainBranch:
         outs = {}
         for mode, cfg in cfgs.items():
             t = Trainer(tiny_ds, cfg)
-            idx, labels = t.draw_batch(t.sampler_for_epoch(0))
-            out, _ = t.batch_loss(idx, labels)
+            rows, labels = t.draw_chunk(t.sampler_for_epoch(0), 1)
+            out, _ = t.batch_loss(rows[0], labels[0])
             outs[mode] = out
         r, e = outs["reduce"], outs["enhance"]
         np.testing.assert_array_equal(r.reid.grads, e.reid.grads)
@@ -150,7 +151,8 @@ class TestTrainBranch:
         for epoch in range(cfg.epochs):
             sampler = replay.sampler_for_epoch(epoch)
             for _ in range(replay.batches_per_epoch):
-                out, _ = replay.batch_loss(*replay.draw_batch(sampler))
+                rows, labels = replay.draw_chunk(sampler, 1)
+                out, _ = replay.batch_loss(rows[0], labels[0])
                 updates += bool(out.grads.any())
         assert 0 < updates < cfg.epochs * replay.batches_per_epoch  # both paths taken
         t = Trainer(tiny_ds, cfg, params=EncoderParams(trained.weights, trained.biases))
@@ -479,8 +481,8 @@ class TestBatchRetry:
         cfg = tiny_cfg(p=2, k=2, lam_db=0.05, epochs=1, hidden=(4,), d_emb=3)
         t = Trainer(ds, cfg)
         for _ in range(6):
-            idx, labels = t.draw_batch(t.sampler_for_epoch(0))
-            assert len(np.unique(labels)) >= 2
+            idx = t.draw_batch(t.sampler_for_epoch(0))
+            assert len(np.unique(ds.codes["pose"][idx])) >= 2
 
     def test_single_class_train_split_fails_with_bias_weight(self):
         ds = self.rare_class_dataset()
@@ -496,3 +498,58 @@ class TestBatchRetry:
         cfg = tiny_cfg(p=2, k=2, lam_db=0.0, epochs=2, hidden=(4,), d_emb=3)
         params, log = train_branch(sub, cfg)
         assert len(log.epochs) == 2
+
+    def test_failing_draw_stops_its_chunk_before_the_first_step(self):
+        # 20 class-A identities and one class-B identity, two rows each: on
+        # epoch 0's stream at seed 0 the first two batches draw, and the
+        # third finds no two-class batch in its 10 draws. The chunk holding
+        # all three is drawn before any of them trains, so the error reaches
+        # the caller with nothing trained
+        n_a = 20
+        ids = np.repeat(np.arange(n_a + 1), 2)
+        ds = Table(
+            np.random.default_rng(0).normal(size=(len(ids), 4)),
+            ids,
+            np.tile([0, 1], n_a + 1),
+            ["train"] * len(ids),
+            {"pose": (ids == n_a).astype(int)},
+            {"pose": ["A", "B"]},
+        )
+        cfg = tiny_cfg(p=2, k=2, lam_db=0.05, epochs=1, hidden=(4,), d_emb=3, seed=0)
+        message = "^no batch with >= 2 'pose' classes after 10 draws$"
+        replay = Trainer(ds, cfg)
+        sampler = replay.sampler_for_epoch(0)
+        replay.draw_batch(sampler)
+        replay.draw_batch(sampler)
+        with pytest.raises(BatchCompositionError, match=message):
+            replay.draw_batch(sampler)
+        t = Trainer(ds, cfg)
+        before = t.params.flat.copy()
+        with pytest.raises(BatchCompositionError, match=message):
+            t.run()
+        assert t.adam.step == 0 and t.epoch == 0 and not t.log.epochs
+        assert np.array_equal(t.params.flat, before)
+
+
+class TestChunks:
+    # a tiny batch has 8 rows of 8 features: 64 cells, so a budget of 1 cell
+    # draws one batch a chunk and 192 cells three, which splits an epoch's 4
+    @pytest.mark.parametrize("cells", [1, 192])
+    def test_chunk_size_changes_no_bit(self, tiny_ds, monkeypatch, cells):
+        cfg = tiny_cfg(epochs=3, lam_db=0.05)
+        assert Trainer(tiny_ds, cfg).batches_per_epoch == 4
+        whole, whole_log = train_branch(tiny_ds, cfg)
+        monkeypatch.setattr(trainer_module, "_CHUNK_CELLS", cells)
+        chunked, chunked_log = train_branch(tiny_ds, cfg)
+        assert np.array_equal(chunked.flat.view(np.uint64), whole.flat.view(np.uint64))
+        assert chunked_log.to_csv() == whole_log.to_csv()
+
+    def test_chunk_equals_its_batches_drawn_one_at_a_time(self, tiny_ds):
+        t = Trainer(tiny_ds, tiny_cfg(lam_db=0.05))
+        rows, labels = t.draw_chunk(t.sampler_for_epoch(2), 4)
+        sampler = t.sampler_for_epoch(2)
+        for b in range(4):
+            one_rows, one_labels = t.draw_chunk(sampler, 1)
+            assert np.array_equal(rows[b], one_rows[0])
+            for name, value in vars(labels[b]).items():
+                assert np.array_equal(value, getattr(one_labels[0], name)), name
